@@ -217,7 +217,6 @@ def _denoise_from_args(args) -> DenoiseConfig:
         step_mode=args.step_mode,
         step_size=args.lr_w,
         tol=args.tol,
-        seed=args.seed,
     )
 
 

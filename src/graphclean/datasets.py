@@ -188,7 +188,8 @@ def load_bundle(path) -> Dataset:
 
     The node count comes from features.csv, so isolated nodes are fine.
     Raises :class:`BundleFormatError` with file and 1-based row number on any
-    malformed row, out-of-range endpoint, duplicate edge or self-loop.
+    malformed row, non-finite feature, out-of-range endpoint, duplicate edge
+    or self-loop.
     """
     root = Path(path)
 
@@ -208,6 +209,9 @@ def load_bundle(path) -> Dataset:
             )
         rows.append([_parse_float(p, f"features.csv row {ln}") for p in parts])
     features = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
 
     label_lines = _read_lines(root / "labels.csv")
     if not label_lines or label_lines[0] != "node,label":

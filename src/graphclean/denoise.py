@@ -14,6 +14,18 @@ In ``lipschitz`` mode eta = 1/(4 alpha n), the inverse of the gradient's
 Lipschitz constant (||L||_2^2 = 2n), which makes every step a monotone
 majorization-minimization step; ``fixed`` mode uses a constant learning rate
 and offers no descent guarantee.
+
+Both terms are evaluated in pair space (Kumar et al., JMLR 2020).  With
+deg = S w the weighted node degrees and (i, j) the nodes of pair k,
+
+    [L*(L w)]_k           = 2 w_k + deg[i] + deg[j]
+    ||L(w) - Phi_n||_F^2  = ||deg - diag Phi_n||^2 + 2 ||w + s||^2 + a
+
+where s_k = (Phi_ij + Phi_ji) / 2 is the symmetrised off-diagonal entry of
+Phi_n and a = sum_k (Phi_ij - Phi_ji)^2 / 2 is what its asymmetry adds.  An
+iteration therefore costs O(n^2 / 2) on pair vectors: two bincounts give
+deg, which the objective and the next gradient share.  Phi_n is read only at
+entry, for diag Phi_n, s, a and c; no n x n matrix is built per iteration.
 """
 
 from __future__ import annotations
@@ -22,13 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    WeightVector,
-    adjoint_of,
-    laplacian_from_weights,
-    pair_count,
-    _triu,
-)
+from .operators import WeightVector, adjoint_of, pair_count, _triu
 
 __all__ = [
     "DenoiseConfig",
@@ -71,7 +77,6 @@ class DenoiseConfig:
     step_mode: str = "lipschitz"
     step_size: float = 1e-3
     tol: float = 0.0
-    seed: int = 0
     restrict_support: bool = False
 
     def __post_init__(self):
@@ -99,7 +104,6 @@ class DenoiseConfig:
             "step_mode": self.step_mode,
             "step_size": self.step_size,
             "tol": self.tol,
-            "seed": self.seed,
             "restrict_support": self.restrict_support,
         }
 
@@ -171,15 +175,55 @@ def linear_coefficient(phi_n: np.ndarray, d_p: np.ndarray,
     return 2.0 * alpha * adj - beta * d_p
 
 
+def _target(phi_n: np.ndarray):
+    """What the objective needs of Phi_n: its diagonal, the symmetrised
+    off-diagonal pair vector s and the constant a its asymmetry adds."""
+    if phi_n.ndim != 2 or phi_n.shape[0] != phi_n.shape[1]:
+        raise ValueError(f"perturbed Laplacian must be square, got shape {phi_n.shape}")
+    rows, cols = _triu(phi_n.shape[0])
+    off = phi_n[rows, cols]
+    lower = phi_n[cols, rows]
+    gap = off - lower
+    asymmetry = 0.5 * float(gap @ gap)
+    off += lower
+    off *= 0.5
+    return np.diag(phi_n).copy(), off, asymmetry
+
+
+def _degrees(values: np.ndarray, n: int) -> np.ndarray:
+    """deg = S w, the weighted degree of every node."""
+    rows, cols = _triu(n)
+    return np.bincount(rows, values, n) + np.bincount(cols, values, n)
+
+
+def _objective(values, deg, target, d_p, alpha: float, beta: float) -> float:
+    diag, off, asymmetry = target
+    dd = deg - diag
+    r = values + off
+    return float(alpha * (dd @ dd + 2.0 * (r @ r) + asymmetry) + beta * (values @ d_p))
+
+
+def _gradient(values, deg, c, alpha: float) -> np.ndarray:
+    """2 alpha (2 w + deg[i] + deg[j]) - c, in a fresh array."""
+    rows, cols = _triu(deg.shape[0])
+    g = deg[rows]
+    g += deg[cols]
+    g += values
+    g += values
+    g *= 2.0 * alpha
+    g -= c
+    return g
+
+
 def objective(w, phi_n: np.ndarray, d_p: np.ndarray,
               alpha: float, beta: float) -> float:
     """alpha ||L(w) - Phi_n||_F^2 + beta <w, d_p>."""
     values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
     phi_n = np.asarray(phi_n, dtype=np.float64)
     d_p = np.asarray(d_p, dtype=np.float64)
-    _check_pair_shapes(phi_n.shape[0], values, d_p)
-    residual = laplacian_from_weights(values) - phi_n
-    return float(alpha * np.einsum("ij,ij->", residual, residual) + beta * (values @ d_p))
+    n = phi_n.shape[0]
+    _check_pair_shapes(n, values, d_p)
+    return _objective(values, _degrees(values, n), _target(phi_n), d_p, alpha, beta)
 
 
 def gradient(w, phi_n: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
@@ -188,8 +232,9 @@ def gradient(w, phi_n: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
     values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
     phi_n = np.asarray(phi_n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    _check_pair_shapes(phi_n.shape[0], values, c)
-    return 2.0 * alpha * adjoint_of(laplacian_from_weights(values)) - c
+    n = phi_n.shape[0]
+    _check_pair_shapes(n, values, c)
+    return _gradient(values, _degrees(values, n), c, alpha)
 
 
 def initial_weights(phi_n: np.ndarray) -> np.ndarray:
@@ -241,30 +286,36 @@ def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
         w = np.maximum(np.asarray(w0, dtype=np.float64).copy(), 0.0)
         _check_pair_shapes(n, w)
 
-    support = None
+    pinned = None
     if config.restrict_support:
         support = initial_weights(phi_n) > 0.0
         w = np.where(support, w, 0.0)
+        pinned = ~support
 
     c = linear_coefficient(phi_n, d_p, config.alpha, config.beta)
+    target = _target(phi_n)
     if config.step_mode == "lipschitz":
         eta = 1.0 / (4.0 * config.alpha * n)
     else:
         eta = config.step_size
 
-    alpha2 = 2.0 * config.alpha
-    f_prev = objective(w, phi_n, d_p, config.alpha, config.beta)
+    deg = _degrees(w, n)
+    f_prev = _objective(w, deg, target, d_p, config.alpha, config.beta)
     if not np.isfinite(f_prev):
         raise DenoiseDivergence(0)
     trace = [f_prev]
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
-        grad = alpha2 * adjoint_of(laplacian_from_weights(w)) - c
-        w = np.maximum(w - eta * grad, 0.0)
-        if support is not None:
-            w[~support] = 0.0
-        f = objective(w, phi_n, d_p, config.alpha, config.beta)
+        # w - eta * grad, projected, built in the gradient's own buffer
+        step = _gradient(w, deg, c, config.alpha)
+        step *= -eta
+        step += w
+        w = np.maximum(step, 0.0, out=step)
+        if pinned is not None:
+            w[pinned] = 0.0
+        deg = _degrees(w, n)
+        f = _objective(w, deg, target, d_p, config.alpha, config.beta)
         if not np.isfinite(f):
             raise DenoiseDivergence(t)
         trace.append(f)

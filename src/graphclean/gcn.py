@@ -135,6 +135,23 @@ def normalize_adjacency(W: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
 
 
+def _propagate(params: GcnParams, A_hat: np.ndarray, AX: np.ndarray):
+    """Forward pass from the propagated features AX = A_hat @ X.
+
+    Returns the pre-activation AX @ W1, the propagated hidden layer and the
+    logits; :func:`_loss_and_gradients` needs all three.
+    """
+    XW = AX @ params.W1
+    prop_hidden = A_hat @ np.maximum(XW, 0.0)
+    return XW, prop_hidden, prop_hidden @ params.W2
+
+
+def _finite(logits: np.ndarray) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits in forward pass")
+    return logits
+
+
 def forward(params: GcnParams, A_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
     """logits = A_hat @ relu(A_hat @ X @ W1) @ W2."""
     X = np.asarray(X, dtype=np.float64)
@@ -143,11 +160,7 @@ def forward(params: GcnParams, A_hat: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: A_hat {A_hat.shape}, X {X.shape}, W1 {params.W1.shape}"
         )
-    hidden = np.maximum(A_hat @ X @ params.W1, 0.0)
-    logits = A_hat @ hidden @ params.W2
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits in forward pass")
-    return logits
+    return _finite(_propagate(params, A_hat, A_hat @ X)[2])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -190,19 +203,11 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     return float(np.mean(predicted == labels[mask]))
 
 
-def loss_and_gradients(params: GcnParams, A_hat: np.ndarray, X: np.ndarray,
-                       labels: np.ndarray, mask, weight_decay: float):
-    """Training loss (cross-entropy + L2) and its exact parameter gradients."""
-    A_hat = np.asarray(A_hat, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = _check_mask(mask, X.shape[0])
-
-    XW = A_hat @ X @ params.W1
-    hidden = np.maximum(XW, 0.0)
-    prop_hidden = A_hat @ hidden
-    logits = prop_hidden @ params.W2
-
+def _loss_and_gradients(params: GcnParams, A_hat: np.ndarray, AX: np.ndarray,
+                        state, labels: np.ndarray, mask: np.ndarray,
+                        weight_decay: float):
+    """Loss and gradients at ``params``, whose :func:`_propagate` is ``state``."""
+    XW, prop_hidden, logits = state
     probs = softmax(logits)
     loss = cross_entropy(logits, labels, mask)
     loss += 0.5 * weight_decay * (
@@ -216,8 +221,20 @@ def loss_and_gradients(params: GcnParams, A_hat: np.ndarray, X: np.ndarray,
 
     grad_W2 = prop_hidden.T @ d_logits + weight_decay * params.W2
     d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
-    grad_W1 = (A_hat @ X).T @ d_hidden + weight_decay * params.W1
+    grad_W1 = AX.T @ d_hidden + weight_decay * params.W1
     return loss, grad_W1, grad_W2
+
+
+def loss_and_gradients(params: GcnParams, A_hat: np.ndarray, X: np.ndarray,
+                       labels: np.ndarray, mask, weight_decay: float):
+    """Training loss (cross-entropy + L2) and its exact parameter gradients."""
+    A_hat = np.asarray(A_hat, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    mask = _check_mask(mask, X.shape[0])
+    AX = A_hat @ X
+    return _loss_and_gradients(params, A_hat, AX, _propagate(params, A_hat, AX),
+                               labels, mask, weight_decay)
 
 
 def train(dataset: Dataset, A_hat: np.ndarray, split: Split,
@@ -235,29 +252,38 @@ def train(dataset: Dataset, A_hat: np.ndarray, split: Split,
 
     params = xavier_params(dataset.feature_dim, config.hidden,
                            dataset.num_classes, config.seed)
-    X, y = dataset.features, dataset.labels
+    A_hat = np.asarray(A_hat, dtype=np.float64)
+    y = dataset.labels
+    train_mask = _check_mask(split.train, dataset.n)
+    # A_hat @ X is fixed during training, and the forward pass that scores an
+    # epoch's update is the next epoch's forward pass
+    AX = A_hat @ dataset.features
+    state = _propagate(params, A_hat, AX)
 
     loss_trace: list[float] = []
     val_trace: list[float] = []
     best_acc = -1.0
     best_epoch = 0
     best_params = params.copy()
+    best_logits = state[2]
     for epoch in range(config.epochs):
-        loss, g1, g2 = loss_and_gradients(params, A_hat, X, y, split.train,
-                                          config.weight_decay)
+        loss, g1, g2 = _loss_and_gradients(params, A_hat, AX, state, y, train_mask,
+                                           config.weight_decay)
         if not np.isfinite(loss):
             raise TrainDivergence(epoch)
         loss_trace.append(loss)
         params.W1 = params.W1 - config.learning_rate * g1
         params.W2 = params.W2 - config.learning_rate * g2
-        val_acc = accuracy(forward(params, A_hat, X), y, split.val)
+        state = _propagate(params, A_hat, AX)
+        val_acc = accuracy(_finite(state[2]), y, split.val)
         val_trace.append(val_acc)
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
             best_params = params.copy()
+            best_logits = state[2]
 
-    test_acc = accuracy(forward(best_params, A_hat, X), y, split.test)
+    test_acc = accuracy(best_logits, y, split.test)
     report = TrainReport(
         loss_trace=loss_trace,
         val_accuracy_trace=val_trace,

@@ -38,8 +38,9 @@ __all__ = [
 
 ARMS = ("clean", "poisoned", "denoised")
 
-# stream ids for per-repetition seed derivation
-_DATASET, _SPLIT, _ATTACK, _DENOISE, _TRAIN = range(1, 6)
+# stream ids for per-repetition seed derivation; 4 belonged to the denoiser,
+# which takes no seed, and stays unused so training seeds keep their values
+_DATASET, _SPLIT, _ATTACK, _TRAIN = 1, 2, 3, 5
 
 SWEEPABLE = ("rate", "beta", "p")
 
@@ -117,13 +118,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        """Rebuild a config from a report echo, so runs are reproducible."""
+        """Rebuild a config from a report echo, so runs are reproducible.
+
+        Reports written before the denoiser lost its unused ``seed`` still
+        carry one in their ``denoise`` block; it is dropped.
+        """
         sbm = payload.get("sbm")
+        denoise_fields = {k: v for k, v in payload["denoise"].items() if k != "seed"}
         return cls(
             bundle=payload.get("bundle"),
             sbm=None if sbm is None else SbmParams(**sbm),
             attack=AttackSpec(**payload["attack"]),
-            denoise=DenoiseConfig(**payload["denoise"]),
+            denoise=DenoiseConfig(**denoise_fields),
             train=TrainConfig(**payload["train"]),
             fractions=tuple(payload["fractions"]),
             repetitions=payload["repetitions"],
@@ -203,10 +209,8 @@ def run_repetition(config: ExperimentConfig, r: int,
     if d_p is None and config.denoise.beta != 0.0:
         d_p = _stage("distances", r, pairwise_p_distances, dataset.features,
                      config.denoise.p)
-    denoise_cfg = dataclasses.replace(config.denoise,
-                                      seed=derive_seed(rep_seed, _DENOISE))
     result = _stage("denoise", r, denoise, laplacian_from_weights(poisoned),
-                    dataset.features, denoise_cfg, d_p=d_p)
+                    dataset.features, config.denoise, d_p=d_p)
 
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(rep_seed, _TRAIN))
     accuracies = {}
@@ -235,29 +239,44 @@ def run_repetition(config: ExperimentConfig, r: int,
     }
 
 
+def _run_configs(configs: list) -> list[ExperimentReport]:
+    """Run each config in turn; all share one dataset source.
+
+    A bundle is loaded once, and its distances are computed once for each
+    run of consecutive configs with the same ``p``.
+    """
+    bundle_dataset = bundle_split = None
+    if configs[0].bundle is not None:
+        bundle_dataset = load_bundle(configs[0].bundle)
+        bundle_split = load_splits(configs[0].bundle, bundle_dataset.n)
+    # (p, d_p) of the last distances computed, so one pair vector is held
+    distances = (None, None)
+    reports = []
+    for config in configs:
+        shared_d_p = None
+        if bundle_dataset is not None and config.denoise.beta != 0.0:
+            if distances[0] != config.denoise.p:
+                distances = (config.denoise.p,
+                             pairwise_p_distances(bundle_dataset.features, config.denoise.p))
+            shared_d_p = distances[1]
+        records = [
+            run_repetition(config, r, bundle_dataset, bundle_split, shared_d_p)
+            for r in range(config.repetitions)
+        ]
+        report = ExperimentReport(
+            config=config.to_dict(),
+            repetitions=records,
+            aggregates=_aggregate(records),
+        )
+        if config.out:
+            write_report_json(report, config.out)
+        reports.append(report)
+    return reports
+
+
 def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     """Run all repetitions and aggregate mean +- sample std per arm."""
-    bundle_dataset = None
-    bundle_split = None
-    shared_d_p = None
-    if config.bundle is not None:
-        bundle_dataset = load_bundle(config.bundle)
-        bundle_split = load_splits(config.bundle, bundle_dataset.n)
-        if config.denoise.beta != 0.0:
-            shared_d_p = pairwise_p_distances(bundle_dataset.features, config.denoise.p)
-
-    records = [
-        run_repetition(config, r, bundle_dataset, bundle_split, shared_d_p)
-        for r in range(config.repetitions)
-    ]
-    report = ExperimentReport(
-        config=config.to_dict(),
-        repetitions=records,
-        aggregates=_aggregate(records),
-    )
-    if config.out:
-        write_report_json(report, config.out)
-    return report
+    return _run_configs([config])[0]
 
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentReport]:
@@ -267,7 +286,7 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    reports = []
+    configs = []
     for value in values:
         # per-value runs never write config.out; the caller owns the list
         cfg = dataclasses.replace(config, out=None)
@@ -280,8 +299,8 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
         else:
             cfg = dataclasses.replace(cfg,
                                       denoise=dataclasses.replace(cfg.denoise, p=float(value)))
-        reports.append(run_pipeline(cfg))
-    return reports
+        configs.append(cfg)
+    return _run_configs(configs)
 
 
 def report_json_text(report) -> str:

@@ -87,6 +87,20 @@ class TestLoadBundle:
         with pytest.raises(BundleFormatError, match="features.csv row 2"):
             load_bundle(bundle_dir)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_row(self, tmp_path, value):
+        params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.05, p_out=0.005,
+                           feature_dim=4, feature_signal=1.0, feature_noise=0.5)
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(params, 17), bundle)
+        lines = (bundle / "features.csv").read_text(encoding="utf-8").split("\n")
+        cells = lines[216].split(",")
+        cells[2] = value
+        lines[216] = ",".join(cells)
+        (bundle / "features.csv").write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(BundleFormatError, match="features.csv row 217: non-finite"):
+            load_bundle(bundle)
+
     def test_splits_json_round_trip(self, bundle_dir, small_dataset):
         split = Split(train=np.array([0, 3]), val=np.array([1, 4]),
                       test=np.array([2, 5]))

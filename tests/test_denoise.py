@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from graphclean.attacks import heterophilic_add
+from graphclean.datasets import SbmParams, generate_sbm
 from graphclean.denoise import (
     DenoiseConfig,
     DenoiseDivergence,
@@ -13,8 +15,54 @@ from graphclean.denoise import (
     objective,
     pairwise_p_distances,
 )
-from graphclean.operators import laplacian_from_weights, pair_count
+from graphclean.operators import adjoint_of, laplacian_from_weights, pair_count
 from graphclean.rng import SplitMix64
+
+
+def dense_objective(w, phi_n, d_p, alpha, beta):
+    """Oracle: the objective through the n x n matrix L(w) - Phi_n."""
+    residual = laplacian_from_weights(w) - phi_n
+    return float(alpha * np.einsum("ij,ij->", residual, residual) + beta * (w @ d_p))
+
+
+def dense_gradient(w, c, alpha):
+    """Oracle: 2 alpha L*(L w) - c through the n x n matrix L(w)."""
+    return 2.0 * alpha * adjoint_of(laplacian_from_weights(w)) - c
+
+
+def dense_denoise(phi_n, d_p, config, w0=None):
+    """Oracle: the projected-gradient loop with an n x n matrix per iteration,
+    with the same initialisation, step and stopping rule as ``denoise``."""
+    n = phi_n.shape[0]
+    w = initial_weights(phi_n) if w0 is None else np.maximum(w0, 0.0)
+    support = None
+    if config.restrict_support:
+        support = initial_weights(phi_n) > 0.0
+        w = np.where(support, w, 0.0)
+    c = linear_coefficient(phi_n, d_p, config.alpha, config.beta)
+    if config.step_mode == "lipschitz":
+        eta = 1.0 / (4.0 * config.alpha * n)
+    else:
+        eta = config.step_size
+    f_prev = dense_objective(w, phi_n, d_p, config.alpha, config.beta)
+    trace = [f_prev]
+    for _ in range(config.max_iters):
+        w = np.maximum(w - eta * dense_gradient(w, c, config.alpha), 0.0)
+        if support is not None:
+            w[~support] = 0.0
+        f = dense_objective(w, phi_n, d_p, config.alpha, config.beta)
+        trace.append(f)
+        decrease = f_prev - f
+        if 0.0 <= decrease <= config.tol * max(1.0, abs(f_prev)):
+            break
+        f_prev = f
+    return w, np.asarray(trace)
+
+
+def assert_close_to(actual, expected):
+    """The pair-space / dense agreement bound: atol 1e-12 (1 + max|expected|)."""
+    err = float(np.max(np.abs(actual - expected), initial=0.0))
+    assert err <= 1e-12 * (1.0 + float(np.max(np.abs(expected), initial=0.0)))
 
 
 def finite_difference_gradient(w, phi_n, d_p, alpha, beta):
@@ -255,6 +303,71 @@ class TestDenoise:
         payload = result.to_json_dict()
         assert set(payload) == {"iterations", "converged", "objective_trace", "config"}
         assert isinstance(payload["objective_trace"], list)
+
+
+def nearly_symmetric_problem(rng, n):
+    """A perturbed matrix that is no Laplacian, with an asymmetry just under
+    the 1e-9 gate of ``denoise``."""
+    phi_n, d_p, alpha, beta = random_problem(rng, n)
+    phi_n = phi_n + np.diag([rng.uniform() - 0.5 for _ in range(n)])
+    skew = np.array([[rng.uniform() for _ in range(n)] for _ in range(n)])
+    limit = 0.9e-9 * (1.0 + float(np.max(np.abs(phi_n))))
+    phi_n = phi_n + np.triu(skew, 1) * limit
+    return phi_n, d_p, alpha, beta
+
+
+class TestPairSpaceMatchesDenseOracle:
+    """The pair-space objective, gradient and loop against the n x n forms."""
+
+    def test_objective_and_gradient(self):
+        rng = SplitMix64(53)
+        for n in range(2, 51):
+            phi_n, d_p, alpha, beta = nearly_symmetric_problem(rng, n)
+            w = np.array([rng.uniform() if rng.uniform() < 0.5 else 0.0
+                          for _ in range(pair_count(n))])
+            c = linear_coefficient(phi_n, d_p, alpha, beta)
+            np.testing.assert_allclose(objective(w, phi_n, d_p, alpha, beta),
+                                       dense_objective(w, phi_n, d_p, alpha, beta),
+                                       rtol=1e-12)
+            assert_close_to(gradient(w, phi_n, c, alpha), dense_gradient(w, c, alpha))
+            # objective() itself has no symmetry gate, so its asymmetry term
+            # is checked on a matrix far from symmetric
+            skewed = phi_n + np.triu(np.ones((n, n)), 1)
+            np.testing.assert_allclose(objective(w, skewed, d_p, alpha, beta),
+                                       dense_objective(w, skewed, d_p, alpha, beta),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"restrict_support": True},
+        {"step_mode": "fixed", "step_size": 1e-3},
+        {"max_iters": 5000, "tol": 1e-10},
+    ])
+    def test_loop(self, options):
+        rng = SplitMix64(59)
+        for _ in range(6):
+            n = 2 + rng.bounded(49)
+            phi_n, d_p, alpha, beta = nearly_symmetric_problem(rng, n)
+            config = DenoiseConfig(alpha=alpha, beta=beta, **options)
+            result = denoise(phi_n, np.zeros((n, 2)), config, d_p=d_p)
+            w, trace = dense_denoise(phi_n, d_p, config)
+            assert result.objective_trace.size == trace.size
+            np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12)
+            assert_close_to(result.weights.values, w)
+
+    def test_seeded_sbm_protocol_run(self):
+        params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
+                           feature_dim=8, feature_signal=1.0, feature_noise=0.5)
+        dataset = generate_sbm(params, 61)
+        poisoned = heterophilic_add(dataset, dataset.graph.edge_count // 4, 62)
+        phi_n = laplacian_from_weights(poisoned)
+        d_p = pairwise_p_distances(dataset.features, 2.0)
+        config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=200)
+        result = denoise(phi_n, dataset.features, config, d_p=d_p)
+        w, trace = dense_denoise(phi_n, d_p, config)
+        assert result.iterations_run == 200
+        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12)
+        assert_close_to(result.weights.values, w)
 
 
 class TestDenoiseConfig:

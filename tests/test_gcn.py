@@ -64,6 +64,44 @@ def fd_parameter_gradient(params, A_hat, X, labels, mask, weight_decay):
     return grads
 
 
+def reference_train(dataset, A_hat, split, config):
+    """Oracle: the training loop with A_hat @ X recomputed in every product
+    and a separate forward pass for validation, six n x n products per epoch."""
+    params = xavier_params(dataset.feature_dim, config.hidden,
+                           dataset.num_classes, config.seed)
+    X, y = dataset.features, dataset.labels
+
+    def logits_of(p):
+        return A_hat @ np.maximum(A_hat @ X @ p.W1, 0.0) @ p.W2
+
+    loss_trace, val_trace = [], []
+    best_acc, best_epoch, best_params = -1.0, 0, params.copy()
+    mask = split.train
+    for epoch in range(config.epochs):
+        XW = A_hat @ X @ params.W1
+        prop_hidden = A_hat @ np.maximum(XW, 0.0)
+        logits = prop_hidden @ params.W2
+        probs = softmax(logits)
+        loss = cross_entropy(logits, y, mask) + 0.5 * config.weight_decay * (
+            float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2)))
+        d_logits = np.zeros_like(probs)
+        d_logits[mask] = probs[mask]
+        d_logits[mask, y[mask]] -= 1.0
+        d_logits /= mask.size
+        g2 = prop_hidden.T @ d_logits + config.weight_decay * params.W2
+        d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
+        g1 = (A_hat @ X).T @ d_hidden + config.weight_decay * params.W1
+        loss_trace.append(loss)
+        params.W1 = params.W1 - config.learning_rate * g1
+        params.W2 = params.W2 - config.learning_rate * g2
+        val_acc = accuracy(logits_of(params), y, split.val)
+        val_trace.append(val_acc)
+        if val_acc > best_acc:
+            best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
+    return best_params, loss_trace, val_trace, best_epoch, accuracy(
+        logits_of(best_params), y, split.test)
+
+
 def random_gcn_instance(seed, n=5, d=3, h=2, C=2):
     rng = SplitMix64(seed)
     w = np.array([1.0 if rng.uniform() < 0.5 else 0.0 for _ in range(pair_count(n))])
@@ -242,6 +280,28 @@ class TestTrain:
         peak = max(report.val_accuracy_trace)
         assert report.val_accuracy_trace[best] == peak
         assert best == report.val_accuracy_trace.index(peak)
+
+    @pytest.mark.parametrize("size, blocks, dim, epochs", [
+        (50, 2, 6, 60),
+        (60, 3, 20, 40),
+        (50, 4, 1433, 15),  # Cora's feature width
+    ])
+    def test_bit_identical_to_reference_loop(self, size, blocks, dim, epochs):
+        ds = generate_sbm(SbmParams(nodes_per_block=size, blocks=blocks, p_in=0.2,
+                                    p_out=0.02, feature_dim=dim, feature_signal=1.0,
+                                    feature_noise=0.8), 13)
+        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
+        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05, seed=15)
+        params, report = train(ds, A_hat, split, config)
+        ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
+            ds, A_hat, split, config)
+        np.testing.assert_array_equal(params.W1, ref_params.W1)
+        np.testing.assert_array_equal(params.W2, ref_params.W2)
+        np.testing.assert_array_equal(report.loss_trace, loss_trace)
+        np.testing.assert_array_equal(report.val_accuracy_trace, val_trace)
+        assert report.best_val_epoch == best_epoch
+        assert report.test_accuracy == test_acc
 
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)

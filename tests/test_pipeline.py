@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from graphclean.datasets import SbmParams
+from graphclean import pipeline
+from graphclean.datasets import SbmParams, generate_sbm, save_bundle
 from graphclean.denoise import DenoiseConfig
 from graphclean.gcn import TrainConfig
 from graphclean.pipeline import (
@@ -54,6 +55,16 @@ class TestRunPipeline:
         rebuilt = ExperimentConfig.from_dict(json.loads(report_json_text(report))["config"])
         again = run_pipeline(rebuilt)
         assert report_json_text(again) == report_json_text(report)
+
+    def test_old_report_with_denoise_seed_round_trips(self):
+        report = run_pipeline(small_config(repetitions=1))
+        payload = json.loads(report_json_text(report))
+        old = json.loads(json.dumps(payload["config"]))
+        old["denoise"]["seed"] = 12345
+        rebuilt = ExperimentConfig.from_dict(old)
+        assert rebuilt.to_dict() == payload["config"]
+        assert "seed" not in rebuilt.to_dict()["denoise"]
+        assert report_json_text(run_pipeline(rebuilt)) == report_json_text(report)
 
     def test_report_structure_and_aggregates(self):
         report = run_pipeline(small_config())
@@ -140,6 +151,34 @@ class TestSweep:
         assert len(reports) == 6
         for rate, rep in zip(rates, reports):
             assert rep.config["attack"]["rate"] == rate
+
+    def test_bundle_loaded_and_distances_computed_once(self, tmp_path, monkeypatch):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(small_config().sbm, 3), bundle)
+        config = small_config(sbm=None, bundle=str(bundle), repetitions=2,
+                              attack=AttackSpec(kind="random"))
+        rates = [0.1, 0.2, 0.3]
+        # one run_pipeline per value, each loading the bundle again
+        expected = report_json_text([
+            run_pipeline(dataclasses.replace(
+                config, attack=dataclasses.replace(config.attack, rate=rate)))
+            for rate in rates
+        ])
+        calls = {"load_bundle": 0, "pairwise_p_distances": 0}
+
+        def counted(name):
+            fn = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counted(name))
+        reports = sweep(config, "rate", rates)
+        assert calls == {"load_bundle": 1, "pairwise_p_distances": 1}
+        assert report_json_text(reports) == expected
 
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="parameter"):

@@ -35,15 +35,6 @@ class PerturbationReport:
     mean_p_distance_added: float
     mean_p_distance_original: float
 
-    def to_dict(self) -> dict:
-        return {
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
-            "added_cross_label_fraction": self.added_cross_label_fraction,
-            "mean_p_distance_added": self.mean_p_distance_added,
-            "mean_p_distance_original": self.mean_p_distance_original,
-        }
-
 
 def _sample_absent(values: np.ndarray, count: int, rng: SplitMix64,
                    eligible: np.ndarray | None = None) -> np.ndarray:

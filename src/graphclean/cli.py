@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .attacks import heterophilic_add, perturbation_report, random_add
+from .attacks import perturbation_report
 from .datasets import (
     Dataset,
     SbmParams,
@@ -29,6 +30,7 @@ from .operators import adjacency_from_weights, laplacian_from_weights
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
+    apply_attack,
     run_pipeline,
     sweep,
     write_report_csv,
@@ -173,10 +175,15 @@ def parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         file_values = read_config_file(args.config)
+        # keys of any subcommand are allowed, so one file can serve them all
+        known = set().union(*(vars(parser.parse_args([name])) for name in _COMMANDS))
+        known -= {"command", "config"}
         defaults = parser.parse_args([args.command])
         explicit = _explicit_dests(argv)
         converters = {"split": _fractions, "values": _float_list}
         for key, text in file_values.items():
+            if key not in known:
+                raise ValueError(f"{args.config}: unknown key {key!r}")
             if not hasattr(args, key):
                 continue  # key belongs to another subcommand
             if key in explicit:
@@ -249,18 +256,13 @@ def cmd_attack(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
     dataset = load_bundle(bundle)
-    if args.attack == "random":
-        poisoned = random_add(dataset.graph, args.rate, args.seed)
-    elif args.attack == "heterophilic":
-        budget = args.budget or int(args.rate * dataset.graph.edge_count + 1e-9)
-        poisoned = heterophilic_add(dataset, budget, args.seed)
-    else:
-        poisoned = dataset.graph
+    attack = AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget)
+    poisoned = apply_attack(dataset, attack, args.seed)
     stats = perturbation_report(dataset.graph, poisoned, dataset, p=args.p)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=poisoned, num_classes=dataset.num_classes), out)
     report_path = Path(out) / "attack_report.json"
-    report_path.write_text(json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8")
+    report_path.write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
     print(f"wrote poisoned bundle: {out} (+{stats.edges_added} edges)")
     return 0
 
@@ -289,7 +291,7 @@ def cmd_train(args) -> int:
         split = split_nodes(dataset.n, args.split, args.seed)
     a_hat = normalize_adjacency(adjacency_from_weights(dataset.graph))
     _, report = train(dataset, a_hat, split, _train_from_args(args))
-    payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    payload = json.dumps(asdict(report), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     print(f"test accuracy {report.test_accuracy:.4f} "
@@ -307,12 +309,13 @@ def _experiment_config(args) -> ExperimentConfig:
         fractions=args.split,
         repetitions=args.reps,
         seed=args.seed,
-        out=args.out,
     )
 
 
 def cmd_pipeline(args) -> int:
     report = run_pipeline(_experiment_config(args))
+    if args.out:
+        write_report_json(report, args.out)
     if args.csv:
         write_report_csv(report, args.csv)
     for arm, stats in report.aggregates.items():

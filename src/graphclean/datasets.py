@@ -147,17 +147,6 @@ class SbmParams:
         if self.feature_noise < 0:
             raise ValueError("feature_noise must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes_per_block": self.nodes_per_block,
-            "blocks": self.blocks,
-            "p_in": self.p_in,
-            "p_out": self.p_out,
-            "feature_dim": self.feature_dim,
-            "feature_signal": self.feature_signal,
-            "feature_noise": self.feature_noise,
-        }
-
 
 def _parse_float(text: str, where: str) -> float:
     try:
@@ -300,22 +289,38 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
 
 
 def load_splits(path, n: int) -> Split | None:
-    """Read splits.json if present; validates ids against the node count."""
+    """Read splits.json if present; validates ids against the node count.
+
+    Raises :class:`BundleFormatError` naming the file on invalid JSON, a
+    missing part, an id that is not an integer, overlapping parts or an id
+    out of range.
+    """
     file = Path(path)
     if file.is_dir():
         file = file / "splits.json"
     if not file.is_file():
         return None
-    payload = json.loads(file.read_text(encoding="utf-8"))
     try:
-        split = Split(
-            train=np.asarray(payload["train"], dtype=np.int64),
-            val=np.asarray(payload["val"], dtype=np.int64),
-            test=np.asarray(payload["test"], dtype=np.int64),
-        )
-    except KeyError as exc:
-        raise BundleFormatError(f"splits.json: missing key {exc}") from None
-    split.validate_for(n)
+        payload = json.loads(file.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise BundleFormatError(f"{file.name}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise BundleFormatError(
+            f"{file.name}: expected an object with train, val and test lists")
+    parts = {}
+    for name in ("train", "val", "test"):
+        if name not in payload:
+            raise BundleFormatError(f"{file.name}: missing key {name!r}")
+        ids = payload[name]
+        # type(i) is int also refuses bools, which json gives for true/false
+        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+            raise BundleFormatError(f"{file.name}: {name} must be a list of integer node ids")
+        parts[name] = ids
+    try:
+        split = Split(**parts)
+        split.validate_for(n)
+    except (ValueError, OverflowError) as exc:
+        raise BundleFormatError(f"{file.name}: {exc}") from None
     return split
 
 

@@ -30,7 +30,7 @@ entry, for diag Phi_n, s, a and c; no n x n matrix is built per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class DenoiseConfig:
     step_mode: str = "lipschitz"
     step_size: float = 1e-3
     tol: float = 0.0
-    restrict_support: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -95,18 +94,6 @@ class DenoiseConfig:
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "p": self.p,
-            "max_iters": self.max_iters,
-            "step_mode": self.step_mode,
-            "step_size": self.step_size,
-            "tol": self.tol,
-            "restrict_support": self.restrict_support,
-        }
-
 
 @dataclass(frozen=True)
 class DenoiseResult:
@@ -121,7 +108,7 @@ class DenoiseResult:
             "iterations": self.iterations_run,
             "converged": self.converged,
             "objective_trace": [float(x) for x in self.objective_trace],
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
         }
 
 
@@ -286,12 +273,6 @@ def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
         w = np.maximum(np.asarray(w0, dtype=np.float64).copy(), 0.0)
         _check_pair_shapes(n, w)
 
-    pinned = None
-    if config.restrict_support:
-        support = initial_weights(phi_n) > 0.0
-        w = np.where(support, w, 0.0)
-        pinned = ~support
-
     c = linear_coefficient(phi_n, d_p, config.alpha, config.beta)
     target = _target(phi_n)
     if config.step_mode == "lipschitz":
@@ -312,8 +293,6 @@ def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
         step *= -eta
         step += w
         w = np.maximum(step, 0.0, out=step)
-        if pinned is not None:
-            w[pinned] = 0.0
         deg = _degrees(w, n)
         f = _objective(w, deg, target, d_p, config.alpha, config.beta)
         if not np.isfinite(f):

@@ -78,15 +78,6 @@ class TrainConfig:
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class TrainReport:
@@ -94,14 +85,6 @@ class TrainReport:
     val_accuracy_trace: list
     best_val_epoch: int
     test_accuracy: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "loss_trace": [float(x) for x in self.loss_trace],
-            "val_accuracy_trace": [float(x) for x in self.val_accuracy_trace],
-            "best_val_epoch": self.best_val_epoch,
-            "test_accuracy": self.test_accuracy,
-        }
 
 
 def xavier_params(feature_dim: int, hidden: int, num_classes: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentReport",
     "PipelineStageError",
     "ARMS",
+    "apply_attack",
     "run_pipeline",
     "sweep",
     "write_report_json",
@@ -76,9 +77,6 @@ class AttackSpec:
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "rate": self.rate, "budget": self.budget}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,7 +90,6 @@ class ExperimentConfig:
     fractions: tuple = (0.8, 0.1, 0.1)
     repetitions: int = 10
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if (self.bundle is None) == (self.sbm is None):
@@ -102,29 +99,20 @@ class ExperimentConfig:
         if len(self.fractions) != 3:
             raise ValueError("fractions must be (train, val, test)")
 
-    def to_dict(self) -> dict:
-        # `out` is orchestration, not part of the experiment definition, so
-        # the echoed config stays byte-identical wherever the report lands
-        return {
-            "bundle": self.bundle,
-            "sbm": None if self.sbm is None else self.sbm.to_dict(),
-            "attack": self.attack.to_dict(),
-            "denoise": self.denoise.to_dict(),
-            "train": self.train.to_dict(),
-            "fractions": list(self.fractions),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """Rebuild a config from a report echo, so runs are reproducible.
 
-        Reports written before the denoiser lost its unused ``seed`` still
-        carry one in their ``denoise`` block; it is dropped.
+        Older reports carry keys the denoiser has since lost in their
+        ``denoise`` block: an unused ``seed``, which is dropped, and
+        ``restrict_support``, which is dropped when false and refused when
+        true, since the run it describes can no longer be made.
         """
         sbm = payload.get("sbm")
-        denoise_fields = {k: v for k, v in payload["denoise"].items() if k != "seed"}
+        denoise_fields = dict(payload["denoise"])
+        denoise_fields.pop("seed", None)
+        if denoise_fields.pop("restrict_support", False):
+            raise ValueError("denoise.restrict_support = true is no longer supported")
         return cls(
             bundle=payload.get("bundle"),
             sbm=None if sbm is None else SbmParams(**sbm),
@@ -143,13 +131,6 @@ class ExperimentReport:
     repetitions: list
     aggregates: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "repetitions": self.repetitions,
-            "aggregates": self.aggregates,
-        }
-
 
 def _aggregate(records: list, arms=ARMS) -> dict:
     out = {}
@@ -160,7 +141,8 @@ def _aggregate(records: list, arms=ARMS) -> dict:
     return out
 
 
-def _apply_attack(dataset: Dataset, attack: AttackSpec, seed: int) -> WeightVector:
+def apply_attack(dataset: Dataset, attack: AttackSpec, seed: int) -> WeightVector:
+    """Poison ``dataset``'s graph as :class:`AttackSpec` describes."""
     if attack.kind == "none":
         return dataset.graph
     if attack.kind == "random":
@@ -182,16 +164,17 @@ def run_repetition(config: ExperimentConfig, r: int,
                    bundle_dataset: Dataset | None = None,
                    bundle_split: Split | None = None,
                    shared_d_p: np.ndarray | None = None) -> dict:
-    """One repetition: build data, poison, run the three arms, record results."""
+    """One repetition: build data, poison, run the three arms, record results.
+
+    A bundle config takes its data from ``bundle_dataset`` and, when the
+    bundle pins one, its split from ``bundle_split``; the caller loads both.
+    """
     rep_seed = derive_seed(config.seed, r)
 
     if config.sbm is not None:
         dataset = _stage("dataset", r, generate_sbm, config.sbm,
                          derive_seed(rep_seed, _DATASET))
     else:
-        if bundle_dataset is None:
-            bundle_dataset = _stage("dataset", r, load_bundle, config.bundle)
-            bundle_split = load_splits(config.bundle, bundle_dataset.n)
         dataset = bundle_dataset
 
     if bundle_split is not None:
@@ -200,7 +183,7 @@ def run_repetition(config: ExperimentConfig, r: int,
         split = _stage("split", r, split_nodes, dataset.n, config.fractions,
                        derive_seed(rep_seed, _SPLIT))
 
-    poisoned = _stage("attack", r, _apply_attack, dataset, config.attack,
+    poisoned = _stage("attack", r, apply_attack, dataset, config.attack,
                       derive_seed(rep_seed, _ATTACK))
     attack_stats = perturbation_report(dataset.graph, poisoned, dataset,
                                        p=config.denoise.p)
@@ -225,7 +208,7 @@ def run_repetition(config: ExperimentConfig, r: int,
         "repetition": r,
         "seed": rep_seed,
         "attack": {
-            **attack_stats.to_dict(),
+            **asdict(attack_stats),
             "added_fraction_of_clean": (
                 attack_stats.edges_added / clean_edges if clean_edges else 0.0
             ),
@@ -263,14 +246,11 @@ def _run_configs(configs: list) -> list[ExperimentReport]:
             run_repetition(config, r, bundle_dataset, bundle_split, shared_d_p)
             for r in range(config.repetitions)
         ]
-        report = ExperimentReport(
-            config=config.to_dict(),
+        reports.append(ExperimentReport(
+            config=asdict(config),
             repetitions=records,
             aggregates=_aggregate(records),
-        )
-        if config.out:
-            write_report_json(report, config.out)
-        reports.append(report)
+        ))
     return reports
 
 
@@ -288,17 +268,15 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
         raise ValueError("sweep needs at least one value")
     configs = []
     for value in values:
-        # per-value runs never write config.out; the caller owns the list
-        cfg = dataclasses.replace(config, out=None)
         if parameter == "rate":
-            cfg = dataclasses.replace(cfg,
-                                      attack=dataclasses.replace(cfg.attack, rate=float(value)))
+            cfg = dataclasses.replace(
+                config, attack=dataclasses.replace(config.attack, rate=float(value)))
         elif parameter == "beta":
-            cfg = dataclasses.replace(cfg,
-                                      denoise=dataclasses.replace(cfg.denoise, beta=float(value)))
+            cfg = dataclasses.replace(
+                config, denoise=dataclasses.replace(config.denoise, beta=float(value)))
         else:
-            cfg = dataclasses.replace(cfg,
-                                      denoise=dataclasses.replace(cfg.denoise, p=float(value)))
+            cfg = dataclasses.replace(
+                config, denoise=dataclasses.replace(config.denoise, p=float(value)))
         configs.append(cfg)
     return _run_configs(configs)
 
@@ -306,9 +284,9 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
 def report_json_text(report) -> str:
     """Stable JSON rendering for a report or a list of reports."""
     if isinstance(report, list):
-        payload = [r.to_json_dict() for r in report]
+        payload = [asdict(r) for r in report]
     else:
-        payload = report.to_json_dict()
+        payload = asdict(report)
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -57,6 +57,19 @@ class TestSynthAttackDenoiseTrain:
              "--rate", "0.2", "--seed", "5", "--out", str(poisoned)])
         assert load_bundle(poisoned).graph.edge_count == edges + int(0.2 * edges)
 
+    def test_heterophilic_attack_rate_without_budget(self, tmp_path):
+        # the pipeline's rule: with no budget, floor(rate * |E|) edges
+        bundle = tmp_path / "clean"
+        run(["synth", "--sbm-size", "20", "--sbm-p-in", "0.4", "--seed", "4",
+             "--out", str(bundle)])
+        edges = load_bundle(bundle).graph.edge_count
+        poisoned = tmp_path / "poisoned"
+        run(["attack", "--bundle", str(bundle), "--attack", "heterophilic",
+             "--rate", "0.3", "--seed", "5", "--out", str(poisoned)])
+        stats = json.loads((poisoned / "attack_report.json").read_text())
+        assert stats["edges_added"] == int(0.3 * edges + 1e-9) > 0
+        assert stats["added_cross_label_fraction"] == 1.0
+
 
 class TestPipelineAndSweep:
     def test_pipeline_deterministic_outputs(self, tmp_path):
@@ -106,6 +119,24 @@ class TestConfigFile:
         args = parse_args(["sweep", "--config", str(cfg)])
         assert args.sweep_param == "beta"
         assert args.values == [0.1, 0.5]
+
+    def test_command_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = synth\n")
+        with pytest.raises(ValueError, match="run.cfg: unknown key 'command'"):
+            parse_args(["train", "--config", str(cfg)])
+
+    def test_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("config = other.cfg\n")
+        with pytest.raises(ValueError, match="run.cfg: unknown key 'config'"):
+            parse_args(["pipeline", "--config", str(cfg)])
+
+    def test_misspelt_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 0.3\niter = 5\n")
+        with pytest.raises(ValueError, match="run.cfg: unknown key 'iter'"):
+            parse_args(["pipeline", "--config", str(cfg)])
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -112,6 +112,19 @@ class TestLoadBundle:
     def test_splits_absent_returns_none(self, bundle_dir):
         assert load_splits(bundle_dir, 6) is None
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"train": [0, 1], "val": [2]', "invalid JSON"),
+        ('[[0, 1], [2], [3]]', "expected an object"),
+        ('{"train": [0, 1], "val": [1], "test": [3]}', "split parts must be .* disjoint"),
+        ('{"train": [0, 1.7], "val": [2], "test": [3]}', "train must be .* integer node ids"),
+        ('{"train": [0, 1], "val": [2], "test": [99999999999999999999]}', "Python int too large"),
+    ], ids=["invalid-json", "top-level-list", "overlapping-parts", "non-integer-id",
+            "id-beyond-int64"])
+    def test_bad_splits_name_the_file(self, bundle_dir, text, message):
+        (bundle_dir / "splits.json").write_text(text, encoding="utf-8")
+        with pytest.raises(BundleFormatError, match=f"splits.json: {message}"):
+            load_splits(bundle_dir, 6)
+
     def test_splits_out_of_range_rejected(self, bundle_dir):
         (bundle_dir / "splits.json").write_text(
             '{"train": [0, 1], "val": [2], "test": [99]}', encoding="utf-8")

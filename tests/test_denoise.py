@@ -35,10 +35,6 @@ def dense_denoise(phi_n, d_p, config, w0=None):
     with the same initialisation, step and stopping rule as ``denoise``."""
     n = phi_n.shape[0]
     w = initial_weights(phi_n) if w0 is None else np.maximum(w0, 0.0)
-    support = None
-    if config.restrict_support:
-        support = initial_weights(phi_n) > 0.0
-        w = np.where(support, w, 0.0)
     c = linear_coefficient(phi_n, d_p, config.alpha, config.beta)
     if config.step_mode == "lipschitz":
         eta = 1.0 / (4.0 * config.alpha * n)
@@ -48,8 +44,6 @@ def dense_denoise(phi_n, d_p, config, w0=None):
     trace = [f_prev]
     for _ in range(config.max_iters):
         w = np.maximum(w - eta * dense_gradient(w, c, config.alpha), 0.0)
-        if support is not None:
-            w[~support] = 0.0
         f = dense_objective(w, phi_n, d_p, config.alpha, config.beta)
         trace.append(f)
         decrease = f_prev - f
@@ -261,18 +255,6 @@ class TestDenoise:
                     DenoiseConfig(alpha=2 * alpha, beta=2 * beta, **kwargs), d_p=d_p)
         np.testing.assert_allclose(a.weights.values, b.weights.values, atol=1e-6)
 
-    def test_restrict_support_pins_absent_pairs(self):
-        rng = SplitMix64(47)
-        n = 10
-        w = np.array([rng.uniform() if rng.uniform() < 0.3 else 0.0
-                      for _ in range(pair_count(n))])
-        phi_n = laplacian_from_weights(w)
-        d_p = np.array([rng.uniform() for _ in range(pair_count(n))])
-        config = DenoiseConfig(alpha=1.0, beta=0.5, max_iters=500,
-                               restrict_support=True)
-        result = denoise(phi_n, np.zeros((n, 2)), config, d_p=d_p)
-        assert np.all(result.weights.values[w == 0.0] == 0.0)
-
     def test_rejects_non_symmetric(self):
         M = np.array([[1.0, -1.0], [0.5, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
@@ -339,7 +321,7 @@ class TestPairSpaceMatchesDenseOracle:
 
     @pytest.mark.parametrize("options", [
         {},
-        {"restrict_support": True},
+        {"max_iters": 1},
         {"step_mode": "fixed", "step_size": 1e-3},
         {"max_iters": 5000, "tol": 1e-10},
     ])

@@ -37,6 +37,49 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# the config echo of small_config(repetitions=1), key order included
+CONFIG_ECHO = """{
+  "bundle": null,
+  "sbm": {
+    "nodes_per_block": 30,
+    "blocks": 2,
+    "p_in": 0.2,
+    "p_out": 0.01,
+    "feature_dim": 6,
+    "feature_signal": 2.0,
+    "feature_noise": 0.5
+  },
+  "attack": {
+    "kind": "heterophilic",
+    "rate": 0.25,
+    "budget": 0
+  },
+  "denoise": {
+    "alpha": 1.0,
+    "beta": 1.0,
+    "p": 2.0,
+    "max_iters": 100,
+    "step_mode": "lipschitz",
+    "step_size": 0.001,
+    "tol": 0.0
+  },
+  "train": {
+    "hidden": 8,
+    "epochs": 60,
+    "learning_rate": 0.01,
+    "weight_decay": 0.0005,
+    "seed": 0
+  },
+  "fractions": [
+    0.8,
+    0.1,
+    0.1
+  ],
+  "repetitions": 1,
+  "seed": 11
+}"""
+
+
 class TestRunPipeline:
     def test_noop_attack_gives_identical_arms(self):
         report = run_pipeline(small_config(attack=AttackSpec(kind="none"),
@@ -61,10 +104,21 @@ class TestRunPipeline:
         payload = json.loads(report_json_text(report))
         old = json.loads(json.dumps(payload["config"]))
         old["denoise"]["seed"] = 12345
+        old["denoise"]["restrict_support"] = False
         rebuilt = ExperimentConfig.from_dict(old)
-        assert rebuilt.to_dict() == payload["config"]
-        assert "seed" not in rebuilt.to_dict()["denoise"]
+        assert json.dumps(dataclasses.asdict(rebuilt)) == json.dumps(payload["config"])
+        assert "seed" not in dataclasses.asdict(rebuilt)["denoise"]
         assert report_json_text(run_pipeline(rebuilt)) == report_json_text(report)
+        old["denoise"]["restrict_support"] = True
+        with pytest.raises(ValueError, match="restrict_support"):
+            ExperimentConfig.from_dict(old)
+
+    def test_config_echo_is_pinned(self):
+        config = small_config(repetitions=1)
+        report = run_pipeline(config)
+        assert json.dumps(dataclasses.asdict(config), indent=2) == CONFIG_ECHO
+        assert report_json_text(report).startswith(
+            '{\n  "config": ' + CONFIG_ECHO.replace("\n", "\n  ") + ",\n")
 
     def test_report_structure_and_aggregates(self):
         report = run_pipeline(small_config())

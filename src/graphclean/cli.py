@@ -3,12 +3,14 @@
 Subcommands: ``synth`` (write an SBM bundle), ``attack``, ``denoise``,
 ``train``, ``pipeline`` and ``sweep``.  Every flag can also come from a flat
 ``key = value`` config file passed with --config; explicit flags win over
-config values, which win over defaults.
+config values, which win over defaults.  Bad input ends the command with one
+``graphclean: error: ...`` line on stderr and exit status 2, as argparse does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from .attacks import perturbation_report
 from .datasets import (
+    BundleFormatError,
     Dataset,
     SbmParams,
     generate_sbm,
@@ -26,7 +29,7 @@ from .datasets import (
 )
 from .denoise import DenoiseConfig, denoise
 from .gcn import TrainConfig, normalize_adjacency, train
-from .operators import adjacency_from_weights, laplacian_from_weights
+from .operators import adjacency_from_weights
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
@@ -78,9 +81,6 @@ def _add_denoise(p):
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--lr-w", type=float, default=1e-3,
-                   help="step size in fixed step mode")
-    p.add_argument("--step-mode", choices=["lipschitz", "fixed"], default="lipschitz")
     p.add_argument("--tol", type=float, default=0.0)
 
 
@@ -157,19 +157,6 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(value: str, like) -> object:
-    if isinstance(like, bool):
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes"):
-            return True
-        if lowered in ("0", "false", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if like is None:
-        return value
-    return type(like)(value)
-
-
 def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -188,10 +175,9 @@ def parse_args(argv) -> argparse.Namespace:
                 continue  # key belongs to another subcommand
             if key in explicit:
                 continue  # flags win over the config file
-            if key in converters:
-                setattr(args, key, converters[key](text))
-            else:
-                setattr(args, key, _coerce(text, getattr(defaults, key)))
+            like = getattr(defaults, key)
+            convert = converters.get(key, str if like is None else type(like))
+            setattr(args, key, convert(text))
     return args
 
 
@@ -203,6 +189,24 @@ def _explicit_dests(argv) -> set:
     return dests
 
 
+def _fail(error) -> None:
+    """Report bad input the way argparse does: one line, exit status 2."""
+    print(f"graphclean: error: {error}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _from_flags(build):
+    """A config object that refuses a flag value is bad input, not a crash."""
+    @functools.wraps(build)
+    def checked(args):
+        try:
+            return build(args)
+        except ValueError as exc:
+            _fail(exc)
+    return checked
+
+
+@_from_flags
 def _sbm_from_args(args) -> SbmParams:
     return SbmParams(
         nodes_per_block=args.sbm_size,
@@ -215,18 +219,23 @@ def _sbm_from_args(args) -> SbmParams:
     )
 
 
+@_from_flags
+def _attack_from_args(args) -> AttackSpec:
+    return AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget)
+
+
+@_from_flags
 def _denoise_from_args(args) -> DenoiseConfig:
     return DenoiseConfig(
         alpha=args.alpha,
         beta=args.beta,
         p=args.p,
         max_iters=args.iters,
-        step_mode=args.step_mode,
-        step_size=args.lr_w,
         tol=args.tol,
     )
 
 
+@_from_flags
 def _train_from_args(args) -> TrainConfig:
     return TrainConfig(
         hidden=args.hidden,
@@ -239,7 +248,7 @@ def _train_from_args(args) -> TrainConfig:
 
 def _require(args, attr: str):
     if getattr(args, attr) is None:
-        raise SystemExit(f"--{attr.replace('_', '-')} is required for this command")
+        _fail(f"--{attr.replace('_', '-')} is required for this command")
     return getattr(args, attr)
 
 
@@ -256,8 +265,7 @@ def cmd_attack(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
     dataset = load_bundle(bundle)
-    attack = AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget)
-    poisoned = apply_attack(dataset, attack, args.seed)
+    poisoned = apply_attack(dataset, _attack_from_args(args), args.seed)
     stats = perturbation_report(dataset.graph, poisoned, dataset, p=args.p)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=poisoned, num_classes=dataset.num_classes), out)
@@ -271,8 +279,7 @@ def cmd_denoise(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
     dataset = load_bundle(bundle)
-    config = _denoise_from_args(args)
-    result = denoise(laplacian_from_weights(dataset.graph), dataset.features, config)
+    result = denoise(dataset.graph, dataset.features, _denoise_from_args(args))
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=result.weights, num_classes=dataset.num_classes),
                 out, weight_threshold=args.threshold)
@@ -299,11 +306,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+@_from_flags
 def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         bundle=args.bundle,
         sbm=None if args.bundle else _sbm_from_args(args),
-        attack=AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget),
+        attack=_attack_from_args(args),
         denoise=_denoise_from_args(args),
         train=_train_from_args(args),
         fractions=args.split,
@@ -349,8 +357,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        args = parse_args(argv)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        _fail(exc)
+    try:
+        return _COMMANDS[args.command](args)
+    except BundleFormatError as exc:
+        _fail(exc)
 
 
 if __name__ == "__main__":

@@ -339,19 +339,13 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
     rng = SplitMix64(seed)
 
     rows, cols = _triu(n)
-    same_block = labels[rows] == labels[cols]
-    values = np.zeros(pair_count(n), dtype=np.float64)
-    for k in range(values.shape[0]):
-        prob = params.p_in if same_block[k] else params.p_out
-        if rng.uniform() < prob:
-            values[k] = 1.0
+    prob = np.where(labels[rows] == labels[cols], params.p_in, params.p_out)
+    values = (rng.uniforms(prob.shape[0]) < prob).astype(np.float64)
 
     features = np.zeros((n, params.feature_dim), dtype=np.float64)
     features[np.arange(n), labels] = params.feature_signal
-    scale = 2.0 * params.feature_noise
-    for i in range(n):
-        for m in range(params.feature_dim):
-            features[i, m] += scale * (rng.uniform() - 0.5)
+    noise = rng.uniforms(n * params.feature_dim).reshape(n, params.feature_dim)
+    features += 2.0 * params.feature_noise * (noise - 0.5)
 
     return Dataset(
         features=features,

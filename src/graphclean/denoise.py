@@ -1,31 +1,28 @@
-"""Stage 1: recover clean edge weights from a perturbed Laplacian.
+"""Stage 1: recover clean edge weights from the weights of a poisoned graph.
 
 Minimizes, over non-negative pair weights w,
 
-    f(w) = alpha * ||L(w) - Phi_n||_F^2 + beta * sum_k w_k d_p[k]
+    f(w) = alpha * ||L(w) - L(w_p)||_F^2 + beta * sum_k w_k d_p[k]
 
-where Phi_n is the (possibly invalid) perturbed Laplacian and d_p[k] is the
+where w_p holds the poisoned graph's pair weights and d_p[k] is the
 p-th-power feature distance of pair k.  The gradient is
 
-    grad f(w) = 2 alpha L*(L w) - c,      c = 2 alpha L*(Phi_n) - beta d_p,
+    grad f(w) = 2 alpha L*(L w) - c,      c = 2 alpha L*(L w_p) - beta d_p,
 
-and the iteration is projected gradient descent w <- max(0, w - eta grad).
-In ``lipschitz`` mode eta = 1/(4 alpha n), the inverse of the gradient's
+and the iteration is projected gradient descent w <- max(0, w - eta grad)
+from w = w_p, with eta = 1/(4 alpha n), the inverse of the gradient's
 Lipschitz constant (||L||_2^2 = 2n), which makes every step a monotone
-majorization-minimization step; ``fixed`` mode uses a constant learning rate
-and offers no descent guarantee.
+majorization-minimization step.
 
-Both terms are evaluated in pair space (Kumar et al., JMLR 2020).  With
+Everything is evaluated in pair space (Kumar et al., JMLR 2020).  With
 deg = S w the weighted node degrees and (i, j) the nodes of pair k,
 
-    [L*(L w)]_k           = 2 w_k + deg[i] + deg[j]
-    ||L(w) - Phi_n||_F^2  = ||deg - diag Phi_n||^2 + 2 ||w + s||^2 + a
+    [L*(L w)]_k            = 2 w_k + deg[i] + deg[j]
+    ||L(w) - L(w_p)||_F^2  = ||deg - deg_p||^2 + 2 ||w - w_p||^2
 
-where s_k = (Phi_ij + Phi_ji) / 2 is the symmetrised off-diagonal entry of
-Phi_n and a = sum_k (Phi_ij - Phi_ji)^2 / 2 is what its asymmetry adds.  An
-iteration therefore costs O(n^2 / 2) on pair vectors: two bincounts give
-deg, which the objective and the next gradient share.  Phi_n is read only at
-entry, for diag Phi_n, s, a and c; no n x n matrix is built per iteration.
+An iteration therefore costs O(n^2 / 2) on pair vectors: two bincounts give
+deg, which the objective and the next gradient share.  No n x n matrix is
+built.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .operators import WeightVector, adjoint_of, pair_count, _triu
+from .operators import WeightVector, _triu, _weight_array, node_count_for_pairs, pair_count
 
 __all__ = [
     "DenoiseConfig",
@@ -44,21 +41,15 @@ __all__ = [
     "linear_coefficient",
     "objective",
     "gradient",
-    "initial_weights",
     "denoise",
 ]
-
-STEP_MODES = ("lipschitz", "fixed")
 
 
 class DenoiseDivergence(RuntimeError):
     """Non-finite values encountered during the descent loop."""
 
     def __init__(self, iteration: int):
-        super().__init__(
-            f"non-finite objective at iteration {iteration}; "
-            "reduce the step size or check the inputs"
-        )
+        super().__init__(f"non-finite objective at iteration {iteration}; check the inputs")
         self.iteration = iteration
 
 
@@ -74,8 +65,6 @@ class DenoiseConfig:
     beta: float = 0.5
     p: float = 2.0
     max_iters: int = 200
-    step_mode: str = "lipschitz"
-    step_size: float = 1e-3
     tol: float = 0.0
 
     def __post_init__(self):
@@ -87,10 +76,6 @@ class DenoiseConfig:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_mode not in STEP_MODES:
-            raise ValueError(f"step_mode must be one of {STEP_MODES}, got {self.step_mode!r}")
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.tol < 0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
@@ -148,53 +133,44 @@ def _check_pair_shapes(n: int, *vectors: np.ndarray) -> None:
             )
 
 
-def linear_coefficient(phi_n: np.ndarray, d_p: np.ndarray,
-                       alpha: float, beta: float) -> np.ndarray:
-    """c = 2 alpha L*(Phi_n) - beta d_p, the constant part of the gradient.
+def _pairs(w) -> tuple[np.ndarray, int]:
+    """A pair vector's values and the node count its length implies."""
+    values = _weight_array(w)
+    return values, node_count_for_pairs(values.shape[0])
 
-    Depends only on the perturbed graph and the feature distances, so it is
+
+def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """c = 2 alpha L*(L w_p) - beta d_p, the constant part of the gradient.
+
+    Depends only on the poisoned graph and the feature distances, so it is
     computed once per (dataset, perturbation, p, alpha, beta).
     """
-    phi_n = np.asarray(phi_n, dtype=np.float64)
+    values, n = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
-    adj = adjoint_of(phi_n)
-    _check_pair_shapes(phi_n.shape[0], d_p)
-    return 2.0 * alpha * adj - beta * d_p
+    _check_pair_shapes(n, d_p)
+    index = _triu(n)
+    return _gradient(values, _degrees(values, n, index), beta * d_p, alpha, index)
 
 
-def _target(phi_n: np.ndarray):
-    """What the objective needs of Phi_n: its diagonal, the symmetrised
-    off-diagonal pair vector s and the constant a its asymmetry adds."""
-    if phi_n.ndim != 2 or phi_n.shape[0] != phi_n.shape[1]:
-        raise ValueError(f"perturbed Laplacian must be square, got shape {phi_n.shape}")
-    rows, cols = _triu(phi_n.shape[0])
-    off = phi_n[rows, cols]
-    lower = phi_n[cols, rows]
-    gap = off - lower
-    asymmetry = 0.5 * float(gap @ gap)
-    off += lower
-    off *= 0.5
-    return np.diag(phi_n).copy(), off, asymmetry
-
-
-def _degrees(values: np.ndarray, n: int) -> np.ndarray:
-    """deg = S w, the weighted degree of every node."""
-    rows, cols = _triu(n)
+def _degrees(values: np.ndarray, n: int, index) -> np.ndarray:
+    """deg = S w, the weighted degree of every node; ``index`` is ``_triu(n)``
+    or a copy of it."""
+    rows, cols = index
     return np.bincount(rows, values, n) + np.bincount(cols, values, n)
 
 
-def _objective(values, deg, target, d_p, alpha: float, beta: float) -> float:
-    diag, off, asymmetry = target
-    dd = deg - diag
-    r = values + off
-    return float(alpha * (dd @ dd + 2.0 * (r @ r) + asymmetry) + beta * (values @ d_p))
+def _objective(values, deg, w_p, deg_p, d_p, alpha, beta, scratch=None) -> float:
+    dd = deg - deg_p
+    r = np.subtract(values, w_p, out=scratch)
+    return float(alpha * (dd @ dd + 2.0 * (r @ r)) + beta * (values @ d_p))
 
 
-def _gradient(values, deg, c, alpha: float) -> np.ndarray:
-    """2 alpha (2 w + deg[i] + deg[j]) - c, in a fresh array."""
-    rows, cols = _triu(deg.shape[0])
-    g = deg[rows]
-    g += deg[cols]
+def _gradient(values, deg, c, alpha: float, index, out=None, scratch=None) -> np.ndarray:
+    """2 alpha (2 w + deg[i] + deg[j]) - c, in ``out`` or a fresh array, with
+    ``scratch`` as workspace (``take`` buffers ``out`` in any mode but clip)."""
+    rows, cols = index
+    g = deg.take(rows, out=out, mode="clip")
+    g += deg.take(cols, out=scratch, mode="clip")
     g += values
     g += values
     g *= 2.0 * alpha
@@ -202,59 +178,40 @@ def _gradient(values, deg, c, alpha: float) -> np.ndarray:
     return g
 
 
-def objective(w, phi_n: np.ndarray, d_p: np.ndarray,
-              alpha: float, beta: float) -> float:
-    """alpha ||L(w) - Phi_n||_F^2 + beta <w, d_p>."""
-    values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
-    phi_n = np.asarray(phi_n, dtype=np.float64)
+def objective(w, w_p, d_p: np.ndarray, alpha: float, beta: float) -> float:
+    """alpha ||L(w) - L(w_p)||_F^2 + beta <w, d_p>."""
+    values, n = _pairs(w)
+    target, _ = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
-    n = phi_n.shape[0]
-    _check_pair_shapes(n, values, d_p)
-    return _objective(values, _degrees(values, n), _target(phi_n), d_p, alpha, beta)
+    _check_pair_shapes(n, target, d_p)
+    index = _triu(n)
+    return _objective(values, _degrees(values, n, index), target,
+                      _degrees(target, n, index), d_p, alpha, beta)
 
 
-def gradient(w, phi_n: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
+def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     """Exact gradient 2 alpha L*(L w) - c of :func:`objective`, with c from
     :func:`linear_coefficient`."""
-    values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
-    phi_n = np.asarray(phi_n, dtype=np.float64)
+    values, n = _pairs(w)
     c = np.asarray(c, dtype=np.float64)
-    n = phi_n.shape[0]
-    _check_pair_shapes(n, values, c)
-    return _gradient(values, _degrees(values, n), c, alpha)
+    _check_pair_shapes(n, c)
+    index = _triu(n)
+    return _gradient(values, _degrees(values, n, index), c, alpha, index)
 
 
-def initial_weights(phi_n: np.ndarray) -> np.ndarray:
-    """Read edge weights off the perturbed Laplacian: w0_k = max(0, -[Phi_n]_ij)."""
-    phi_n = np.asarray(phi_n, dtype=np.float64)
-    rows, cols = _triu(phi_n.shape[0])
-    return np.maximum(-phi_n[rows, cols], 0.0)
-
-
-def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
-            d_p: np.ndarray | None = None, w0: np.ndarray | None = None,
-            callback=None) -> DenoiseResult:
+def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
+            d_p: np.ndarray | None = None, w0: np.ndarray | None = None) -> DenoiseResult:
     """Projected-gradient descent on the noise-removal objective.
 
-    ``phi_n`` must be square and symmetric but need not be a valid Laplacian.
-    ``d_p`` may be passed in to reuse a precomputed distance vector (it is
-    recomputed from ``X`` otherwise; skipped entirely when beta == 0).
-    ``w0`` overrides the default initialization read off ``phi_n``.
-    ``callback(iteration, w, objective)`` is invoked after every update with
-    the live iterate, which must not be modified.
+    ``w_p`` holds the poisoned graph's pair weights; the descent starts from
+    it unless ``w0`` is given.  ``d_p`` may be passed in to reuse a
+    precomputed distance vector (it is recomputed from ``X`` otherwise;
+    skipped entirely when beta == 0).
 
     The returned trace has the initial objective at index 0 and one entry per
-    update; in ``lipschitz`` mode it is non-increasing up to 1e-10 slack.
+    update; it is non-increasing up to 1e-10 slack.
     """
-    phi_n = np.asarray(phi_n, dtype=np.float64)
-    if phi_n.ndim != 2 or phi_n.shape[0] != phi_n.shape[1]:
-        raise ValueError(f"perturbed Laplacian must be square, got shape {phi_n.shape}")
-    n = phi_n.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got n={n}")
-    gap = float(np.max(np.abs(phi_n - phi_n.T)))
-    if gap > 1e-9 * (1.0 + float(np.max(np.abs(phi_n)))):
-        raise ValueError(f"perturbed Laplacian is not symmetric (gap {gap:.3e})")
+    n = w_p.n
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != n:
         raise ValueError(f"features must have {n} rows, got shape {X.shape}")
@@ -265,23 +222,20 @@ def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
         d_p = pairwise_p_distances(X, config.p)
     else:
         d_p = np.asarray(d_p, dtype=np.float64)
-        _check_pair_shapes(n, d_p)
+    w = np.maximum(w_p.values if w0 is None else np.asarray(w0, dtype=np.float64), 0.0)
+    _check_pair_shapes(n, d_p, w)
+    # the loop allocates no pair vector: glibc handed freed ones back to the
+    # OS and faulted them in again, which cost 25% of the time at n = 300.
+    # np.bincount copies a read-only index on every call, so index is writeable
+    index = tuple(a.copy() for a in _triu(n))
+    spare, scratch = np.empty_like(w), np.empty_like(w)
 
-    if w0 is None:
-        w = initial_weights(phi_n)
-    else:
-        w = np.maximum(np.asarray(w0, dtype=np.float64).copy(), 0.0)
-        _check_pair_shapes(n, w)
+    deg_p = _degrees(w_p.values, n, index)
+    c = _gradient(w_p.values, deg_p, config.beta * d_p, config.alpha, index)
+    eta = 1.0 / (4.0 * config.alpha * n)
 
-    c = linear_coefficient(phi_n, d_p, config.alpha, config.beta)
-    target = _target(phi_n)
-    if config.step_mode == "lipschitz":
-        eta = 1.0 / (4.0 * config.alpha * n)
-    else:
-        eta = config.step_size
-
-    deg = _degrees(w, n)
-    f_prev = _objective(w, deg, target, d_p, config.alpha, config.beta)
+    deg = _degrees(w, n, index)
+    f_prev = _objective(w, deg, w_p.values, deg_p, d_p, config.alpha, config.beta, scratch)
     if not np.isfinite(f_prev):
         raise DenoiseDivergence(0)
     trace = [f_prev]
@@ -289,18 +243,16 @@ def denoise(phi_n: np.ndarray, X: np.ndarray, config: DenoiseConfig,
     iterations = 0
     for t in range(1, config.max_iters + 1):
         # w - eta * grad, projected, built in the gradient's own buffer
-        step = _gradient(w, deg, c, config.alpha)
+        step = _gradient(w, deg, c, config.alpha, index, spare, scratch)
         step *= -eta
         step += w
-        w = np.maximum(step, 0.0, out=step)
-        deg = _degrees(w, n)
-        f = _objective(w, deg, target, d_p, config.alpha, config.beta)
+        w, spare = np.maximum(step, 0.0, out=step), w
+        deg = _degrees(w, n, index)
+        f = _objective(w, deg, w_p.values, deg_p, d_p, config.alpha, config.beta, scratch)
         if not np.isfinite(f):
             raise DenoiseDivergence(t)
         trace.append(f)
         iterations = t
-        if callback is not None:
-            callback(t, w, f)
         decrease = f_prev - f
         if 0.0 <= decrease <= config.tol * max(1.0, abs(f_prev)):
             converged = True

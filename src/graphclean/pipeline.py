@@ -21,7 +21,7 @@ from .attacks import heterophilic_add, perturbation_report, random_add
 from .datasets import Dataset, SbmParams, Split, generate_sbm, load_bundle, load_splits, split_nodes
 from .denoise import DenoiseConfig, denoise, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
-from .operators import WeightVector, adjacency_from_weights, laplacian_from_weights
+from .operators import WeightVector, adjacency_from_weights
 from .rng import derive_seed
 
 __all__ = [
@@ -104,15 +104,19 @@ class ExperimentConfig:
         """Rebuild a config from a report echo, so runs are reproducible.
 
         Older reports carry keys the denoiser has since lost in their
-        ``denoise`` block: an unused ``seed``, which is dropped, and
-        ``restrict_support``, which is dropped when false and refused when
-        true, since the run it describes can no longer be made.
+        ``denoise`` block.  ``seed`` and ``step_size`` are dropped, as are
+        ``restrict_support = false`` and ``step_mode = "lipschitz"``; other
+        values of those two are refused, since the run they describe can no
+        longer be made.
         """
         sbm = payload.get("sbm")
         denoise_fields = dict(payload["denoise"])
-        denoise_fields.pop("seed", None)
-        if denoise_fields.pop("restrict_support", False):
-            raise ValueError("denoise.restrict_support = true is no longer supported")
+        for key in ("seed", "step_size"):
+            denoise_fields.pop(key, None)
+        for key, kept in (("restrict_support", False), ("step_mode", "lipschitz")):
+            value = denoise_fields.pop(key, kept)
+            if value != kept:
+                raise ValueError(f"denoise.{key} = {value!r} is no longer supported")
         return cls(
             bundle=payload.get("bundle"),
             sbm=None if sbm is None else SbmParams(**sbm),
@@ -192,8 +196,8 @@ def run_repetition(config: ExperimentConfig, r: int,
     if d_p is None and config.denoise.beta != 0.0:
         d_p = _stage("distances", r, pairwise_p_distances, dataset.features,
                      config.denoise.p)
-    result = _stage("denoise", r, denoise, laplacian_from_weights(poisoned),
-                    dataset.features, config.denoise, d_p=d_p)
+    result = _stage("denoise", r, denoise, poisoned, dataset.features,
+                    config.denoise, d_p=d_p)
 
     train_cfg = dataclasses.replace(config.train, seed=derive_seed(rep_seed, _TRAIN))
     accuracies = {}

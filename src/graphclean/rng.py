@@ -16,7 +16,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
+def _mix64(z):
+    """The output mix, for a Python int or elementwise for a uint64 array."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -41,7 +42,11 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0 ** -53
 
     def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)], dtype=np.float64)
+        """``count`` successive :meth:`uniform` draws, mixed at once in
+        wrapping uint64 arithmetic: draw k is the mix of state + k * golden."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + self._state
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return (_mix64(z) >> 11) * 2.0 ** -53
 
     def bounded(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection of the modulo tail."""

@@ -24,6 +24,7 @@ from graphclean.denoise import (
 )
 from graphclean.gcn import TrainConfig, loss_and_gradients
 from graphclean.operators import (
+    WeightVector,
     adjoint_of,
     dominant_eigenvalue,
     laplacian_from_weights,
@@ -88,11 +89,11 @@ def test_gradient_oracles():
     rng = SplitMix64(103)
     for _ in range(50):
         n = 3 + rng.bounded(8)
-        phi_n, d_p, alpha, beta = random_problem(rng, n)
+        w_p, d_p, alpha, beta = random_problem(rng, n)
         w = np.array([rng.uniform() for _ in range(pair_count(n))])
-        c = linear_coefficient(phi_n, d_p, alpha, beta)
-        analytic = gradient(w, phi_n, c, alpha)
-        numeric = finite_difference_gradient(w, phi_n, d_p, alpha, beta)
+        c = linear_coefficient(w_p, d_p, alpha, beta)
+        analytic = gradient(w, c, alpha)
+        numeric = finite_difference_gradient(w, w_p, d_p, alpha, beta)
         ok &= np.max(np.abs(analytic - numeric)) <= 1e-5 * (1.0 + np.max(np.abs(numeric)))
     for seed in range(50):
         params, A_hat, X, labels, mask = random_gcn_instance(seed)
@@ -111,14 +112,14 @@ def test_descent_and_kkt():
     rng = SplitMix64(107)
     for _ in range(20):
         n = 5 + rng.bounded(46)
-        phi_n, d_p, alpha, beta = random_problem(rng, n)
+        w_p, d_p, alpha, beta = random_problem(rng, n)
         config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=100000, tol=1e-12)
-        result = denoise(phi_n, np.zeros((n, 2)), config, d_p=d_p)
+        result = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p)
         ok &= result.converged
         ok &= bool(np.all(np.diff(result.objective_trace) <= 1e-10))
         w = result.weights.values
-        c = linear_coefficient(phi_n, d_p, alpha, beta)
-        g = gradient(w, phi_n, c, alpha)
+        c = linear_coefficient(w_p, d_p, alpha, beta)
+        g = gradient(w, c, alpha)
         slack = 1e-4 * (1.0 + np.max(np.abs(c)))
         active = w > 1e-8
         ok &= bool(np.all(np.abs(g[active]) <= slack))
@@ -133,12 +134,12 @@ def test_exact_recovery_fixed_point():
     for _ in range(10):
         n = 5 + rng.bounded(26)
         m = pair_count(n)
-        w_true = np.array([rng.uniform() if rng.uniform() < 0.3 else 0.0
-                           for _ in range(m)])
+        w_true = WeightVector(n=n, values=[rng.uniform() if rng.uniform() < 0.3 else 0.0
+                                           for _ in range(m)])
         phi_n = laplacian_from_weights(w_true)
         config = DenoiseConfig(alpha=1.0, beta=0.0, max_iters=2000)
-        # default initialization reads w_true off phi_n, so force a cold start
-        result = denoise(phi_n, np.zeros((n, 2)), config, w0=np.zeros(m))
+        # the descent starts from w_true by default, so force a cold start
+        result = denoise(w_true, np.zeros((n, 2)), config, w0=np.zeros(m))
         residual = np.linalg.norm(laplacian_from_weights(result.weights) - phi_n)
         ok &= residual <= 1e-6 * np.linalg.norm(phi_n)
     _report("exact recovery with beta=0 within 2000 iterations (10 graphs)",
@@ -176,12 +177,11 @@ def test_adversarial_weight_suppression():
     rows, cols = _triu(ds.n)
     intra = np.flatnonzero((ds.graph.values > 0)
                            & (ds.labels[rows] == ds.labels[cols]))
-    phi_n = laplacian_from_weights(poisoned)
     for p in (1.0, 2.0, 3.0):
         d_p = pairwise_p_distances(ds.features, p)
         for beta in (0.5, 1.0, 1.5):
             config = DenoiseConfig(alpha=1.0, beta=beta, p=p, max_iters=200)
-            result = denoise(phi_n, ds.features, config, d_p=d_p)
+            result = denoise(poisoned, ds.features, config, d_p=d_p)
             w = result.weights.values
             strict = float(np.median(w[injected])) < float(np.median(w[intra]))
             ok &= strict

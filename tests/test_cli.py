@@ -155,3 +155,38 @@ class TestConfigFile:
         payload = json.loads(out.read_text())
         assert payload["config"]["seed"] == 13
         assert payload["config"]["attack"]["kind"] == "heterophilic"
+
+
+class TestBadInput:
+    """Bad input ends a command with one error line and exit status 2."""
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["train", "--bundle", "/nonexistent"], None,
+         "missing bundle file: /nonexistent/features.csv"),
+        (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
+         "features.csv row 2: expected 2 values, got 1"),
+        (["pipeline"], "beta = 0.3\niter = 5\n", "bad.cfg: unknown key 'iter'"),
+        (["denoise"], "step_mode = fixed\n", "bad.cfg: unknown key 'step_mode'"),
+        (["pipeline"], "split = 0.5,0.5\n", "expected three comma-separated fractions"),
+        (["pipeline", "--alpha", "0"], None, "alpha must be > 0, got 0.0"),
+        (["denoise", "--out", "{tmp}/out"], None, "--bundle is required for this command"),
+    ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
+            "removed-step-mode", "short-split", "refused-flag-value", "required-flag"])
+    def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, message):
+        # the second feature row of the bundle loses a value
+        features = bundle_dir / "features.csv"
+        lines = features.read_text().split("\n")
+        lines[1] = "1.0"
+        features.write_text("\n".join(lines))
+        argv = [a.format(bundle=bundle_dir, tmp=tmp_path) for a in argv]
+        if config is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphclean: error: ")
+        assert message in err
+        assert err.count("\n") == 1

@@ -7,6 +7,7 @@ import pytest
 
 from graphclean.datasets import (
     BundleFormatError,
+    Dataset,
     SbmParams,
     Split,
     generate_sbm,
@@ -15,7 +16,8 @@ from graphclean.datasets import (
     save_bundle,
     split_nodes,
 )
-from graphclean.operators import _triu
+from graphclean.operators import WeightVector, _triu, pair_count
+from graphclean.rng import SplitMix64
 
 
 def rewrite_edges(bundle, rows):
@@ -132,6 +134,28 @@ class TestLoadBundle:
             load_splits(bundle_dir, 6)
 
 
+def loop_sbm(params, seed):
+    """Oracle: the SBM sampler one scalar draw at a time, pair Bernoullis in
+    canonical pair order, then feature noise row by row."""
+    n = params.nodes_per_block * params.blocks
+    labels = np.arange(n, dtype=np.int64) // params.nodes_per_block
+    rng = SplitMix64(seed)
+    rows, cols = _triu(n)
+    values = np.zeros(pair_count(n), dtype=np.float64)
+    for k in range(values.shape[0]):
+        prob = params.p_in if labels[rows[k]] == labels[cols[k]] else params.p_out
+        if rng.uniform() < prob:
+            values[k] = 1.0
+    features = np.zeros((n, params.feature_dim), dtype=np.float64)
+    features[np.arange(n), labels] = params.feature_signal
+    scale = 2.0 * params.feature_noise
+    for i in range(n):
+        for m in range(params.feature_dim):
+            features[i, m] += scale * (rng.uniform() - 0.5)
+    return Dataset(features=features, labels=labels,
+                   graph=WeightVector(n=n, values=values), num_classes=params.blocks)
+
+
 class TestGenerateSbm:
     def params(self, **overrides):
         base = dict(nodes_per_block=50, blocks=2, p_in=0.2, p_out=0.0,
@@ -170,6 +194,19 @@ class TestGenerateSbm:
         b = generate_sbm(self.params(p_out=0.01), seed=5)
         np.testing.assert_array_equal(a.graph.values, b.graph.values)
         np.testing.assert_array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("seed,overrides", [
+        (0, {}),
+        (5, {"p_out": 0.01}),
+        (2**64 - 1, {"nodes_per_block": 17, "blocks": 3, "p_out": 0.05}),
+        (123, {"feature_noise": 1.7, "feature_dim": 6}),
+    ])
+    def test_matches_scalar_loop(self, seed, overrides):
+        params = self.params(**overrides)
+        fast, slow = generate_sbm(params, seed), loop_sbm(params, seed)
+        np.testing.assert_array_equal(fast.graph.values, slow.graph.values)
+        np.testing.assert_array_equal(fast.features, slow.features)
+        np.testing.assert_array_equal(fast.labels, slow.labels)
 
     def test_feature_centroids(self):
         ds = generate_sbm(self.params(feature_noise=0.0), seed=6)

@@ -59,8 +59,6 @@ CONFIG_ECHO = """{
     "beta": 1.0,
     "p": 2.0,
     "max_iters": 100,
-    "step_mode": "lipschitz",
-    "step_size": 0.001,
     "tol": 0.0
   },
   "train": {
@@ -105,13 +103,18 @@ class TestRunPipeline:
         old = json.loads(json.dumps(payload["config"]))
         old["denoise"]["seed"] = 12345
         old["denoise"]["restrict_support"] = False
+        old["denoise"]["step_mode"] = "lipschitz"
+        old["denoise"]["step_size"] = 0.001
         rebuilt = ExperimentConfig.from_dict(old)
         assert json.dumps(dataclasses.asdict(rebuilt)) == json.dumps(payload["config"])
-        assert "seed" not in dataclasses.asdict(rebuilt)["denoise"]
+        for key in ("seed", "restrict_support", "step_mode", "step_size"):
+            assert key not in dataclasses.asdict(rebuilt)["denoise"]
         assert report_json_text(run_pipeline(rebuilt)) == report_json_text(report)
-        old["denoise"]["restrict_support"] = True
-        with pytest.raises(ValueError, match="restrict_support"):
-            ExperimentConfig.from_dict(old)
+        for key, value in (("restrict_support", True), ("step_mode", "fixed")):
+            refused = json.loads(json.dumps(old))
+            refused["denoise"][key] = value
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(refused)
 
     def test_config_echo_is_pinned(self):
         config = small_config(repetitions=1)

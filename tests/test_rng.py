@@ -1,5 +1,7 @@
 """SplitMix64 stream: reference vectors, determinism, helper behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,21 @@ class TestStream:
         draws = rng.uniforms(2000)
         assert np.all(draws >= 0.0) and np.all(draws < 1.0)
         assert 0.4 < draws.mean() < 0.6
+
+    # the last seed's state wraps through 0 at the third draw
+    @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1, (-3 * 0x9E3779B97F4A7C15) % 2**64])
+    def test_uniforms_equal_scalar_draws(self, seed):
+        for count in (0, 1, 7, 1000):
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            # wrapping uint64 arithmetic must not warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                draws = block.uniforms(count)
+            np.testing.assert_array_equal(
+                draws, np.array([scalar.uniform() for _ in range(count)]))
+            assert draws.dtype == np.float64 and draws.shape == (count,)
+            # both streams continue from the same state
+            assert block.next_uint64() == scalar.next_uint64()
 
     def test_bounded_range_and_coverage(self):
         rng = SplitMix64(7)

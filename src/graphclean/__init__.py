@@ -39,19 +39,7 @@ from .gcn import (
     train,
     xavier_params,
 )
-from .operators import (
-    LaplacianCheck,
-    WeightVector,
-    adjacency_from_weights,
-    adjoint_of,
-    dominant_eigenvalue,
-    laplacian_from_weights,
-    p_dirichlet_energy,
-    pair_count,
-    pair_index,
-    pair_nodes,
-    validate_laplacian,
-)
+from .operators import WeightVector, adjacency_from_weights, pair_count, pair_index
 from .pipeline import (
     ARMS,
     AttackSpec,

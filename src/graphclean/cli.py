@@ -21,6 +21,7 @@ from .datasets import (
     BundleFormatError,
     Dataset,
     SbmParams,
+    check_fractions,
     generate_sbm,
     load_bundle,
     load_splits,
@@ -47,6 +48,10 @@ def _fractions(text: str) -> tuple:
     parts = tuple(float(x) for x in text.split(","))
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated fractions")
+    try:
+        check_fractions(parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return parts
 
 
@@ -145,8 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def read_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read config file: {exc.strerror}") from None
     values = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

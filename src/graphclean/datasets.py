@@ -33,6 +33,7 @@ __all__ = [
     "load_splits",
     "save_splits",
     "generate_sbm",
+    "check_fractions",
     "split_nodes",
 ]
 
@@ -165,7 +166,12 @@ def _parse_int(text: str, where: str) -> int:
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise BundleFormatError(f"missing bundle file: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.start is a file offset
+        row = exc.object.count(b"\n", 0, exc.start) + 1
+        raise BundleFormatError(f"{path.name} row {row}: not UTF-8 text") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -216,8 +222,10 @@ def load_bundle(path) -> Dataset:
             raise BundleFormatError(f"labels.csv row {ln}: node {node} out of range")
         if labels[node] != -1:
             raise BundleFormatError(f"labels.csv row {ln}: node {node} labeled twice")
-        if label < 0:
-            raise BundleFormatError(f"labels.csv row {ln}: negative label {label}")
+        # a label >= n would mean more classes than nodes
+        if not 0 <= label < n:
+            raise BundleFormatError(
+                f"labels.csv row {ln}: label {label} outside [0, {n}) for {n} nodes")
         labels[node] = label
     unlabeled = np.flatnonzero(labels == -1)
     if unlabeled.size:
@@ -302,7 +310,7 @@ def load_splits(path, n: int) -> Split | None:
         return None
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleFormatError(f"{file.name}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise BundleFormatError(
@@ -355,6 +363,18 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
     )
 
 
+def check_fractions(fractions) -> list[float]:
+    """The (train, val, test) fractions as floats: each >= 0, summing to <= 1."""
+    fractions = [float(f) for f in fractions]
+    if len(fractions) != 3:
+        raise ValueError("fractions must be (train, val, test)")
+    if not all(f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be non-negative, got {fractions}")
+    if sum(fractions) > 1.0 + 1e-12:
+        raise ValueError(f"fractions sum to {sum(fractions)} > 1")
+    return fractions
+
+
 def _largest_remainder_sizes(n: int, fractions) -> list[int]:
     """Integer sizes for the requested fractions by the largest-remainder rule.
 
@@ -362,11 +382,7 @@ def _largest_remainder_sizes(n: int, fractions) -> list[int]:
     floor(n * f_i) and leftovers go to the largest fractional remainders,
     ties broken by position.
     """
-    fractions = [float(f) for f in fractions]
-    if any(f < 0 for f in fractions):
-        raise ValueError("fractions must be non-negative")
-    if sum(fractions) > 1.0 + 1e-12:
-        raise ValueError(f"fractions sum to {sum(fractions)} > 1")
+    fractions = check_fractions(fractions)
     ideals = [n * f for f in fractions]
     sizes = [math.floor(x) for x in ideals]
     total = math.floor(n * sum(fractions) + 0.5)
@@ -381,8 +397,6 @@ def split_nodes(n: int, fractions, seed: int) -> Split:
     """Uniformly random disjoint train/val/test subsets of the requested sizes."""
     if n < 0:
         raise ValueError("node count must be >= 0")
-    if len(fractions) != 3:
-        raise ValueError("fractions must be (train, val, test)")
     sizes = _largest_remainder_sizes(n, fractions)
     perm = np.arange(n, dtype=np.int64)
     SplitMix64(seed).shuffle(perm)

@@ -1,12 +1,10 @@
-"""Linear-operator algebra for combinatorial Laplacians parameterized by edge weights.
+"""Pair vectors: a weighted graph stored as its n(n-1)/2 pair weights.
 
-A weighted graph on n nodes is stored as the vector w of its n(n-1)/2 pair
-weights.  The canonical pair enumeration is column-major over the lower
-triangle: (2,1), (3,1), ..., (n,1), (3,2), ..., (n,n-1) in 1-based node ids,
-which coincides with ``numpy.triu_indices(n, 1)`` order on the transpose.
-The operator ``L`` maps w to the combinatorial Laplacian L(w) = D - W, its
-adjoint ``L*`` maps a matrix back to pair space, and the two satisfy
-<L w, Y> = <w, L* Y> under the Frobenius inner product.
+The canonical pair enumeration is column-major over the lower triangle:
+(2,1), (3,1), ..., (n,1), (3,2), ..., (n,n-1) in 1-based node ids, which
+coincides with ``numpy.triu_indices(n, 1)`` order on the transpose.  The
+denoiser works on pair vectors directly; the only dense matrix built here
+is the adjacency the GCN normalises.
 """
 
 from __future__ import annotations
@@ -17,21 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rng import SplitMix64
-
 __all__ = [
     "WeightVector",
-    "LaplacianCheck",
     "pair_count",
     "node_count_for_pairs",
     "pair_index",
-    "pair_nodes",
-    "laplacian_from_weights",
     "adjacency_from_weights",
-    "adjoint_of",
-    "p_dirichlet_energy",
-    "validate_laplacian",
-    "dominant_eigenvalue",
 ]
 
 
@@ -73,14 +62,6 @@ def _triu(n: int):
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
-
-
-def pair_nodes(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`: the 1-based pair (i, j), i > j, at index k."""
-    if not (1 <= k <= pair_count(n)):
-        raise ValueError(f"pair index {k} out of range for n={n}")
-    rows, cols = _triu(n)
-    return int(cols[k - 1]) + 1, int(rows[k - 1]) + 1
 
 
 @dataclass(frozen=True)
@@ -125,23 +106,6 @@ def _weight_array(w) -> np.ndarray:
     return arr
 
 
-def laplacian_from_weights(w) -> np.ndarray:
-    """Apply the Laplacian operator: [L w]_ij = -w_k for i != j, rows sum to zero.
-
-    Accepts a :class:`WeightVector` or a raw vector (which may be negative;
-    the map itself is linear, non-negativity is only needed for membership
-    in the Laplacian set).
-    """
-    values = _weight_array(w)
-    n = node_count_for_pairs(values.shape[0])
-    rows, cols = _triu(n)
-    M = np.zeros((n, n), dtype=np.float64)
-    M[rows, cols] = -values
-    M += M.T
-    np.fill_diagonal(M, -M.sum(axis=1))
-    return M
-
-
 def adjacency_from_weights(w) -> np.ndarray:
     """Symmetric non-negative adjacency with zero diagonal from pair weights."""
     values = _weight_array(w)
@@ -153,140 +117,3 @@ def adjacency_from_weights(w) -> np.ndarray:
     W[rows, cols] = values
     W += W.T
     return W
-
-
-def adjoint_of(Y: np.ndarray) -> np.ndarray:
-    """Apply the adjoint operator: [L* Y]_k = Y_ii - Y_ij - Y_ji + Y_jj.
-
-    (i, j) is the 1-based pair of canonical index k.  For every w and Y,
-    <L w, Y> = <w, L* Y>.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
-        raise ValueError(f"adjoint input must be a square matrix, got shape {Y.shape}")
-    n = Y.shape[0]
-    if n < 2:
-        raise ValueError(f"adjoint input must be at least 2x2, got n={n}")
-    rows, cols = _triu(n)
-    d = np.diag(Y)
-    return d[rows] + d[cols] - Y[rows, cols] - Y[cols, rows]
-
-
-def p_dirichlet_energy(w, f: np.ndarray, p: float) -> float:
-    """Graph p-Dirichlet energy sum_k w_k |f_i - f_j|^p over unordered pairs.
-
-    Equals one half of the symmetric double sum over ordered pairs; for p=2
-    it coincides with the quadratic form f^T L(w) f.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    values = _weight_array(w)
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError(f"signal must be a 1-D vector, got shape {f.shape}")
-    n = f.shape[0]
-    if values.shape[0] != pair_count(n):
-        raise ValueError(
-            f"weight vector length {values.shape[0]} inconsistent with signal length {n}"
-        )
-    rows, cols = _triu(n)
-    diffs = np.abs(f[cols] - f[rows])
-    return float(values @ diffs**p)
-
-
-def dominant_eigenvalue(op, dim: int | None = None, iters: int = 300,
-                        rtol: float = 1e-12, seed: int = 0x5EED) -> float:
-    """Rayleigh-quotient estimate of the dominant eigenvalue by power iteration.
-
-    ``op`` is a square ndarray or a matvec callable (then ``dim`` is required).
-    The start vector comes from a fixed SplitMix64 stream, so the estimate is
-    reproducible.  For symmetric operators the returned value converges to the
-    eigenvalue of largest magnitude.
-    """
-    if callable(op):
-        if dim is None:
-            raise ValueError("dim is required when op is a callable")
-        matvec = op
-    else:
-        A = np.asarray(op, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"operator must be square, got shape {A.shape}")
-        dim = A.shape[0]
-        matvec = A.__matmul__
-    rng = SplitMix64(seed)
-    v = rng.uniforms(dim) - 0.5
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.zeros(dim)
-        v[0] = 1.0
-    else:
-        v /= norm
-    lam = 0.0
-    for _ in range(iters):
-        u = matvec(v)
-        unorm = np.linalg.norm(u)
-        if unorm == 0.0:
-            return 0.0
-        lam_new = float(v @ u)
-        v = u / unorm
-        if abs(lam_new - lam) <= rtol * (1.0 + abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-@dataclass(frozen=True)
-class LaplacianCheck:
-    """Per-invariant diagnostics for membership in the combinatorial Laplacian set."""
-
-    symmetry_gap: float
-    symmetric: bool
-    max_positive_offdiag: float
-    offdiag_signs_ok: bool
-    max_abs_row_sum: float
-    row_sums_ok: bool
-    min_eigenvalue: float
-    psd_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.offdiag_signs_ok and self.row_sums_ok and self.psd_ok
-
-
-def validate_laplacian(M: np.ndarray, tol: float = 1e-9,
-                       psd_tol: float = 1e-8) -> LaplacianCheck:
-    """Check symmetry, off-diagonal signs, zero row sums and positive
-    semi-definiteness of ``M``, reporting the measured violation of each.
-
-    The smallest eigenvalue is estimated as c - lambda_max(cI - M) with
-    c = max diagonal entry, using power iteration; no eigendecomposition
-    is performed.  Diagnostics are always returned, never raised.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
-    n = M.shape[0]
-
-    symmetry_gap = float(np.max(np.abs(M - M.T)))
-
-    off = M.copy()
-    np.fill_diagonal(off, -np.inf)
-    max_positive_offdiag = float(max(off.max(), 0.0)) if n > 1 else 0.0
-
-    max_abs_row_sum = float(np.max(np.abs(M.sum(axis=1))))
-
-    c = float(np.max(np.diag(M)))
-    shifted = c * np.eye(n) - M
-    lam = dominant_eigenvalue(shifted)
-    min_eigenvalue = c - lam
-
-    return LaplacianCheck(
-        symmetry_gap=symmetry_gap,
-        symmetric=symmetry_gap <= tol,
-        max_positive_offdiag=max_positive_offdiag,
-        offdiag_signs_ok=max_positive_offdiag <= tol,
-        max_abs_row_sum=max_abs_row_sum,
-        row_sums_ok=max_abs_row_sum <= tol,
-        min_eigenvalue=min_eigenvalue,
-        psd_ok=min_eigenvalue >= -psd_tol,
-    )

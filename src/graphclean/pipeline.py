@@ -18,7 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import heterophilic_add, perturbation_report, random_add
-from .datasets import Dataset, SbmParams, Split, generate_sbm, load_bundle, load_splits, split_nodes
+from .datasets import (
+    Dataset,
+    SbmParams,
+    Split,
+    check_fractions,
+    generate_sbm,
+    load_bundle,
+    load_splits,
+    split_nodes,
+)
 from .denoise import DenoiseConfig, denoise, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
 from .operators import WeightVector, adjacency_from_weights
@@ -96,8 +105,7 @@ class ExperimentConfig:
             raise ValueError("exactly one of bundle or sbm must be set")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if len(self.fractions) != 3:
-            raise ValueError("fractions must be (train, val, test)")
+        check_fractions(self.fractions)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

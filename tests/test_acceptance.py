@@ -23,15 +23,7 @@ from graphclean.denoise import (
     pairwise_p_distances,
 )
 from graphclean.gcn import TrainConfig, loss_and_gradients
-from graphclean.operators import (
-    WeightVector,
-    adjoint_of,
-    dominant_eigenvalue,
-    laplacian_from_weights,
-    pair_count,
-    pair_index,
-    validate_laplacian,
-)
+from graphclean.operators import WeightVector, pair_count, pair_index
 from graphclean.pipeline import (
     AttackSpec,
     ExperimentConfig,
@@ -44,6 +36,12 @@ from graphclean.operators import _triu
 
 from test_denoise import finite_difference_gradient, random_problem
 from test_gcn import fd_parameter_gradient, random_gcn_instance
+from test_operators import (
+    adjoint_of,
+    dominant_eigenvalue,
+    laplacian_from_weights,
+    validate_laplacian,
+)
 
 
 def _report(name: str, start: float, limit: float, passed: bool):

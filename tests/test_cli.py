@@ -160,24 +160,34 @@ class TestConfigFile:
 class TestBadInput:
     """Bad input ends a command with one error line and exit status 2."""
 
-    @pytest.mark.parametrize("argv,config,message", [
-        (["train", "--bundle", "/nonexistent"], None,
+    @pytest.mark.parametrize("argv,config,edit,message", [
+        (["train", "--bundle", "/nonexistent"], None, None,
          "missing bundle file: /nonexistent/features.csv"),
-        (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
-         "features.csv row 2: expected 2 values, got 1"),
-        (["pipeline"], "beta = 0.3\niter = 5\n", "bad.cfg: unknown key 'iter'"),
-        (["denoise"], "step_mode = fixed\n", "bad.cfg: unknown key 'step_mode'"),
-        (["pipeline"], "split = 0.5,0.5\n", "expected three comma-separated fractions"),
-        (["pipeline", "--alpha", "0"], None, "alpha must be > 0, got 0.0"),
-        (["denoise", "--out", "{tmp}/out"], None, "--bundle is required for this command"),
-    ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
-            "removed-step-mode", "short-split", "refused-flag-value", "required-flag"])
-    def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, message):
         # the second feature row of the bundle loses a value
-        features = bundle_dir / "features.csv"
-        lines = features.read_text().split("\n")
-        lines[1] = "1.0"
-        features.write_text("\n".join(lines))
+        (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
+         ("features.csv", 1, b"1.0"), "features.csv row 2: expected 2 values, got 1"),
+        (["pipeline"], "beta = 0.3\niter = 5\n", None, "bad.cfg: unknown key 'iter'"),
+        (["denoise"], "step_mode = fixed\n", None, "bad.cfg: unknown key 'step_mode'"),
+        (["pipeline"], "split = 0.5,0.5\n", None, "expected three comma-separated fractions"),
+        (["pipeline", "--alpha", "0"], None, None, "alpha must be > 0, got 0.0"),
+        (["denoise", "--out", "{tmp}/out"], None, None, "--bundle is required for this command"),
+        (["pipeline", "--config", "{tmp}/nonexistent.cfg"], None, None,
+         "nonexistent.cfg: cannot read config file: No such file or directory"),
+        # a Latin-1 byte in the third feature row
+        (["train", "--bundle", "{bundle}"], None, ("features.csv", 2, b"0.9,-0.1\xff"),
+         "features.csv row 3: not UTF-8 text"),
+        (["train", "--bundle", "{bundle}"], None, ("labels.csv", 3, b"2,1000000000000"),
+         "labels.csv row 4: label 1000000000000 outside [0, 6) for 6 nodes"),
+        (["pipeline"], "split = 0.8,0.3,0.1\n", None, "fractions sum to 1.2"),
+    ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
+            "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
+            "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one"])
+    def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
+        if edit is not None:
+            name, row, content = edit
+            lines = (bundle_dir / name).read_bytes().split(b"\n")
+            lines[row] = content
+            (bundle_dir / name).write_bytes(b"\n".join(lines))
         argv = [a.format(bundle=bundle_dir, tmp=tmp_path) for a in argv]
         if config is not None:
             cfg = tmp_path / "bad.cfg"
@@ -190,3 +200,14 @@ class TestBadInput:
         assert err.startswith("graphclean: error: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("split, message", [
+        ("--split=-0.1,0.5,0.5", "fractions must be non-negative"),
+        ("--split=0.8,0.3,0.1", "fractions sum to 1.2"),
+    ])
+    def test_split_flag_refused_before_work(self, capsys, split, message):
+        # argparse reports a bad flag value under its usage line
+        with pytest.raises(SystemExit) as stopped:
+            main(["pipeline", split, "--reps", "1"])
+        assert stopped.value.code == 2
+        assert f"argument --split: {message}" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from graphclean.datasets import (
     Dataset,
     SbmParams,
     Split,
+    check_fractions,
     generate_sbm,
     load_bundle,
     load_splits,
@@ -120,10 +121,12 @@ class TestLoadBundle:
         ('{"train": [0, 1], "val": [1], "test": [3]}', "split parts must be .* disjoint"),
         ('{"train": [0, 1.7], "val": [2], "test": [3]}', "train must be .* integer node ids"),
         ('{"train": [0, 1], "val": [2], "test": [99999999999999999999]}', "Python int too large"),
+        ('{"train": [0, 1], "val": [2], "test": [\xff]}', "invalid JSON: 'utf-8' codec"),
     ], ids=["invalid-json", "top-level-list", "overlapping-parts", "non-integer-id",
-            "id-beyond-int64"])
+            "id-beyond-int64", "not-utf8"])
     def test_bad_splits_name_the_file(self, bundle_dir, text, message):
-        (bundle_dir / "splits.json").write_text(text, encoding="utf-8")
+        # Latin-1 writes the ASCII cases as UTF-8 would, and "\xff" as the byte 0xff
+        (bundle_dir / "splits.json").write_text(text, encoding="latin-1")
         with pytest.raises(BundleFormatError, match=f"splits.json: {message}"):
             load_splits(bundle_dir, 6)
 
@@ -132,6 +135,24 @@ class TestLoadBundle:
             '{"train": [0, 1], "val": [2], "test": [99]}', encoding="utf-8")
         with pytest.raises(ValueError, match="references node"):
             load_splits(bundle_dir, 6)
+
+    @pytest.mark.parametrize("label", [6, 10**12, 10**20, -1])
+    def test_label_out_of_range_reports_row(self, bundle_dir, label):
+        # a label >= n would mean more classes than the bundle's 6 nodes
+        (bundle_dir / "labels.csv").write_text(
+            f"node,label\n0,0\n1,0\n2,{label}\n3,1\n4,1\n5,1\n", encoding="utf-8")
+        with pytest.raises(BundleFormatError,
+                           match=rf"labels.csv row 4: label {label} outside \[0, 6\)"):
+            load_bundle(bundle_dir)
+
+    @pytest.mark.parametrize("name, row", [("features.csv", 2), ("labels.csv", 0),
+                                           ("edges.csv", 4)])
+    def test_non_utf8_reports_row(self, bundle_dir, name, row):
+        lines = (bundle_dir / name).read_bytes().split(b"\n")
+        lines[row] += b"\xff"
+        (bundle_dir / name).write_bytes(b"\n".join(lines))
+        with pytest.raises(BundleFormatError, match=f"{name} row {row + 1}: not UTF-8 text"):
+            load_bundle(bundle_dir)
 
 
 def loop_sbm(params, seed):
@@ -244,6 +265,17 @@ class TestSplitNodes:
     def test_fraction_sum_above_one_rejected(self):
         with pytest.raises(ValueError):
             split_nodes(10, (0.8, 0.3, 0.1), seed=0)
+
+    @pytest.mark.parametrize("fractions, message", [
+        ((-0.1, 0.5, 0.5), "non-negative"),
+        ((float("nan"), 0.5, 0.5), "non-negative"),
+        ((0.5, 0.5), r"\(train, val, test\)"),
+    ])
+    def test_check_fractions_refuses(self, fractions, message):
+        with pytest.raises(ValueError, match=message):
+            check_fractions(fractions)
+        with pytest.raises(ValueError, match=message):
+            split_nodes(10, fractions, seed=0)
 
     def test_largest_remainder_rule(self):
         # recompute the documented rule independently for random inputs

@@ -14,8 +14,10 @@ from graphclean.denoise import (
     objective,
     pairwise_p_distances,
 )
-from graphclean.operators import WeightVector, _triu, adjoint_of, laplacian_from_weights, pair_count
+from graphclean.operators import WeightVector, _triu, pair_count
 from graphclean.rng import SplitMix64
+
+from test_operators import adjoint_of, laplacian_from_weights
 
 
 def dense_objective(w, phi_n, d_p, alpha, beta):

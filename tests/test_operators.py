@@ -1,22 +1,114 @@
-"""Operator algebra: index mapping, L, L*, validation, p-Dirichlet energy."""
+"""Pair vectors and their indexing, plus the dense oracles the pair-space code
+is checked against: the Laplacian operator L, its adjoint L*, and a
+validator for membership in the combinatorial Laplacian set."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from graphclean.denoise import pairwise_p_distances
 from graphclean.operators import (
     WeightVector,
+    _triu,
+    _weight_array,
     adjacency_from_weights,
-    adjoint_of,
-    dominant_eigenvalue,
-    laplacian_from_weights,
     node_count_for_pairs,
-    p_dirichlet_energy,
     pair_count,
     pair_index,
-    pair_nodes,
-    validate_laplacian,
 )
 from graphclean.rng import SplitMix64
+
+
+def laplacian_from_weights(w) -> np.ndarray:
+    """Oracle: [L w]_ij = -w_k for i != j, rows sum to zero.
+
+    Accepts a WeightVector or a raw vector (which may be negative; the map
+    itself is linear, non-negativity is only needed for membership in the
+    Laplacian set).
+    """
+    values = _weight_array(w)
+    n = node_count_for_pairs(values.shape[0])
+    rows, cols = _triu(n)
+    M = np.zeros((n, n), dtype=np.float64)
+    M[rows, cols] = -values
+    M += M.T
+    np.fill_diagonal(M, -M.sum(axis=1))
+    return M
+
+
+def adjoint_of(Y: np.ndarray) -> np.ndarray:
+    """Oracle: [L* Y]_k = Y_ii - Y_ij - Y_ji + Y_jj, so <L w, Y> = <w, L* Y>."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
+        raise ValueError(f"adjoint input must be a square matrix, got shape {Y.shape}")
+    n = Y.shape[0]
+    if n < 2:
+        raise ValueError(f"adjoint input must be at least 2x2, got n={n}")
+    rows, cols = _triu(n)
+    d = np.diag(Y)
+    return d[rows] + d[cols] - Y[rows, cols] - Y[cols, rows]
+
+
+def dominant_eigenvalue(matvec, dim: int, iters: int = 300,
+                        rtol: float = 1e-12, seed: int = 0x5EED) -> float:
+    """Rayleigh-quotient estimate of the dominant eigenvalue of a symmetric
+    operator by power iteration, from a fixed SplitMix64 start vector."""
+    v = SplitMix64(seed).uniforms(dim) - 0.5
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        v = np.zeros(dim)
+        v[0] = 1.0
+    else:
+        v /= norm
+    lam = 0.0
+    for _ in range(iters):
+        u = matvec(v)
+        unorm = np.linalg.norm(u)
+        if unorm == 0.0:
+            return 0.0
+        lam_new = float(v @ u)
+        v = u / unorm
+        if abs(lam_new - lam) <= rtol * (1.0 + abs(lam_new)):
+            return lam_new
+        lam = lam_new
+    return lam
+
+
+@dataclass(frozen=True)
+class LaplacianCheck:
+    symmetric: bool
+    max_positive_offdiag: float
+    offdiag_signs_ok: bool
+    row_sums_ok: bool
+    min_eigenvalue: float
+    psd_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.symmetric and self.offdiag_signs_ok and self.row_sums_ok and self.psd_ok
+
+
+def validate_laplacian(M: np.ndarray, tol: float = 1e-9,
+                       psd_tol: float = 1e-8) -> LaplacianCheck:
+    """Oracle: symmetry, off-diagonal signs, zero row sums and positive
+    semi-definiteness of M.  The smallest eigenvalue is c - lambda_max(cI - M)
+    with c the largest diagonal entry, by power iteration."""
+    M = np.asarray(M, dtype=np.float64)
+    n = M.shape[0]
+    off = M.copy()
+    np.fill_diagonal(off, -np.inf)
+    max_positive_offdiag = float(max(off.max(), 0.0)) if n > 1 else 0.0
+    c = float(np.max(np.diag(M)))
+    min_eigenvalue = c - dominant_eigenvalue((c * np.eye(n) - M).__matmul__, n)
+    return LaplacianCheck(
+        symmetric=float(np.max(np.abs(M - M.T))) <= tol,
+        max_positive_offdiag=max_positive_offdiag,
+        offdiag_signs_ok=max_positive_offdiag <= tol,
+        row_sums_ok=float(np.max(np.abs(M.sum(axis=1)))) <= tol,
+        min_eigenvalue=min_eigenvalue,
+        psd_ok=min_eigenvalue >= -psd_tol,
+    )
 
 
 def enumerate_pairs(n):
@@ -61,18 +153,6 @@ class TestPairIndex:
     def test_bijection(self, n):
         seen = [pair_index(i, j, n) for (i, j) in enumerate_pairs(n)]
         assert sorted(seen) == list(range(1, pair_count(n) + 1))
-
-    @pytest.mark.parametrize("n", [3, 7])
-    def test_pair_nodes_inverts(self, n):
-        for k in range(1, pair_count(n) + 1):
-            i, j = pair_nodes(k, n)
-            assert pair_index(i, j, n) == k
-
-    def test_pair_nodes_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            pair_nodes(0, 4)
-        with pytest.raises(ValueError):
-            pair_nodes(7, 4)
 
     @pytest.mark.parametrize("i,j", [(1, 1), (2, 2), (1, 2), (5, 1), (2, 0)])
     def test_rejects_bad_indices(self, i, j):
@@ -190,16 +270,22 @@ class TestValidateLaplacian:
 
 
 class TestPDirichletEnergy:
+    """The p-Dirichlet energy sum_k w_k |f_i - f_j|^p of a signal f is the
+    denoiser's distance term with f as the only feature: w @ d_p(f[:, None])."""
+
+    PATH = np.array([1.0, 0.0, 1.0])
+    SIGNAL = np.array([[0.0], [1.0], [3.0]])
+
     def test_path_quadratic(self):
-        assert p_dirichlet_energy([1.0, 0.0, 1.0], [0.0, 1.0, 3.0], 2.0) == 5.0
+        assert self.PATH @ pairwise_p_distances(self.SIGNAL, 2.0) == 5.0
 
     def test_path_absolute(self):
-        assert p_dirichlet_energy([1.0, 0.0, 1.0], [0.0, 1.0, 3.0], 1.0) == 3.0
+        assert self.PATH @ pairwise_p_distances(self.SIGNAL, 1.0) == 3.0
 
     def test_constant_signal_is_zero(self):
         rng = SplitMix64(9)
         w = np.array([rng.uniform() for _ in range(pair_count(5))])
-        assert p_dirichlet_energy(w, np.full(5, 2.5), 3.0) == 0.0
+        assert w @ pairwise_p_distances(np.full((5, 1), 2.5), 3.0) == 0.0
 
     def test_quadratic_form_identity(self):
         rng = SplitMix64(13)
@@ -207,13 +293,13 @@ class TestPDirichletEnergy:
             n = 3 + rng.bounded(10)
             w = np.array([rng.uniform() for _ in range(pair_count(n))])
             f = np.array([rng.uniform() - 0.5 for _ in range(n)])
-            energy = p_dirichlet_energy(w, f, 2.0)
+            energy = float(w @ pairwise_p_distances(f[:, None], 2.0))
             quad = float(f @ laplacian_from_weights(w) @ f)
             assert abs(energy - quad) <= 1e-9 * (1.0 + abs(quad))
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
-            p_dirichlet_energy([1.0], [0.0, 1.0], 0.5)
+            pairwise_p_distances(np.array([[0.0], [1.0]]), 0.5)
 
 
 class TestOperatorNorm:

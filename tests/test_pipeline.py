@@ -183,6 +183,10 @@ class TestRunPipeline:
                 nodes_per_block=5, blocks=2, p_in=0.5, p_out=0.1,
                 feature_dim=2, feature_signal=1.0, feature_noise=0.1))
 
+    def test_rejects_bad_fractions_before_any_work(self):
+        with pytest.raises(ValueError, match="sum to 1.2"):
+            small_config(fractions=(0.8, 0.3, 0.1))
+
 
 class TestSweep:
     def test_single_value_equals_run_pipeline(self):

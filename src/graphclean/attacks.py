@@ -18,11 +18,16 @@ from .operators import WeightVector, _triu
 from .rng import SplitMix64
 
 __all__ = [
+    "AttackBudgetError",
     "PerturbationReport",
     "random_add",
     "heterophilic_add",
     "perturbation_report",
 ]
+
+
+class AttackBudgetError(ValueError):
+    """An attack asks for more edges than there are eligible absent pairs."""
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ def _sample_absent(values: np.ndarray, count: int, rng: SplitMix64,
         absent &= eligible
     available = int(absent.sum())
     if count > available:
-        raise ValueError(
+        raise AttackBudgetError(
             f"cannot add {count} edges: only {available} eligible absent pairs"
         )
     if count == 0:

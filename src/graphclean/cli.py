@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .attacks import perturbation_report
+from .attacks import AttackBudgetError, perturbation_report
 from .datasets import (
     BundleFormatError,
     Dataset,
@@ -34,6 +34,7 @@ from .operators import adjacency_from_weights
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
+    PipelineStageError,
     apply_attack,
     run_pipeline,
     sweep,
@@ -154,6 +155,10 @@ def read_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so exc.start is a file offset
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: not UTF-8 text (line {line})") from None
     values = {}
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -372,8 +377,12 @@ def main(argv=None) -> int:
         _fail(exc)
     try:
         return _COMMANDS[args.command](args)
-    except BundleFormatError as exc:
+    except (BundleFormatError, AttackBudgetError) as exc:
         _fail(exc)
+    except PipelineStageError as exc:
+        if isinstance(exc.__cause__, AttackBudgetError):
+            _fail(exc)
+        raise
 
 
 if __name__ == "__main__":

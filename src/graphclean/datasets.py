@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,6 +179,40 @@ def _read_lines(path: Path) -> list[str]:
     return lines
 
 
+def _parse_features(lines: list[str]) -> np.ndarray:
+    """The rows of features.csv as an (n, d) float64 array.
+
+    numpy parses a well-formed file.  It converts each value with CPython's
+    string-to-double routine, so wherever float() accepts the same text the
+    bits agree.  It skips blank lines, hence the row count check.  Whatever it
+    refuses goes through the row loop, which accepts what float() accepts
+    (``1_0`` is 10.0) and names the row of the first bad value.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when every line is blank; the row count catches that
+            warnings.simplefilter("ignore", UserWarning)
+            features = np.loadtxt(lines, delimiter=",", comments=None,
+                                  dtype=np.float64, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if features.shape[0] == len(lines):
+            return features
+    rows = []
+    dim = None
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if dim is None:
+            dim = len(parts)
+        elif len(parts) != dim:
+            raise BundleFormatError(
+                f"features.csv row {ln}: expected {dim} values, got {len(parts)}"
+            )
+        rows.append([_parse_float(p, f"features.csv row {ln}") for p in parts])
+    return np.asarray(rows, dtype=np.float64)
+
+
 def load_bundle(path) -> Dataset:
     """Load a bundle directory into a :class:`Dataset`.
 
@@ -192,18 +227,7 @@ def load_bundle(path) -> Dataset:
     n = len(feat_lines)
     if n < 2:
         raise BundleFormatError(f"features.csv: need at least 2 nodes, got {n}")
-    rows = []
-    dim = None
-    for ln, line in enumerate(feat_lines, start=1):
-        parts = line.split(",")
-        if dim is None:
-            dim = len(parts)
-        elif len(parts) != dim:
-            raise BundleFormatError(
-                f"features.csv row {ln}: expected {dim} values, got {len(parts)}"
-            )
-        rows.append([_parse_float(p, f"features.csv row {ln}") for p in parts])
-    features = np.asarray(rows, dtype=np.float64)
+    features = _parse_features(feat_lines)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")

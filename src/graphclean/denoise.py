@@ -97,16 +97,29 @@ class DenoiseResult:
         }
 
 
+_GRAM_ROWS = 256
+
+
 def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     """d_p[k] = sum_m |X[i,m] - X[j,m]|^p for the pair (i, j) of index k.
 
-    Blocked over rows so only O(n d) scratch is live at a time.
+    When every feature is 0 or 1, the answer comes from the Gram matrix
+    G = X X^T as d_p[k] = s_i + s_j - 2 G_ij with s = diag G.  For any p,
+    |x_i - x_j|^p is then (x_i - x_j)^2, and every product and partial sum
+    is an integer that float64 holds exactly, so the summation order of the
+    row loop and of BLAS cannot change a bit.  G is built a block of rows at
+    a time, so no n x n matrix is held.
+
+    Any other input goes through a loop over rows, which keeps only O(n d)
+    scratch live at a time.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
+    if _gram_is_exact(X):
+        return _gram_distances(X)
     n = X.shape[0]
     out = np.empty(pair_count(n), dtype=np.float64)
     pos = 0
@@ -120,6 +133,28 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
             vals = (block**p).sum(axis=1)
         out[pos:pos + n - 1 - r] = vals
         pos += n - 1 - r
+    return out
+
+
+def _gram_is_exact(X: np.ndarray) -> bool:
+    return bool(((X == 0.0) | (X == 1.0)).all())
+
+
+def _gram_distances(X: np.ndarray) -> np.ndarray:
+    n = X.shape[0]
+    sq = np.einsum("ij,ij->i", X, X)
+    out = np.empty(pair_count(n), dtype=np.float64)
+    pos = 0
+    for r0 in range(0, n, _GRAM_ROWS):
+        r1 = min(r0 + _GRAM_ROWS, n)
+        block = X[r0:r1] @ X[r0:].T
+        block *= -2.0
+        block += sq[r0:r1, None]
+        block += sq[None, r0:]
+        # the pairs (i, j) with r0 <= i < r1 and i < j are contiguous in pair order
+        vals = block[np.arange(r1 - r0)[:, None] < np.arange(n - r0)]
+        out[pos:pos + vals.size] = vals
+        pos += vals.size
     return out
 
 

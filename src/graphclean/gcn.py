@@ -113,9 +113,14 @@ def normalize_adjacency(W: np.ndarray) -> np.ndarray:
         raise ValueError(f"adjacency must be square, got shape {W.shape}")
     if np.any(W < 0):
         raise ValueError("adjacency has negative weights")
-    with_loops = W + np.eye(W.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
+    # inv_sqrt[:, None] * (W + I) * inv_sqrt[None, :], computed in place in
+    # one C-ordered copy of W; adding 0.0 turns -0.0 into +0.0 as W + I did
+    A_hat = np.add(W, 0.0, order="C")
+    A_hat[np.diag_indices_from(A_hat)] += 1.0
+    inv_sqrt = 1.0 / np.sqrt(A_hat.sum(axis=1))
+    A_hat *= inv_sqrt[:, None]
+    A_hat *= inv_sqrt[None, :]
+    return A_hat
 
 
 def _propagate(params: GcnParams, A_hat: np.ndarray, AX: np.ndarray):

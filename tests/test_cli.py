@@ -1,11 +1,14 @@
 """CLI: subcommands, config files, flag precedence, determinism of outputs."""
 
 import json
+import re
 
 import pytest
 
+from graphclean import pipeline
 from graphclean.cli import main, parse_args, read_config_file
 from graphclean.datasets import load_bundle
+from graphclean.pipeline import PipelineStageError
 
 
 def run(argv):
@@ -157,6 +160,11 @@ class TestConfigFile:
         assert payload["config"]["attack"]["kind"] == "heterophilic"
 
 
+# more cross-label edges than a graph of 2 x 10 nodes or the 6-node bundle has room for
+BIG_BUDGET = ["--attack", "heterophilic", "--budget", "100000"]
+SMALL_RUN = ["--sbm-size", "10", "--reps", "1"]
+
+
 class TestBadInput:
     """Bad input ends a command with one error line and exit status 2."""
 
@@ -179,9 +187,17 @@ class TestBadInput:
         (["train", "--bundle", "{bundle}"], None, ("labels.csv", 3, b"2,1000000000000"),
          "labels.csv row 4: label 1000000000000 outside [0, 6) for 6 nodes"),
         (["pipeline"], "split = 0.8,0.3,0.1\n", None, "fractions sum to 1.2"),
+        (["pipeline"] + BIG_BUDGET + SMALL_RUN, None, None,
+         "repetition 0, stage attack: cannot add 100000 edges: only 100 eligible absent pairs"),
+        (["sweep", "--sweep-param", "beta", "--values", "0.5"] + BIG_BUDGET + SMALL_RUN, None, None,
+         "repetition 0, stage attack: cannot add 100000 edges: only 100 eligible absent pairs"),
+        (["attack", "--bundle", "{bundle}", "--out", "{tmp}/out"] + BIG_BUDGET, None, None,
+         "cannot add 100000 edges: only 8 eligible absent pairs"),
+        (["pipeline"], b"beta = 0.3\n# caf\xe9\n", None, "bad.cfg: not UTF-8 text (line 2)"),
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
-            "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one"])
+            "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
+            "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config"])
     def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
         if edit is not None:
             name, row, content = edit
@@ -191,7 +207,10 @@ class TestBadInput:
         argv = [a.format(bundle=bundle_dir, tmp=tmp_path) for a in argv]
         if config is not None:
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(config)
+            if isinstance(config, bytes):
+                cfg.write_bytes(config)
+            else:
+                cfg.write_text(config)
             argv += ["--config", str(cfg)]
         with pytest.raises(SystemExit) as stopped:
             main(argv)
@@ -211,3 +230,13 @@ class TestBadInput:
             main(["pipeline", split, "--reps", "1"])
         assert stopped.value.code == 2
         assert f"argument --split: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, target", [("attack", "heterophilic_add"),
+                                               ("train[clean]", "train")])
+    def test_other_stage_failures_keep_their_traceback(self, monkeypatch, stage, target):
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr(pipeline, target, fail)
+        with pytest.raises(PipelineStageError, match=re.escape(f"stage {stage}: boom")):
+            main(["pipeline", "--attack", "heterophilic", "--budget", "3",
+                  "--sbm-size", "10", "--reps", "1", "--epochs", "2"])

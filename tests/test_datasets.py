@@ -21,6 +21,33 @@ from graphclean.operators import WeightVector, _triu, pair_count
 from graphclean.rng import SplitMix64
 
 
+def loop_features(lines):
+    """Oracle: features.csv parsed value by value with float(), then checked
+    for non-finite values, raising what load_bundle raises."""
+    rows = []
+    dim = None
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if dim is None:
+            dim = len(parts)
+        elif len(parts) != dim:
+            raise BundleFormatError(
+                f"features.csv row {ln}: expected {dim} values, got {len(parts)}")
+        row = []
+        for text in parts:
+            try:
+                row.append(float(text))
+            except ValueError:
+                raise BundleFormatError(
+                    f"features.csv row {ln}: not a decimal number: {text!r}") from None
+        rows.append(row)
+    features = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
+    return features
+
+
 def rewrite_edges(bundle, rows):
     (bundle / "edges.csv").write_text(
         "src,dst,weight\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
@@ -103,6 +130,54 @@ class TestLoadBundle:
         (bundle / "features.csv").write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(BundleFormatError, match="features.csv row 217: non-finite"):
             load_bundle(bundle)
+
+    @pytest.mark.parametrize("seed, dim, signal", [(1, 4, 1.0), (2, 3, 3.5), (3, 30, 0.0)])
+    def test_features_match_loop_parse(self, tmp_path, seed, dim, signal):
+        params = SbmParams(nodes_per_block=40, blocks=3, p_in=0.1, p_out=0.01,
+                           feature_dim=dim, feature_signal=signal, feature_noise=0.7)
+        save_bundle(generate_sbm(params, seed), tmp_path)
+        lines = (tmp_path / "features.csv").read_text(encoding="utf-8").split("\n")[:-1]
+        loaded = load_bundle(tmp_path).features
+        assert loaded.tobytes() == loop_features(lines).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1,0\n0,1\n1e-3,-0\n 2.5 ,\t+7\n.5,1.\n1E300,-2.2250738585072014e-308",
+        "0.1\n0.2\n0.30000000000000004",
+        "1_0,2\n3,4",  # float() reads 1_0 as 10.0; loadtxt refuses it
+        "1,2\n3,\u0664",
+    ], ids=["syntax", "one-column", "underscore", "arabic-indic-digit"])
+    def test_accepted_syntax_matches_loop_parse(self, bundle_dir, text):
+        (bundle_dir / "features.csv").write_text(text + "\n", encoding="utf-8")
+        (bundle_dir / "labels.csv").write_text(
+            "node,label\n" + "".join(f"{i},0\n" for i in range(text.count("\n") + 1)),
+            encoding="utf-8")
+        rewrite_edges(bundle_dir, [])
+        loaded = load_bundle(bundle_dir).features
+        assert loaded.tobytes() == loop_features(text.split("\n")).tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n3.0\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n3.0,x\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n3.0,\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n\n" + "0.0,0.0\n" * 4,
+        "1.0\n\n" + "0.0\n" * 4,
+        "\n" * 6,
+        "1.0,2.0\n3.0,4.0 # note\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n#3.0,4.0\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n3.0,4.0\n" + "0.0,nan\n" * 4,
+        "1.0,2.0\n3.0,1e999\n" + "0.0,0.0\n" * 4,
+        "1.0,2.0\n0x1p3,4.0\n" + "0.0,0.0\n" * 4,
+    ], ids=["ragged", "word", "empty-value", "blank-line", "blank-line-one-column",
+            "only-blank-lines", "comment", "comment-line", "nan",
+            "overflow", "hex"])
+    def test_bad_features_give_the_loop_parse_message(self, bundle_dir, text):
+        (bundle_dir / "features.csv").write_text(text, encoding="utf-8")
+        lines = text.split("\n")[:-1]
+        with pytest.raises(BundleFormatError) as expected:
+            loop_features(lines)
+        with pytest.raises(BundleFormatError) as raised:
+            load_bundle(bundle_dir)
+        assert str(raised.value) == str(expected.value)
 
     def test_splits_json_round_trip(self, bundle_dir, small_dataset):
         split = Split(train=np.array([0, 3]), val=np.array([1, 4]),

@@ -8,6 +8,7 @@ from graphclean.datasets import SbmParams, generate_sbm
 from graphclean.denoise import (
     DenoiseConfig,
     DenoiseDivergence,
+    _gram_is_exact,
     denoise,
     gradient,
     linear_coefficient,
@@ -18,6 +19,24 @@ from graphclean.operators import WeightVector, _triu, pair_count
 from graphclean.rng import SplitMix64
 
 from test_operators import adjoint_of, laplacian_from_weights
+
+
+def loop_distances(X, p):
+    """Oracle: d_p by a loop over rows, |X[r+1:] - X[r]|^p summed per pair."""
+    n = X.shape[0]
+    out = np.empty(pair_count(n))
+    pos = 0
+    for r in range(n - 1):
+        block = np.abs(X[r + 1:] - X[r])
+        if p == 1.0:
+            vals = block.sum(axis=1)
+        elif p == 2.0:
+            vals = np.einsum("ij,ij->i", block, block)
+        else:
+            vals = (block**p).sum(axis=1)
+        out[pos:pos + n - 1 - r] = vals
+        pos += n - 1 - r
+    return out
 
 
 def dense_objective(w, phi_n, d_p, alpha, beta):
@@ -111,6 +130,44 @@ class TestPairwisePDistances:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
             pairwise_p_distances(self.X, 0.9)
+
+
+def random_features(seed, n, d, scale=1.0, ones=None):
+    """Uniform features in [-scale, scale); with ``ones`` a fraction, 0/1
+    features that are 1 with that probability."""
+    u = SplitMix64(seed).uniforms(n * d).reshape(n, d)
+    if ones is not None:
+        return (u < ones).astype(np.float64)
+    return scale * (2.0 * u - 1.0)
+
+
+class TestGramDistancesMatchLoop:
+    """The Gram form is taken only for 0/1 features, and then it gives the
+    loop's bits; every other input goes through the loop."""
+
+    # 300 rows: two row blocks of the Gram form, the second one partial
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_binary_features_any_p(self, p):
+        X = random_features(3, 300, 40, ones=0.2)
+        assert _gram_is_exact(X)
+        np.testing.assert_array_equal(pairwise_p_distances(X, p), loop_distances(X, p))
+
+    @pytest.mark.parametrize("case", ["real", "integer", "near-binary", "nan", "inf"])
+    def test_other_features_take_the_loop(self, case):
+        X = random_features(5, 60, 12, ones=0.3)
+        if case == "real":
+            X = random_features(5, 60, 12)
+        elif case == "integer":
+            X = np.round(random_features(5, 60, 12, scale=50.0))
+        else:
+            X[7, 3] = {"near-binary": 2.0, "nan": np.nan, "inf": np.inf}[case]
+        assert not _gram_is_exact(X)
+
+    def test_tiny_inputs(self):
+        for X in (np.zeros((1, 3)), np.ones((4, 0))):
+            assert _gram_is_exact(X)
+            np.testing.assert_array_equal(pairwise_p_distances(X, 2.0),
+                                          loop_distances(X, 2.0))
 
 
 class TestLinearCoefficient:

@@ -36,6 +36,13 @@ def forward_oracle(params, A_hat, X):
     return matmul(matmul(A_hat, hidden), params.W2)
 
 
+def normalize_oracle(W):
+    """Oracle: D^{-1/2} (W + I) D^{-1/2} through the n x n temporaries."""
+    with_loops = W + np.eye(W.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(with_loops.sum(axis=1))
+    return inv_sqrt[:, None] * with_loops * inv_sqrt[None, :]
+
+
 def training_loss(params, A_hat, X, labels, mask, weight_decay):
     loss = cross_entropy(forward(params, A_hat, X), labels, mask)
     loss += 0.5 * weight_decay * (np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2))
@@ -117,6 +124,20 @@ class TestNormalizeAdjacency:
     def test_two_node_graph(self):
         W = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(normalize_adjacency(W), np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_bytes_match_oracle(self, seed):
+        rng = SplitMix64(seed)
+        n = 40 + rng.bounded(60)
+        u = rng.uniforms(pair_count(n))
+        # unit and real weights, isolated nodes, and a -0.0 weight
+        w = np.where(u < 0.1, 1.0, np.where(u < 0.2, 3.0 * u, 0.0))
+        w[:n - 1] = 0.0
+        W = adjacency_from_weights(w)
+        W[1, 2] = W[2, 1] = -0.0
+        expected = normalize_oracle(W).tobytes()
+        assert normalize_adjacency(W).tobytes() == expected
+        assert normalize_adjacency(np.asfortranarray(W)).tobytes() == expected
 
     def test_isolated_nodes_get_unit_self_loop(self):
         np.testing.assert_array_equal(normalize_adjacency(np.zeros((2, 2))), np.eye(2))

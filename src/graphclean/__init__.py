@@ -39,7 +39,7 @@ from .gcn import (
     train,
     xavier_params,
 )
-from .operators import WeightVector, adjacency_from_weights, pair_count, pair_index
+from .operators import WeightVector, pair_count, pair_index
 from .pipeline import (
     ARMS,
     AttackSpec,

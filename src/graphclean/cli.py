@@ -30,7 +30,6 @@ from .datasets import (
 )
 from .denoise import DenoiseConfig, denoise
 from .gcn import TrainConfig, normalize_adjacency, train
-from .operators import adjacency_from_weights
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
@@ -310,7 +309,7 @@ def cmd_train(args) -> int:
     split = load_splits(bundle, dataset.n)
     if split is None:
         split = split_nodes(dataset.n, args.split, args.seed)
-    a_hat = normalize_adjacency(adjacency_from_weights(dataset.graph))
+    a_hat = normalize_adjacency(dataset.graph)
     _, report = train(dataset, a_hat, split, _train_from_args(args))
     payload = json.dumps(asdict(report), indent=2) + "\n"
     if args.out:

@@ -1,6 +1,7 @@
 """Dataset containers, CSV bundle IO, synthetic SBM generation and node splits.
 
-A *bundle* is a directory with three UTF-8, LF-terminated files:
+A *bundle* is a directory with three UTF-8 files whose rows end in LF or
+CRLF (a lone CR is part of its row):
 
 - ``edges.csv``    header ``src,dst,weight``; rows ``u,v,w`` with 0-based ids,
   ``u < v`` and decimal weight > 0; each undirected edge appears once.
@@ -168,12 +169,13 @@ def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise BundleFormatError(f"missing bundle file: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.start is a file offset
+        # the whole file is decoded at once, so exc.start is a file offset
         row = exc.object.count(b"\n", 0, exc.start) + 1
         raise BundleFormatError(f"{path.name} row {row}: not UTF-8 text") from None
-    lines = text.split("\n")
+    # rows end at "\n" or "\r\n"; a lone "\r" stays inside its row
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines

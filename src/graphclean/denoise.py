@@ -20,14 +20,15 @@ deg = S w the weighted node degrees and (i, j) the nodes of pair k,
     [L*(L w)]_k            = 2 w_k + deg[i] + deg[j]
     ||L(w) - L(w_p)||_F^2  = ||deg - deg_p||^2 + 2 ||w - w_p||^2
 
-An iteration therefore costs O(n^2 / 2) on pair vectors: two bincounts give
-deg, which the objective and the next gradient share.  No n x n matrix is
-built.
+An iteration therefore costs O(n^2 / 2) on pair vectors: a reduceat over the
+pair blocks of each row and a bincount over the columns give deg, which the
+objective and the next gradient share.  No n x n matrix is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,14 +185,29 @@ def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.nd
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, d_p)
     index = _triu(n)
-    return _gradient(values, _degrees(values, n, index), beta * d_p, alpha, index)
+    return _gradient(values, _degrees(values, n, index[1]), beta * d_p, alpha, index)
 
 
-def _degrees(values: np.ndarray, n: int, index) -> np.ndarray:
-    """deg = S w, the weighted degree of every node; ``index`` is ``_triu(n)``
-    or a copy of it."""
-    rows, cols = index
-    return np.bincount(rows, values, n) + np.bincount(cols, values, n)
+@lru_cache(maxsize=64)
+def _row_starts(n: int) -> np.ndarray:
+    """Where the pairs (i, j > i) of each row i = 0 .. n-2 start; in pair
+    order they form one contiguous, non-empty block per row."""
+    i = np.arange(n - 1)
+    starts = i * (n - 1) - i * (i - 1) // 2
+    starts.flags.writeable = False
+    return starts
+
+
+def _degrees(values: np.ndarray, n: int, cols: np.ndarray) -> np.ndarray:
+    """deg = S w, the weighted degree of every node; ``cols`` is ``_triu(n)[1]``
+    or a copy of it.
+
+    The row side sums each row's block, which is contiguous; bincount over
+    the sorted rows would hit the same bin on every add.
+    """
+    deg = np.bincount(cols, values, n)
+    deg[:-1] += np.add.reduceat(values, _row_starts(n))
+    return deg
 
 
 def _objective(values, deg, w_p, deg_p, d_p, alpha, beta, scratch=None) -> float:
@@ -219,9 +235,9 @@ def objective(w, w_p, d_p: np.ndarray, alpha: float, beta: float) -> float:
     target, _ = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, target, d_p)
-    index = _triu(n)
-    return _objective(values, _degrees(values, n, index), target,
-                      _degrees(target, n, index), d_p, alpha, beta)
+    cols = _triu(n)[1]
+    return _objective(values, _degrees(values, n, cols), target,
+                      _degrees(target, n, cols), d_p, alpha, beta)
 
 
 def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
@@ -231,7 +247,7 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     _check_pair_shapes(n, c)
     index = _triu(n)
-    return _gradient(values, _degrees(values, n, index), c, alpha, index)
+    return _gradient(values, _degrees(values, n, index[1]), c, alpha, index)
 
 
 def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
@@ -261,15 +277,20 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     _check_pair_shapes(n, d_p, w)
     # the loop allocates no pair vector: glibc handed freed ones back to the
     # OS and faulted them in again, which cost 25% of the time at n = 300.
-    # np.bincount copies a read-only index on every call, so index is writeable
+    # np.bincount and take both copy a read-only index on every call, so
+    # index is writeable
     index = tuple(a.copy() for a in _triu(n))
+    cols = index[1]
     spare, scratch = np.empty_like(w), np.empty_like(w)
 
-    deg_p = _degrees(w_p.values, n, index)
-    c = _gradient(w_p.values, deg_p, config.beta * d_p, config.alpha, index)
+    deg_p = _degrees(w_p.values, n, cols)
+    # c is built with the loop's buffers as workspace, so set-up holds no
+    # more pair vectors than the loop does
+    c = _gradient(w_p.values, deg_p, np.multiply(d_p, config.beta, out=spare),
+                  config.alpha, index, scratch=scratch)
     eta = 1.0 / (4.0 * config.alpha * n)
 
-    deg = _degrees(w, n, index)
+    deg = _degrees(w, n, cols)
     f_prev = _objective(w, deg, w_p.values, deg_p, d_p, config.alpha, config.beta, scratch)
     if not np.isfinite(f_prev):
         raise DenoiseDivergence(0)
@@ -282,7 +303,7 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
         step *= -eta
         step += w
         w, spare = np.maximum(step, 0.0, out=step), w
-        deg = _degrees(w, n, index)
+        deg = _degrees(w, n, cols)
         f = _objective(w, deg, w_p.values, deg_p, d_p, config.alpha, config.beta, scratch)
         if not np.isfinite(f):
             raise DenoiseDivergence(t)

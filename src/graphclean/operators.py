@@ -3,8 +3,8 @@
 The canonical pair enumeration is column-major over the lower triangle:
 (2,1), (3,1), ..., (n,1), (3,2), ..., (n,n-1) in 1-based node ids, which
 coincides with ``numpy.triu_indices(n, 1)`` order on the transpose.  The
-denoiser works on pair vectors directly; the only dense matrix built here
-is the adjacency the GCN normalises.
+denoiser and the GCN's normalised adjacency work on pair vectors directly;
+no n x n matrix is built here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "pair_count",
     "node_count_for_pairs",
     "pair_index",
-    "adjacency_from_weights",
 ]
 
 
@@ -104,16 +103,3 @@ def _weight_array(w) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"weights must be a 1-D vector, got shape {arr.shape}")
     return arr
-
-
-def adjacency_from_weights(w) -> np.ndarray:
-    """Symmetric non-negative adjacency with zero diagonal from pair weights."""
-    values = _weight_array(w)
-    if np.any(values < 0):
-        raise ValueError("adjacency weights must be non-negative")
-    n = node_count_for_pairs(values.shape[0])
-    rows, cols = _triu(n)
-    W = np.zeros((n, n), dtype=np.float64)
-    W[rows, cols] = values
-    W += W.T
-    return W

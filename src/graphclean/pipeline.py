@@ -30,7 +30,7 @@ from .datasets import (
 )
 from .denoise import DenoiseConfig, denoise, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
-from .operators import WeightVector, adjacency_from_weights
+from .operators import WeightVector
 from .rng import derive_seed
 
 __all__ = [
@@ -211,7 +211,7 @@ def run_repetition(config: ExperimentConfig, r: int,
     accuracies = {}
     for arm, weights in (("clean", dataset.graph), ("poisoned", poisoned),
                          ("denoised", result.weights)):
-        a_hat = normalize_adjacency(adjacency_from_weights(weights))
+        a_hat = normalize_adjacency(weights)
         _, report = _stage(f"train[{arm}]", r, train, dataset, a_hat, split, train_cfg)
         accuracies[arm] = report.test_accuracy
 

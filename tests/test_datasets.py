@@ -220,6 +220,23 @@ class TestLoadBundle:
                            match=rf"labels.csv row 4: label {label} outside \[0, 6\)"):
             load_bundle(bundle_dir)
 
+    def test_crlf_bundle_loads_the_same_values(self, bundle_dir):
+        expected = load_bundle(bundle_dir)
+        for name in ("features.csv", "labels.csv", "edges.csv"):
+            path = bundle_dir / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_bundle(bundle_dir)
+        assert loaded.features.tobytes() == expected.features.tobytes()
+        np.testing.assert_array_equal(loaded.labels, expected.labels)
+        assert loaded.graph.values.tobytes() == expected.graph.values.tobytes()
+
+    def test_lone_carriage_return_is_not_a_row_break(self, bundle_dir):
+        # one column: read as a row break, "1\r2" would become two nodes
+        (bundle_dir / "features.csv").write_bytes(b"1\r2\n" + b"0\n" * 5)
+        with pytest.raises(BundleFormatError,
+                           match=r"features.csv row 1: not a decimal number: '1\\r2'"):
+            load_bundle(bundle_dir)
+
     @pytest.mark.parametrize("name, row", [("features.csv", 2), ("labels.csv", 0),
                                            ("edges.csv", 4)])
     def test_non_utf8_reports_row(self, bundle_dir, name, row):

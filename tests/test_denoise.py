@@ -8,6 +8,7 @@ from graphclean.datasets import SbmParams, generate_sbm
 from graphclean.denoise import (
     DenoiseConfig,
     DenoiseDivergence,
+    _degrees,
     _gram_is_exact,
     denoise,
     gradient,
@@ -37,6 +38,12 @@ def loop_distances(X, p):
         out[pos:pos + n - 1 - r] = vals
         pos += n - 1 - r
     return out
+
+
+def bincount_degrees(values, n):
+    """Oracle: deg = S w as one bincount over each end of every pair."""
+    rows, cols = _triu(n)
+    return np.bincount(rows, values, n) + np.bincount(cols, values, n)
 
 
 def dense_objective(w, phi_n, d_p, alpha, beta):
@@ -325,6 +332,18 @@ class TestDenoise:
         payload = result.to_json_dict()
         assert set(payload) == {"iterations", "converged", "objective_trace", "config"}
         assert isinstance(payload["objective_trace"], list)
+
+
+class TestDegrees:
+    def test_matches_bincount_oracle(self):
+        rng = SplitMix64(67)
+        for n in [2, 3] + [4 + rng.bounded(400) for _ in range(6)]:
+            w = rng.uniforms(pair_count(n))
+            w[w < 0.5] = 0.0
+            cols = _triu(n)[1]
+            expected = bincount_degrees(w, n)
+            assert_close_to(_degrees(w, n, cols), expected)
+            assert_close_to(_degrees(w, n, cols.copy()), expected)
 
 
 class TestPairSpaceMatchesDenseOracle:

@@ -1,6 +1,7 @@
-"""GCN forward/backward, normalization, training behavior."""
+"""GCN forward/backward, normalization (dense and sparse), training behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from graphclean.datasets import SbmParams, Split, generate_sbm, split_nodes
 from graphclean.gcn import (
     GcnParams,
+    SparseAdjacency,
     TrainConfig,
     accuracy,
     cross_entropy,
@@ -18,8 +20,10 @@ from graphclean.gcn import (
     train,
     xavier_params,
 )
-from graphclean.operators import adjacency_from_weights, pair_count
+from graphclean.operators import WeightVector, _triu, pair_count
 from graphclean.rng import SplitMix64
+
+from test_operators import adjacency_from_weights
 
 
 def forward_oracle(params, A_hat, X):
@@ -112,7 +116,7 @@ def reference_train(dataset, A_hat, split, config):
 def random_gcn_instance(seed, n=5, d=3, h=2, C=2):
     rng = SplitMix64(seed)
     w = np.array([1.0 if rng.uniform() < 0.5 else 0.0 for _ in range(pair_count(n))])
-    A_hat = normalize_adjacency(adjacency_from_weights(w))
+    A_hat = normalize_adjacency(w)
     X = np.array([[rng.uniform() - 0.5 for _ in range(d)] for _ in range(n)])
     labels = np.array([rng.bounded(C) for _ in range(n)], dtype=np.int64)
     params = xavier_params(d, h, C, seed=seed + 1)
@@ -120,27 +124,41 @@ def random_gcn_instance(seed, n=5, d=3, h=2, C=2):
     return params, A_hat, X, labels, mask
 
 
+def dense_a_hat(w) -> np.ndarray:
+    return normalize_oracle(adjacency_from_weights(w))
+
+
+def sparse_weights(seed, n, edges):
+    """Pair weights with ``edges`` positive pairs, unit and real, none on
+    node 0, which stays isolated."""
+    rng = SplitMix64(seed)
+    w = np.zeros(pair_count(n))
+    picked = (n - 1) + np.argsort(rng.uniforms(pair_count(n) - (n - 1)))[:edges]
+    w[picked] = np.where(rng.uniforms(edges) < 0.5, 1.0, 0.1 + 2.0 * rng.uniforms(edges))
+    return w
+
+
 class TestNormalizeAdjacency:
     def test_two_node_graph(self):
-        W = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(normalize_adjacency(W), np.full((2, 2), 0.5))
+        np.testing.assert_allclose(normalize_adjacency([1.0]), np.full((2, 2), 0.5))
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_bytes_match_oracle(self, seed):
         rng = SplitMix64(seed)
         n = 40 + rng.bounded(60)
         u = rng.uniforms(pair_count(n))
-        # unit and real weights, isolated nodes, and a -0.0 weight
+        # unit and real weights, isolated node 0, and a -0.0 weight
         w = np.where(u < 0.1, 1.0, np.where(u < 0.2, 3.0 * u, 0.0))
         w[:n - 1] = 0.0
-        W = adjacency_from_weights(w)
-        W[1, 2] = W[2, 1] = -0.0
-        expected = normalize_oracle(W).tobytes()
-        assert normalize_adjacency(W).tobytes() == expected
-        assert normalize_adjacency(np.asfortranarray(W)).tobytes() == expected
+        w[n] = -0.0
+        expected = dense_a_hat(w).tobytes()
+        for weights in (w, WeightVector(n=n, values=w)):
+            A_hat = normalize_adjacency(weights)
+            assert isinstance(A_hat, np.ndarray) and A_hat.flags.c_contiguous
+            assert A_hat.tobytes() == expected
 
     def test_isolated_nodes_get_unit_self_loop(self):
-        np.testing.assert_array_equal(normalize_adjacency(np.zeros((2, 2))), np.eye(2))
+        np.testing.assert_array_equal(normalize_adjacency([0.0]), np.eye(2))
 
     def test_spectral_radius_at_most_one(self):
         rng = SplitMix64(51)
@@ -148,20 +166,104 @@ class TestNormalizeAdjacency:
             n = 3 + rng.bounded(10)
             w = np.array([rng.uniform() if rng.uniform() < 0.5 else 0.0
                           for _ in range(pair_count(n))])
-            A_hat = normalize_adjacency(adjacency_from_weights(w))
+            A_hat = normalize_adjacency(w)
             radius = np.max(np.abs(np.linalg.eigvalsh(A_hat)))
             assert radius <= 1.0 + 1e-9
 
     def test_symmetric_non_negative(self):
         rng = SplitMix64(53)
         w = np.array([rng.uniform() for _ in range(pair_count(7))])
-        A_hat = normalize_adjacency(adjacency_from_weights(w))
+        A_hat = normalize_adjacency(w)
         np.testing.assert_allclose(A_hat, A_hat.T, rtol=1e-12)
         assert np.all(A_hat >= 0.0)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            normalize_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+            normalize_adjacency([-1.0])
+
+    def test_dense_form_holds_one_n_by_n_buffer(self):
+        n = 600
+        w = sparse_weights(65, n, pair_count(n) // 20)
+        _triu(n)  # the cached pair index is not part of the build
+        tracemalloc.start()
+        try:
+            A_hat = normalize_adjacency(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(A_hat, np.ndarray)
+        assert peak <= 1.2 * n * n * 8
+
+
+class TestSparseAdjacency:
+    def test_form_follows_the_density_constant(self):
+        # n = 200: nnz = 200 + 2 * edges, sparse while nnz * 40 <= 200^2
+        assert isinstance(normalize_adjacency(sparse_weights(66, 200, 400)),
+                          SparseAdjacency)
+        assert isinstance(normalize_adjacency(sparse_weights(66, 200, 401)), np.ndarray)
+
+    def test_csr_rows(self):
+        n = 300
+        A_hat = normalize_adjacency(sparse_weights(67, n, 500))
+        assert A_hat.shape == (n, n)
+        assert A_hat.indptr[0] == 0
+        assert A_hat.indptr[-1] == A_hat.indices.size == 2 * 500 + n
+        for i in range(n):
+            row = A_hat.indices[A_hat.indptr[i]:A_hat.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0) and i in row
+        # node 0 is isolated: its row is the unit self-loop
+        assert A_hat.indptr[1] == 1 and A_hat.data[0] == 1.0
+
+    @pytest.mark.parametrize("seed, n, edges, width", [
+        (68, 300, 500, 16),
+        (69, 400, 1500, 150),  # three column chunks, the last one partial
+        (70, 40, 0, 3),  # no edges: the identity
+    ])
+    def test_products_match_dense_oracle(self, seed, n, edges, width):
+        w = sparse_weights(seed, n, edges)
+        A_hat = normalize_adjacency(w)
+        assert isinstance(A_hat, SparseAdjacency)
+        dense = dense_a_hat(w)
+        H = SplitMix64(seed + 100).uniforms(n * width).reshape(n, width) - 0.5
+        for got, want in ((A_hat @ np.eye(n), dense), (A_hat @ H, dense @ H)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+    def test_shape_mismatch(self):
+        A_hat = normalize_adjacency(sparse_weights(71, 300, 100))
+        with pytest.raises(ValueError):
+            A_hat @ np.zeros((299, 2))
+
+    def test_forward_and_gradients_match_dense(self):
+        n, d = 300, 5
+        w = sparse_weights(72, n, 600)
+        A_hat, dense = normalize_adjacency(w), dense_a_hat(w)
+        rng = SplitMix64(73)
+        X = rng.uniforms(n * d).reshape(n, d) - 0.5
+        labels = (rng.uniforms(n) < 0.5).astype(np.int64)
+        params = xavier_params(d, 4, 2, seed=74)
+        np.testing.assert_allclose(forward(params, A_hat, X), forward(params, dense, X),
+                                   rtol=1e-12, atol=1e-15)
+        mask = np.arange(0, n, 3)
+        got = loss_and_gradients(params, A_hat, X, labels, mask, 0.01)
+        want = loss_and_gradients(params, dense, X, labels, mask, 0.01)
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        for g, h in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-15)
+
+    def test_train_matches_dense(self):
+        ds = generate_sbm(SbmParams(nodes_per_block=100, blocks=4, p_in=0.02,
+                                    p_out=0.001, feature_dim=12, feature_signal=1.0,
+                                    feature_noise=0.8), 75)
+        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=76)
+        A_hat = normalize_adjacency(ds.graph)
+        assert isinstance(A_hat, SparseAdjacency)
+        config = TrainConfig(hidden=16, epochs=60, learning_rate=0.05, seed=77)
+        _, sparse = train(ds, A_hat, split, config)
+        _, dense = train(ds, dense_a_hat(ds.graph), split, config)
+        np.testing.assert_allclose(sparse.loss_trace, dense.loss_trace, rtol=1e-12)
+        assert sparse.val_accuracy_trace == dense.val_accuracy_trace
+        assert sparse.best_val_epoch == dense.best_val_epoch
+        assert sparse.test_accuracy == dense.test_accuracy
 
 
 class TestForward:
@@ -265,7 +367,7 @@ class TestTrain:
     def test_zero_learning_rate_freezes_parameters(self):
         ds = separable_dataset()
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         config = TrainConfig(hidden=8, epochs=10, learning_rate=0.0, seed=2)
         params, report = train(ds, A_hat, split, config)
         init = xavier_params(ds.feature_dim, 8, ds.num_classes, seed=2)
@@ -275,7 +377,7 @@ class TestTrain:
     def test_separable_sbm_reaches_high_accuracy(self):
         ds = separable_dataset(seed=3)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=4)
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         config = TrainConfig(hidden=16, epochs=250, learning_rate=1e-2, seed=5)
         _, report = train(ds, A_hat, split, config)
         assert report.test_accuracy > 0.9
@@ -283,7 +385,7 @@ class TestTrain:
     def test_deterministic_reports(self):
         ds = separable_dataset(seed=6)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=7)
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         config = TrainConfig(hidden=8, epochs=30, learning_rate=1e-2, seed=8)
         _, a = train(ds, A_hat, split, config)
         _, b = train(ds, A_hat, split, config)
@@ -294,7 +396,7 @@ class TestTrain:
     def test_best_epoch_ties_to_earliest(self):
         ds = separable_dataset(seed=9)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=10)
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         config = TrainConfig(hidden=8, epochs=40, learning_rate=1e-2, seed=11)
         _, report = train(ds, A_hat, split, config)
         best = report.best_val_epoch
@@ -312,7 +414,7 @@ class TestTrain:
                                     p_out=0.02, feature_dim=dim, feature_signal=1.0,
                                     feature_noise=0.8), 13)
         split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05, seed=15)
         params, report = train(ds, A_hat, split, config)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
@@ -327,6 +429,6 @@ class TestTrain:
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)
         split = Split(train=np.arange(70), val=np.array([70]), test=np.array([]))
-        A_hat = normalize_adjacency(adjacency_from_weights(ds.graph))
+        A_hat = normalize_adjacency(ds.graph)
         with pytest.raises(ValueError, match="test split"):
             train(ds, A_hat, split, TrainConfig(epochs=1))

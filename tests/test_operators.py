@@ -1,6 +1,6 @@
 """Pair vectors and their indexing, plus the dense oracles the pair-space code
-is checked against: the Laplacian operator L, its adjoint L*, and a
-validator for membership in the combinatorial Laplacian set."""
+is checked against: the adjacency W, the Laplacian operator L, its adjoint
+L*, and a validator for membership in the combinatorial Laplacian set."""
 
 from dataclasses import dataclass
 
@@ -12,12 +12,24 @@ from graphclean.operators import (
     WeightVector,
     _triu,
     _weight_array,
-    adjacency_from_weights,
     node_count_for_pairs,
     pair_count,
     pair_index,
 )
 from graphclean.rng import SplitMix64
+
+
+def adjacency_from_weights(w) -> np.ndarray:
+    """Oracle: symmetric non-negative adjacency with zero diagonal."""
+    values = _weight_array(w)
+    if np.any(values < 0):
+        raise ValueError("adjacency weights must be non-negative")
+    n = node_count_for_pairs(values.shape[0])
+    rows, cols = _triu(n)
+    W = np.zeros((n, n), dtype=np.float64)
+    W[rows, cols] = values
+    W += W.T
+    return W
 
 
 def laplacian_from_weights(w) -> np.ndarray:

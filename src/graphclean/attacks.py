@@ -107,24 +107,22 @@ def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
     return WeightVector(n=graph.n, values=values)
 
 
-def _mean_p_distance(X: np.ndarray, pair_idx: np.ndarray, rows: np.ndarray,
-                     cols: np.ndarray, p: float) -> float:
-    if pair_idx.size == 0:
-        return 0.0
-    diffs = np.abs(X[cols[pair_idx]] - X[rows[pair_idx]])
-    return float(np.mean((diffs**p).sum(axis=1)))
+def _mean(d_p: np.ndarray, pair_idx: np.ndarray) -> float:
+    return float(np.mean(d_p[pair_idx])) if pair_idx.size else 0.0
 
 
 def perturbation_report(clean: WeightVector, perturbed: WeightVector,
-                        dataset: Dataset, p: float = 2.0) -> PerturbationReport:
-    """Exact added/removed counts plus label and feature-distance statistics."""
-    if clean.n != perturbed.n or clean.n != dataset.n:
+                        dataset: Dataset, d_p: np.ndarray) -> PerturbationReport:
+    """Exact added/removed counts plus label and feature-distance statistics.
+
+    The mean distances are means of ``d_p``, the denoiser's pair vector of
+    feature distances, over the added pairs and over the clean edges.
+    """
+    if not clean.n == perturbed.n == dataset.n or d_p.shape != clean.values.shape:
         raise ValueError(
             f"size mismatch: clean n={clean.n}, perturbed n={perturbed.n}, "
-            f"dataset n={dataset.n}"
+            f"dataset n={dataset.n}, d_p shape {d_p.shape}"
         )
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     added = np.flatnonzero((clean.values == 0.0) & (perturbed.values != 0.0))
     removed = np.flatnonzero((clean.values != 0.0) & (perturbed.values == 0.0))
     original = np.flatnonzero(clean.values != 0.0)
@@ -140,6 +138,6 @@ def perturbation_report(clean: WeightVector, perturbed: WeightVector,
         edges_added=int(added.size),
         edges_removed=int(removed.size),
         added_cross_label_fraction=cross_fraction,
-        mean_p_distance_added=_mean_p_distance(dataset.features, added, rows, cols, p),
-        mean_p_distance_original=_mean_p_distance(dataset.features, original, rows, cols, p),
+        mean_p_distance_added=_mean(d_p, added),
+        mean_p_distance_original=_mean(d_p, original),
     )

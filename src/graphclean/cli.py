@@ -22,21 +22,23 @@ from .datasets import (
     Dataset,
     SbmParams,
     check_fractions,
+    check_weight_threshold,
     generate_sbm,
     load_bundle,
     load_splits,
     save_bundle,
     split_nodes,
 )
-from .denoise import DenoiseConfig, denoise
+from .denoise import DenoiseConfig, denoise, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
     PipelineStageError,
     apply_attack,
+    run_configs,
     run_pipeline,
-    sweep,
+    sweep_configs,
     write_report_csv,
     write_report_json,
 )
@@ -211,9 +213,9 @@ def _fail(error) -> None:
 def _from_flags(build):
     """A config object that refuses a flag value is bad input, not a crash."""
     @functools.wraps(build)
-    def checked(args):
+    def checked(*args):
         try:
-            return build(args)
+            return build(*args)
         except ValueError as exc:
             _fail(exc)
     return checked
@@ -259,6 +261,16 @@ def _train_from_args(args) -> TrainConfig:
     )
 
 
+@_from_flags
+def _distances_from_args(args, features):
+    return pairwise_p_distances(features, args.p)
+
+
+@_from_flags
+def _threshold_from_args(args) -> float:
+    return check_weight_threshold(args.threshold)
+
+
 def _require(args, attr: str):
     if getattr(args, attr) is None:
         _fail(f"--{attr.replace('_', '-')} is required for this command")
@@ -277,9 +289,11 @@ def cmd_synth(args) -> int:
 def cmd_attack(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
+    attack = _attack_from_args(args)
     dataset = load_bundle(bundle)
-    poisoned = apply_attack(dataset, _attack_from_args(args), args.seed)
-    stats = perturbation_report(dataset.graph, poisoned, dataset, p=args.p)
+    d_p = _distances_from_args(args, dataset.features)
+    poisoned = apply_attack(dataset, attack, args.seed)
+    stats = perturbation_report(dataset.graph, poisoned, dataset, d_p)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=poisoned, num_classes=dataset.num_classes), out)
     report_path = Path(out) / "attack_report.json"
@@ -291,11 +305,13 @@ def cmd_attack(args) -> int:
 def cmd_denoise(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
+    config = _denoise_from_args(args)
+    threshold = _threshold_from_args(args)
     dataset = load_bundle(bundle)
-    result = denoise(dataset.graph, dataset.features, _denoise_from_args(args))
+    result = denoise(dataset.graph, dataset.features, config)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=result.weights, num_classes=dataset.num_classes),
-                out, weight_threshold=args.threshold)
+                out, weight_threshold=threshold)
     (Path(out) / "denoise_result.json").write_text(
         json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"wrote recovered bundle: {out} (iterations={result.iterations_run}, "
@@ -344,17 +360,21 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+@_from_flags
+def _sweep_configs(args) -> list:
+    parameter, values = _require(args, "sweep_param"), _require(args, "values")
+    return sweep_configs(_experiment_config(args), parameter, values)
+
+
 def cmd_sweep(args) -> int:
-    parameter = _require(args, "sweep_param")
-    values = _require(args, "values")
-    reports = sweep(_experiment_config(args), parameter, values)
+    reports = run_configs(_sweep_configs(args))
     if args.out:
         write_report_json(reports, args.out)
     if args.csv:
         write_report_csv(reports, args.csv)
-    for value, report in zip(values, reports):
+    for value, report in zip(args.values, reports):
         stats = report.aggregates["denoised"]
-        print(f"{parameter}={value}: denoised {stats['mean']:.4f} +- {stats['std']:.4f}")
+        print(f"{args.sweep_param}={value}: denoised {stats['mean']:.4f} +- {stats['std']:.4f}")
     return 0
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "save_splits",
     "generate_sbm",
     "check_fractions",
+    "check_weight_threshold",
     "split_nodes",
 ]
 
@@ -296,8 +297,9 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
 
     Floats are written with ``repr`` so a reload reproduces the dataset
     bit-for-bit.  Pairs with weight <= ``weight_threshold`` are treated as
-    absent edges.
+    absent edges; see :func:`check_weight_threshold`.
     """
+    check_weight_threshold(weight_threshold)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     n = dataset.n
@@ -320,6 +322,14 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
 
     if split is not None:
         save_splits(split, root / "splits.json")
+
+
+def check_weight_threshold(threshold: float) -> float:
+    """The threshold, if finite and >= 0: below 0, :func:`save_bundle` would
+    write zero weights, which :func:`load_bundle` refuses."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"weight threshold must be finite and >= 0, got {threshold}")
+    return threshold
 
 
 def load_splits(path, n: int) -> Split | None:

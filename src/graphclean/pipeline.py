@@ -40,8 +40,10 @@ __all__ = [
     "PipelineStageError",
     "ARMS",
     "apply_attack",
+    "run_configs",
     "run_pipeline",
     "sweep",
+    "sweep_configs",
     "write_report_json",
     "write_report_csv",
 ]
@@ -85,6 +87,9 @@ class AttackSpec:
             raise ValueError(f"rate must be >= 0, got {self.rate}")
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if self.budget and self.kind != "heterophilic":
+            raise ValueError(f"budget applies to the heterophilic attack only, "
+                             f"got budget {self.budget} with kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +183,10 @@ def run_repetition(config: ExperimentConfig, r: int,
                    shared_d_p: np.ndarray | None = None) -> dict:
     """One repetition: build data, poison, run the three arms, record results.
 
-    A bundle config takes its data from ``bundle_dataset`` and, when the
-    bundle pins one, its split from ``bundle_split``; the caller loads both.
+    A bundle config takes its data from ``bundle_dataset``, its distances
+    from ``shared_d_p`` and, when the bundle pins one, its split from
+    ``bundle_split``; the caller supplies all three.  The one ``d_p`` feeds
+    the attack report and the denoiser.
     """
     rep_seed = derive_seed(config.seed, r)
 
@@ -197,13 +204,12 @@ def run_repetition(config: ExperimentConfig, r: int,
 
     poisoned = _stage("attack", r, apply_attack, dataset, config.attack,
                       derive_seed(rep_seed, _ATTACK))
-    attack_stats = perturbation_report(dataset.graph, poisoned, dataset,
-                                       p=config.denoise.p)
 
     d_p = shared_d_p
-    if d_p is None and config.denoise.beta != 0.0:
+    if d_p is None:
         d_p = _stage("distances", r, pairwise_p_distances, dataset.features,
                      config.denoise.p)
+    attack_stats = perturbation_report(dataset.graph, poisoned, dataset, d_p)
     result = _stage("denoise", r, denoise, poisoned, dataset.features,
                     config.denoise, d_p=d_p)
 
@@ -234,7 +240,7 @@ def run_repetition(config: ExperimentConfig, r: int,
     }
 
 
-def _run_configs(configs: list) -> list[ExperimentReport]:
+def run_configs(configs: list) -> list[ExperimentReport]:
     """Run each config in turn; all share one dataset source.
 
     A bundle is loaded once, and its distances are computed once for each
@@ -248,14 +254,11 @@ def _run_configs(configs: list) -> list[ExperimentReport]:
     distances = (None, None)
     reports = []
     for config in configs:
-        shared_d_p = None
-        if bundle_dataset is not None and config.denoise.beta != 0.0:
-            if distances[0] != config.denoise.p:
-                distances = (config.denoise.p,
-                             pairwise_p_distances(bundle_dataset.features, config.denoise.p))
-            shared_d_p = distances[1]
+        if bundle_dataset is not None and distances[0] != config.denoise.p:
+            distances = (config.denoise.p,
+                         pairwise_p_distances(bundle_dataset.features, config.denoise.p))
         records = [
-            run_repetition(config, r, bundle_dataset, bundle_split, shared_d_p)
+            run_repetition(config, r, bundle_dataset, bundle_split, distances[1])
             for r in range(config.repetitions)
         ]
         reports.append(ExperimentReport(
@@ -268,11 +271,14 @@ def _run_configs(configs: list) -> list[ExperimentReport]:
 
 def run_pipeline(config: ExperimentConfig) -> ExperimentReport:
     """Run all repetitions and aggregate mean +- sample std per arm."""
-    return _run_configs([config])[0]
+    return run_configs([config])[0]
 
 
-def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentReport]:
-    """One report per value with unchanged seeds, so curves are paired."""
+def sweep_configs(config: ExperimentConfig, parameter: str, values) -> list[ExperimentConfig]:
+    """One config per value with unchanged seeds, so curves are paired.
+
+    Every config is built, and so checked, before any of them runs.
+    """
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     values = list(values)
@@ -290,7 +296,12 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
             cfg = dataclasses.replace(
                 config, denoise=dataclasses.replace(config.denoise, p=float(value)))
         configs.append(cfg)
-    return _run_configs(configs)
+    return configs
+
+
+def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentReport]:
+    """One report per value of ``parameter``; see :func:`sweep_configs`."""
+    return run_configs(sweep_configs(config, parameter, values))
 
 
 def report_json_text(report) -> str:

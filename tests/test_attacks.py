@@ -1,10 +1,13 @@
 """Poisoning generators and perturbation reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphclean.attacks import heterophilic_add, perturbation_report, random_add
-from graphclean.datasets import SbmParams, generate_sbm
+from graphclean.datasets import Dataset, SbmParams, generate_sbm
+from graphclean.denoise import pairwise_p_distances
 from graphclean.operators import WeightVector, _triu, pair_count
 from graphclean.rng import SplitMix64
 
@@ -115,32 +118,54 @@ class TestHeterophilicAdd:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def gather_mean(X, pair_idx, p):
+    """The report's mean distance by gathering feature rows: the oracle."""
+    if pair_idx.size == 0:
+        return 0.0
+    rows, cols = _triu(X.shape[0])
+    diffs = np.abs(X[cols[pair_idx]] - X[rows[pair_idx]])
+    return float(np.mean((diffs**p).sum(axis=1)))
+
+
+def binary_dataset(n, d, density, edges, seed):
+    rng = SplitMix64(seed)
+    features = (rng.uniforms(n * d) < density).astype(np.float64).reshape(n, d)
+    labels = np.array([k % 3 for k in range(n)], dtype=np.int64)
+    return Dataset(features=features, labels=labels,
+                   graph=random_graph(n, edges, seed), num_classes=3)
+
+
+def report_for(ds, perturbed, p=2.0):
+    return perturbation_report(ds.graph, perturbed, ds,
+                               pairwise_p_distances(ds.features, p))
+
+
 class TestPerturbationReport:
     def test_identity_comparison(self):
         ds = sbm()
-        report = perturbation_report(ds.graph, ds.graph, ds, p=2.0)
+        report = report_for(ds, ds.graph)
         assert report.edges_added == 0
         assert report.edges_removed == 0
         assert report.added_cross_label_fraction == 0.0
+        assert report.mean_p_distance_added == 0.0
 
     def test_random_attack_counts(self):
         g = random_graph(30, 100, seed=1)
         ds_graph = g
         # build a dataset around this graph for the report
-        from graphclean.datasets import Dataset
         rng = SplitMix64(2)
         features = np.array([[rng.uniform() for _ in range(3)] for _ in range(30)])
         labels = np.zeros(30, dtype=np.int64)
         ds = Dataset(features=features, labels=labels, graph=ds_graph, num_classes=1)
         perturbed = random_add(g, 0.2, seed=3)
-        report = perturbation_report(g, perturbed, ds, p=2.0)
+        report = report_for(ds, perturbed)
         assert report.edges_added == 20
         assert report.edges_removed == 0
 
     def test_heterophilic_cross_fraction_is_one(self):
         ds = sbm(seed=8)
         perturbed = heterophilic_add(ds, 30, seed=9)
-        report = perturbation_report(ds.graph, perturbed, ds, p=2.0)
+        report = report_for(ds, perturbed)
         assert report.added_cross_label_fraction == 1.0
         assert report.mean_p_distance_added > report.mean_p_distance_original
 
@@ -148,4 +173,47 @@ class TestPerturbationReport:
         ds = sbm()
         other = random_graph(10, 5)
         with pytest.raises(ValueError, match="size mismatch"):
-            perturbation_report(ds.graph, other, ds)
+            perturbation_report(ds.graph, other, ds, np.zeros(pair_count(10)))
+
+    def test_d_p_of_wrong_length_rejected(self):
+        ds = sbm()
+        with pytest.raises(ValueError, match=r"size mismatch: .*d_p shape \(4949,\)"):
+            perturbation_report(ds.graph, ds.graph, ds, np.zeros(pair_count(ds.n) - 1))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_binary_features_match_the_gather_exactly(self, p):
+        # every distance is an integer, so both forms sum exact values
+        ds = binary_dataset(60, 40, 0.2, 150, seed=12)
+        perturbed = random_add(ds.graph, 0.25, seed=13)
+        report = report_for(ds, perturbed, p)
+        added = np.flatnonzero((ds.graph.values == 0) & (perturbed.values > 0))
+        original = np.flatnonzero(ds.graph.values > 0)
+        assert report.mean_p_distance_added == gather_mean(ds.features, added, p)
+        assert report.mean_p_distance_original == gather_mean(ds.features, original, p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_real_features_match_the_gather(self, p):
+        ds = sbm(seed=14, p_out=0.02)
+        perturbed = heterophilic_add(ds, 40, seed=15)
+        report = report_for(ds, perturbed, p)
+        added = np.flatnonzero((ds.graph.values == 0) & (perturbed.values > 0))
+        original = np.flatnonzero(ds.graph.values > 0)
+        np.testing.assert_allclose(report.mean_p_distance_added,
+                                   gather_mean(ds.features, added, p), rtol=1e-12)
+        np.testing.assert_allclose(report.mean_p_distance_original,
+                                   gather_mean(ds.features, original, p), rtol=1e-12)
+
+    def test_reads_d_p_without_gathering_features(self):
+        # the gather held (|E| + added) x d feature differences: 61 MB here
+        ds = binary_dataset(300, 2000, 0.01, 2000, seed=16)
+        perturbed = random_add(ds.graph, 0.25, seed=17)
+        d_p = pairwise_p_distances(ds.features, 2.0)
+        expected = perturbation_report(ds.graph, perturbed, ds, d_p)  # warms _triu
+        tracemalloc.start()
+        try:
+            report = perturbation_report(ds.graph, perturbed, ds, d_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == expected
+        assert peak < 1_000_000

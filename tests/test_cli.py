@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from graphclean import pipeline
+from graphclean import cli, pipeline
 from graphclean.cli import main, parse_args, read_config_file
 from graphclean.datasets import load_bundle
 from graphclean.pipeline import PipelineStageError
@@ -49,6 +49,16 @@ class TestSynthAttackDenoiseTrain:
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["test_accuracy"] <= 1.0
         assert len(report["loss_trace"]) == 50
+
+    def test_denoise_threshold_zero_round_trips(self, tmp_path):
+        bundle = tmp_path / "clean"
+        run(["synth", "--sbm-size", "10", "--seed", "1", "--out", str(bundle)])
+        recovered = tmp_path / "recovered"
+        run(["denoise", "--bundle", str(bundle), "--threshold", "0",
+             "--iters", "20", "--out", str(recovered)])
+        ds = load_bundle(recovered)
+        assert ds.graph.edge_count > 0
+        run(["train", "--bundle", str(recovered), "--epochs", "5"])
 
     def test_random_attack_rate(self, tmp_path):
         bundle = tmp_path / "clean"
@@ -219,6 +229,40 @@ class TestBadInput:
         assert err.startswith("graphclean: error: ")
         assert message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, target, message", [
+        (["sweep", "--sweep-param", "beta", "--values", "0.5,-1"] + SMALL_RUN,
+         (pipeline, "run_repetition"), "beta must be >= 0, got -1.0"),
+        (["sweep", "--sweep-param", "p", "--values", "0.5"] + SMALL_RUN,
+         (pipeline, "run_repetition"), "p must be >= 1, got 0.5"),
+        (["attack", "--bundle", "{bundle}", "--attack", "random", "--rate", "0.1",
+          "--p", "0.5", "--out", "{tmp}/out"], (cli, "apply_attack"), "p must be >= 1, got 0.5"),
+        (["attack", "--bundle", "{bundle}", "--attack", "random", "--budget", "5",
+          "--out", "{tmp}/out"], (cli, "load_bundle"),
+         "budget applies to the heterophilic attack only, got budget 5 with kind 'random'"),
+        (["pipeline", "--budget", "5"] + SMALL_RUN, (pipeline, "run_repetition"),
+         "got budget 5 with kind 'none'"),
+        (["denoise", "--bundle", "{bundle}", "--threshold", "-1", "--out", "{tmp}/out"],
+         (cli, "load_bundle"), "weight threshold must be finite and >= 0, got -1.0"),
+        (["denoise", "--bundle", "{bundle}", "--threshold", "nan", "--out", "{tmp}/out"],
+         (cli, "load_bundle"), "weight threshold must be finite and >= 0, got nan"),
+        (["denoise", "--bundle", "{bundle}", "--threshold", "inf", "--out", "{tmp}/out"],
+         (cli, "load_bundle"), "weight threshold must be finite and >= 0, got inf"),
+    ], ids=["sweep-beta", "sweep-p", "attack-p", "random-budget", "none-budget",
+            "negative-threshold", "nan-threshold", "inf-threshold"])
+    def test_flag_value_refused_before_work(self, tmp_path, bundle_dir, capsys, monkeypatch,
+                                            argv, target, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{target[1]} ran")
+        monkeypatch.setattr(*target, refuse)
+        with pytest.raises(SystemExit) as stopped:
+            main([a.format(bundle=bundle_dir, tmp=tmp_path) for a in argv])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphclean: error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("split, message", [
         ("--split=-0.1,0.5,0.5", "fractions must be non-negative"),

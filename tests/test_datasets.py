@@ -63,6 +63,13 @@ class TestLoadBundle:
         np.testing.assert_array_equal(loaded.graph.values, reloaded.graph.values)
         assert loaded.num_classes == reloaded.num_classes
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf])
+    def test_save_refuses_a_threshold_that_writes_what_load_refuses(
+            self, tmp_path, small_dataset, threshold):
+        with pytest.raises(ValueError, match="weight threshold must be finite and >= 0"):
+            save_bundle(small_dataset, tmp_path / "out", weight_threshold=threshold)
+        assert not (tmp_path / "out").exists()
+
     def test_loads_expected_stats(self, bundle_dir):
         ds = load_bundle(bundle_dir)
         assert ds.n == 6

@@ -8,7 +8,7 @@ import pytest
 
 from graphclean import pipeline
 from graphclean.datasets import SbmParams, generate_sbm, save_bundle
-from graphclean.denoise import DenoiseConfig
+from graphclean.denoise import DenoiseConfig, pairwise_p_distances
 from graphclean.gcn import TrainConfig
 from graphclean.pipeline import (
     ARMS,
@@ -177,6 +177,35 @@ class TestRunPipeline:
         report = run_pipeline(config)
         assert all(r["attack"]["edges_added"] == 12 for r in report.repetitions)
 
+    @pytest.mark.parametrize("kind", ["none", "random"])
+    def test_budget_refused_for_a_kind_that_ignores_it(self, kind):
+        with pytest.raises(ValueError, match="heterophilic attack only"):
+            AttackSpec(kind=kind, rate=0.1, budget=5)
+
+    @pytest.mark.parametrize("source", ["sbm", "bundle"])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_report_and_denoiser_share_one_d_p(self, tmp_path, monkeypatch, source, beta):
+        config = small_config(repetitions=1, denoise=DenoiseConfig(beta=beta, max_iters=5))
+        if source == "bundle":
+            save_bundle(generate_sbm(config.sbm, 3), tmp_path / "b")
+            config = dataclasses.replace(config, sbm=None, bundle=str(tmp_path / "b"))
+        seen = {}
+        report, denoise = pipeline.perturbation_report, pipeline.denoise
+
+        def report_spy(clean, perturbed, dataset, d_p):
+            seen["report"] = d_p
+            return report(clean, perturbed, dataset, d_p)
+
+        def denoise_spy(w_p, X, config, d_p=None):
+            seen["denoise"], seen["X"] = d_p, X
+            return denoise(w_p, X, config, d_p=d_p)
+
+        monkeypatch.setattr(pipeline, "perturbation_report", report_spy)
+        monkeypatch.setattr(pipeline, "denoise", denoise_spy)
+        run_pipeline(config)
+        assert seen["report"] is seen["denoise"]
+        np.testing.assert_array_equal(seen["report"], pairwise_p_distances(seen["X"], 2.0))
+
     def test_rejects_ambiguous_source(self):
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentConfig(bundle="x", sbm=SbmParams(
@@ -197,8 +226,9 @@ class TestSweep:
         assert report_json_text(swept[0]) == report_json_text(direct)
 
     def test_beta_sweep_is_paired(self):
-        reports = sweep(small_config(), "beta", [0.1, 0.5, 1.0, 1.5])
-        assert len(reports) == 4
+        # at beta = 0 the denoiser ignores d_p, but the attack report reads it
+        reports = sweep(small_config(), "beta", [0.0, 0.1, 0.5, 1.0, 1.5])
+        assert len(reports) == 5
         # pairing: identical repetition seeds and attack stats across values
         seeds = [[r["seed"] for r in rep.repetitions] for rep in reports]
         assert all(s == seeds[0] for s in seeds)

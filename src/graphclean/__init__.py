@@ -10,6 +10,7 @@ from .attacks import PerturbationReport, heterophilic_add, perturbation_report, 
 from .datasets import (
     BundleFormatError,
     Dataset,
+    InputError,
     SbmParams,
     Split,
     generate_sbm,

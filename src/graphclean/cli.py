@@ -3,23 +3,23 @@
 Subcommands: ``synth`` (write an SBM bundle), ``attack``, ``denoise``,
 ``train``, ``pipeline`` and ``sweep``.  Every flag can also come from a flat
 ``key = value`` config file passed with --config; explicit flags win over
-config values, which win over defaults.  Bad input ends the command with one
-``graphclean: error: ...`` line on stderr and exit status 2, as argparse does.
+config values, which win over defaults.  Bad input, an :class:`InputError` or
+a pipeline stage failure that one caused, ends the command with one
+``graphclean: error: ...`` line on stderr and exit status 2, as argparse does;
+any other exception keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from .attacks import AttackBudgetError, perturbation_report
+from .attacks import perturbation_report
 from .datasets import (
-    BundleFormatError,
     Dataset,
+    InputError,
     SbmParams,
     check_fractions,
     check_weight_threshold,
@@ -52,7 +52,7 @@ def _fractions(text: str) -> tuple:
         raise argparse.ArgumentTypeError("expected three comma-separated fractions")
     try:
         check_fractions(parts)
-    except ValueError as exc:
+    except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return parts
 
@@ -155,18 +155,18 @@ def read_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read config file: {exc.strerror}") from None
+        raise InputError(f"{path}: cannot read config file: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         # read_text decodes the whole file at once, so exc.start is a file offset
         line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: not UTF-8 text (line {line})") from None
+        raise InputError(f"{path}: not UTF-8 text (line {line})") from None
     values = {}
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key = value, got {raw!r}")
+            raise InputError(f"{path}:{ln}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -185,7 +185,7 @@ def parse_args(argv) -> argparse.Namespace:
         converters = {"split": _fractions, "values": _float_list}
         for key, text in file_values.items():
             if key not in known:
-                raise ValueError(f"{args.config}: unknown key {key!r}")
+                raise InputError(f"{args.config}: unknown key {key!r}")
             if not hasattr(args, key):
                 continue  # key belongs to another subcommand
             if key in explicit:
@@ -210,18 +210,6 @@ def _fail(error) -> None:
     raise SystemExit(2)
 
 
-def _from_flags(build):
-    """A config object that refuses a flag value is bad input, not a crash."""
-    @functools.wraps(build)
-    def checked(*args):
-        try:
-            return build(*args)
-        except ValueError as exc:
-            _fail(exc)
-    return checked
-
-
-@_from_flags
 def _sbm_from_args(args) -> SbmParams:
     return SbmParams(
         nodes_per_block=args.sbm_size,
@@ -234,12 +222,10 @@ def _sbm_from_args(args) -> SbmParams:
     )
 
 
-@_from_flags
 def _attack_from_args(args) -> AttackSpec:
     return AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget)
 
 
-@_from_flags
 def _denoise_from_args(args) -> DenoiseConfig:
     return DenoiseConfig(
         alpha=args.alpha,
@@ -250,7 +236,6 @@ def _denoise_from_args(args) -> DenoiseConfig:
     )
 
 
-@_from_flags
 def _train_from_args(args) -> TrainConfig:
     return TrainConfig(
         hidden=args.hidden,
@@ -261,19 +246,9 @@ def _train_from_args(args) -> TrainConfig:
     )
 
 
-@_from_flags
-def _distances_from_args(args, features):
-    return pairwise_p_distances(features, args.p)
-
-
-@_from_flags
-def _threshold_from_args(args) -> float:
-    return check_weight_threshold(args.threshold)
-
-
 def _require(args, attr: str):
     if getattr(args, attr) is None:
-        _fail(f"--{attr.replace('_', '-')} is required for this command")
+        raise InputError(f"--{attr.replace('_', '-')} is required for this command")
     return getattr(args, attr)
 
 
@@ -291,13 +266,12 @@ def cmd_attack(args) -> int:
     out = _require(args, "out")
     attack = _attack_from_args(args)
     dataset = load_bundle(bundle)
-    d_p = _distances_from_args(args, dataset.features)
+    d_p = pairwise_p_distances(dataset.features, args.p)
     poisoned = apply_attack(dataset, attack, args.seed)
     stats = perturbation_report(dataset.graph, poisoned, dataset, d_p)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
                         graph=poisoned, num_classes=dataset.num_classes), out)
-    report_path = Path(out) / "attack_report.json"
-    report_path.write_text(json.dumps(asdict(stats), indent=2) + "\n", encoding="utf-8")
+    write_report_json(stats, Path(out) / "attack_report.json")
     print(f"wrote poisoned bundle: {out} (+{stats.edges_added} edges)")
     return 0
 
@@ -306,7 +280,7 @@ def cmd_denoise(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
     config = _denoise_from_args(args)
-    threshold = _threshold_from_args(args)
+    threshold = check_weight_threshold(args.threshold)
     dataset = load_bundle(bundle)
     result = denoise(dataset.graph, dataset.features, config)
     save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
@@ -321,21 +295,20 @@ def cmd_denoise(args) -> int:
 
 def cmd_train(args) -> int:
     bundle = _require(args, "bundle")
+    config = _train_from_args(args)
     dataset = load_bundle(bundle)
     split = load_splits(bundle, dataset.n)
     if split is None:
         split = split_nodes(dataset.n, args.split, args.seed)
     a_hat = normalize_adjacency(dataset.graph)
-    _, report = train(dataset, a_hat, split, _train_from_args(args))
-    payload = json.dumps(asdict(report), indent=2) + "\n"
+    _, report = train(dataset, a_hat, split, config)
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        write_report_json(report, args.out)
     print(f"test accuracy {report.test_accuracy:.4f} "
           f"(best val epoch {report.best_val_epoch})")
     return 0
 
 
-@_from_flags
 def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         bundle=args.bundle,
@@ -360,14 +333,9 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-@_from_flags
-def _sweep_configs(args) -> list:
-    parameter, values = _require(args, "sweep_param"), _require(args, "values")
-    return sweep_configs(_experiment_config(args), parameter, values)
-
-
 def cmd_sweep(args) -> int:
-    reports = run_configs(_sweep_configs(args))
+    parameter, values = _require(args, "sweep_param"), _require(args, "values")
+    reports = run_configs(sweep_configs(_experiment_config(args), parameter, values))
     if args.out:
         write_report_json(reports, args.out)
     if args.csv:
@@ -396,10 +364,10 @@ def main(argv=None) -> int:
         _fail(exc)
     try:
         return _COMMANDS[args.command](args)
-    except (BundleFormatError, AttackBudgetError) as exc:
+    except InputError as exc:
         _fail(exc)
     except PipelineStageError as exc:
-        if isinstance(exc.__cause__, AttackBudgetError):
+        if isinstance(exc.__cause__, InputError):
             _fail(exc)
         raise
 

@@ -29,20 +29,34 @@ __all__ = [
     "Dataset",
     "Split",
     "SbmParams",
+    "InputError",
     "BundleFormatError",
     "load_bundle",
     "save_bundle",
     "load_splits",
     "save_splits",
     "generate_sbm",
+    "check_finite",
     "check_fractions",
     "check_weight_threshold",
     "split_nodes",
 ]
 
 
-class BundleFormatError(ValueError):
+class InputError(ValueError):
+    """A value from outside the program (a flag, a config file, a report or a
+    bundle) that the program refuses; the message says which and why."""
+
+
+class BundleFormatError(InputError):
     """Malformed or inconsistent bundle contents; message carries file and row."""
+
+
+def check_finite(**values) -> None:
+    """Refuse a NaN or infinite value, named by its keyword."""
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{key} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,12 +84,13 @@ class Dataset:
             raise ValueError(
                 f"graph has {self.graph.n} nodes but features have {n} rows"
             )
-        features = features.copy()
-        features.flags.writeable = False
-        labels = labels.copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        # a read-only array that owns its data has been handed over, as
+        # load_bundle hands over its parsed features: keep it; copy any other
+        for name, arr in (("features", features), ("labels", labels)):
+            if arr.flags.writeable or not arr.flags.owndata:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -136,20 +151,21 @@ class SbmParams:
     feature_noise: float
 
     def __post_init__(self):
+        check_finite(feature_signal=self.feature_signal, feature_noise=self.feature_noise)
         if self.nodes_per_block < 1 or self.blocks < 1:
-            raise ValueError("nodes_per_block and blocks must be positive")
+            raise InputError("nodes_per_block and blocks must be positive")
         if self.nodes_per_block * self.blocks < 2:
-            raise ValueError("SBM needs at least 2 nodes in total")
+            raise InputError("SBM needs at least 2 nodes in total")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
-            raise ValueError(
+            raise InputError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
             )
         if self.feature_dim < self.blocks:
-            raise ValueError(
+            raise InputError(
                 "feature_dim must be >= blocks so each class has a one-hot centroid"
             )
         if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
+            raise InputError("feature_noise must be >= 0")
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -234,6 +250,8 @@ def load_bundle(path) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
+    # read-only and owning its data, so the Dataset keeps it without a copy
+    features.flags.writeable = False
 
     label_lines = _read_lines(root / "labels.csv")
     if not label_lines or label_lines[0] != "node,label":
@@ -328,7 +346,7 @@ def check_weight_threshold(threshold: float) -> float:
     """The threshold, if finite and >= 0: below 0, :func:`save_bundle` would
     write zero weights, which :func:`load_bundle` refuses."""
     if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"weight threshold must be finite and >= 0, got {threshold}")
+        raise InputError(f"weight threshold must be finite and >= 0, got {threshold}")
     return threshold
 
 
@@ -403,11 +421,11 @@ def check_fractions(fractions) -> list[float]:
     """The (train, val, test) fractions as floats: each >= 0, summing to <= 1."""
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
-        raise ValueError("fractions must be (train, val, test)")
+        raise InputError("fractions must be (train, val, test)")
     if not all(f >= 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative, got {fractions}")
+        raise InputError(f"fractions must be non-negative, got {fractions}")
     if sum(fractions) > 1.0 + 1e-12:
-        raise ValueError(f"fractions sum to {sum(fractions)} > 1")
+        raise InputError(f"fractions sum to {sum(fractions)} > 1")
     return fractions
 
 

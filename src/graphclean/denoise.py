@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .datasets import InputError, check_finite
 from .operators import WeightVector, _triu, _weight_array, node_count_for_pairs, pair_count
 
 __all__ = [
@@ -69,16 +70,17 @@ class DenoiseConfig:
     tol: float = 0.0
 
     def __post_init__(self):
+        check_finite(alpha=self.alpha, beta=self.beta, p=self.p, tol=self.tol)
         if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise InputError(f"alpha must be > 0, got {self.alpha}")
         if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise InputError(f"beta must be >= 0, got {self.beta}")
         if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+            raise InputError(f"p must be >= 1, got {self.p}")
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise InputError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+            raise InputError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,9 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     Any other input goes through a loop over rows, which keeps only O(n d)
     scratch live at a time.
     """
+    check_finite(p=p)
     if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+        raise InputError(f"p must be >= 1, got {p}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")

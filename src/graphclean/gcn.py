@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, Split
+from .datasets import Dataset, InputError, Split, check_finite
 from .operators import _triu, _weight_array, node_count_for_pairs
 from .rng import SplitMix64
 
@@ -73,15 +73,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
         if self.hidden < 1:
-            raise ValueError(f"hidden width must be >= 1, got {self.hidden}")
+            raise InputError(f"hidden width must be >= 1, got {self.hidden}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate < 0:
             # 0 is allowed: a null update leaves the parameters untouched
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+            raise InputError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise InputError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +320,7 @@ def train(dataset: Dataset, A_hat, split: Split,
     split.validate_for(dataset.n)
     for name in ("train", "val", "test"):
         if getattr(split, name).size == 0:
-            raise ValueError(f"{name} split must be non-empty")
+            raise InputError(f"{name} split must be non-empty")
 
     params = xavier_params(dataset.feature_dim, config.hidden,
                            dataset.num_classes, config.seed)

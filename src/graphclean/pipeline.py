@@ -20,8 +20,10 @@ import numpy as np
 from .attacks import heterophilic_add, perturbation_report, random_add
 from .datasets import (
     Dataset,
+    InputError,
     SbmParams,
     Split,
+    check_finite,
     check_fractions,
     generate_sbm,
     load_bundle,
@@ -81,14 +83,15 @@ class AttackSpec:
     budget: int = 0
 
     def __post_init__(self):
+        check_finite(rate=self.rate)
         if self.kind not in ("none", "random", "heterophilic"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise InputError(f"unknown attack kind {self.kind!r}")
         if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+            raise InputError(f"rate must be >= 0, got {self.rate}")
         if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+            raise InputError(f"budget must be >= 0, got {self.budget}")
         if self.budget and self.kind != "heterophilic":
-            raise ValueError(f"budget applies to the heterophilic attack only, "
+            raise InputError(f"budget applies to the heterophilic attack only, "
                              f"got budget {self.budget} with kind {self.kind!r}")
 
 
@@ -107,9 +110,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if (self.bundle is None) == (self.sbm is None):
-            raise ValueError("exactly one of bundle or sbm must be set")
+            raise InputError("exactly one of bundle or sbm must be set")
         if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+            raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
         check_fractions(self.fractions)
 
     @classmethod
@@ -129,7 +132,7 @@ class ExperimentConfig:
         for key, kept in (("restrict_support", False), ("step_mode", "lipschitz")):
             value = denoise_fields.pop(key, kept)
             if value != kept:
-                raise ValueError(f"denoise.{key} = {value!r} is no longer supported")
+                raise InputError(f"denoise.{key} = {value!r} is no longer supported")
         return cls(
             bundle=payload.get("bundle"),
             sbm=None if sbm is None else SbmParams(**sbm),
@@ -280,10 +283,10 @@ def sweep_configs(config: ExperimentConfig, parameter: str, values) -> list[Expe
     Every config is built, and so checked, before any of them runs.
     """
     if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
+        raise InputError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
     values = list(values)
     if not values:
-        raise ValueError("sweep needs at least one value")
+        raise InputError("sweep needs at least one value")
     configs = []
     for value in values:
         if parameter == "rate":

@@ -1,12 +1,13 @@
 """CLI: subcommands, config files, flag precedence, determinism of outputs."""
 
+import argparse
 import json
 import re
 
 import pytest
 
 from graphclean import cli, pipeline
-from graphclean.cli import main, parse_args, read_config_file
+from graphclean.cli import build_parser, main, parse_args, read_config_file
 from graphclean.datasets import load_bundle
 from graphclean.pipeline import PipelineStageError
 
@@ -170,6 +171,36 @@ class TestConfigFile:
         assert payload["config"]["attack"]["kind"] == "heterophilic"
 
 
+def _float_flags():
+    """(subcommand, flag) for every flag of every subcommand typed float."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+FLOAT_FLAGS = _float_flags()
+# the flags each subcommand needs, so that only the value under test is bad
+REQUIRED = {
+    "synth": ["--out", "{tmp}/out"],
+    "attack": ["--bundle", "{bundle}", "--out", "{tmp}/out"],
+    "denoise": ["--bundle", "{bundle}", "--out", "{tmp}/out"],
+    "train": ["--bundle", "{bundle}", "--out", "{tmp}/out"],
+    "pipeline": ["--reps", "1"],
+    "sweep": ["--sweep-param", "beta", "--values", "0.5", "--reps", "1"],
+}
+# what a refused value must not reach
+WORK = [(cli, "apply_attack"), (cli, "denoise"), (cli, "train"), (cli, "generate_sbm"),
+        (cli, "save_bundle"), (pipeline, "run_repetition")]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return refuse
+
+
 # more cross-label edges than a graph of 2 x 10 nodes or the 6-node bundle has room for
 BIG_BUDGET = ["--attack", "heterophilic", "--budget", "100000"]
 SMALL_RUN = ["--sbm-size", "10", "--reps", "1"]
@@ -204,10 +235,16 @@ class TestBadInput:
         (["attack", "--bundle", "{bundle}", "--out", "{tmp}/out"] + BIG_BUDGET, None, None,
          "cannot add 100000 edges: only 8 eligible absent pairs"),
         (["pipeline"], b"beta = 0.3\n# caf\xe9\n", None, "bad.cfg: not UTF-8 text (line 2)"),
+        # 0.8,0.1,0.1 of the 6-node bundle, which has no splits.json, is 5/1/0
+        (["train", "--bundle", "{bundle}"], None, None, "test split must be non-empty"),
+        # 0.8,0.1,0.1 of 2 x 2 nodes is 3/1/0
+        (["pipeline", "--sbm-size", "2", "--reps", "1"], None, None,
+         "repetition 0, stage train[clean]: test split must be non-empty"),
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
             "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
-            "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config"])
+            "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config",
+            "train-empty-split", "pipeline-empty-split"])
     def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
         if edit is not None:
             name, row, content = edit
@@ -248,8 +285,10 @@ class TestBadInput:
          (cli, "load_bundle"), "weight threshold must be finite and >= 0, got nan"),
         (["denoise", "--bundle", "{bundle}", "--threshold", "inf", "--out", "{tmp}/out"],
          (cli, "load_bundle"), "weight threshold must be finite and >= 0, got inf"),
+        (["train", "--bundle", "{bundle}", "--epochs", "0"], (cli, "load_bundle"),
+         "epochs must be >= 1, got 0"),
     ], ids=["sweep-beta", "sweep-p", "attack-p", "random-budget", "none-budget",
-            "negative-threshold", "nan-threshold", "inf-threshold"])
+            "negative-threshold", "nan-threshold", "inf-threshold", "train-epochs"])
     def test_flag_value_refused_before_work(self, tmp_path, bundle_dir, capsys, monkeypatch,
                                             argv, target, message):
         def refuse(*args, **kwargs):
@@ -262,6 +301,23 @@ class TestBadInput:
         assert err.startswith("graphclean: error: ")
         assert message in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS,
+                             ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_flag_refused_before_work(self, tmp_path, bundle_dir, capsys,
+                                                       monkeypatch, command, flag, value):
+        for module, name in WORK:
+            monkeypatch.setattr(module, name, _refuse(name))
+        argv = [command, *REQUIRED[command], flag, value]
+        with pytest.raises(SystemExit) as stopped:
+            main([a.format(bundle=bundle_dir, tmp=tmp_path) for a in argv])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphclean: error: ")
+        assert err.count("\n") == 1
+        assert value in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("split, message", [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from graphclean import datasets
 from graphclean.datasets import (
     BundleFormatError,
     Dataset,
@@ -395,3 +396,42 @@ class TestSplitNodes:
     def test_split_disjointness_enforced(self):
         with pytest.raises(ValueError):
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
+
+
+class TestDatasetFeatureCopy:
+    """Dataset keeps a read-only array that owns its data, and copies any
+    array that another name could still write to."""
+
+    def make(self, features):
+        return Dataset(features=features, labels=np.zeros(3, dtype=np.int64),
+                       graph=WeightVector(n=3, values=np.zeros(3)), num_classes=1)
+
+    def test_read_only_owning_array_is_kept(self):
+        features = np.ones((3, 2))
+        features.flags.writeable = False
+        assert np.shares_memory(self.make(features).features, features)
+
+    def test_writeable_array_is_copied(self):
+        features = np.ones((3, 2))
+        kept = self.make(features).features
+        assert not np.shares_memory(kept, features)
+        assert not kept.flags.writeable
+
+    def test_read_only_view_of_a_writeable_base_is_copied(self):
+        base = np.ones((3, 2))
+        view = base[:]
+        view.flags.writeable = False
+        kept = self.make(view).features
+        assert not np.shares_memory(kept, base)
+        base[0, 0] = 5.0
+        assert kept[0, 0] == 1.0
+
+    def test_load_bundle_keeps_its_parsed_features(self, bundle_dir, monkeypatch):
+        parse_features = datasets._parse_features
+        parsed = []
+
+        def parse(lines):
+            parsed.append(parse_features(lines))
+            return parsed[-1]
+        monkeypatch.setattr(datasets, "_parse_features", parse)
+        assert load_bundle(bundle_dir).features is parsed[0]

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: ``synth`` (write an SBM bundle), ``attack``, ``denoise``,
-``train``, ``pipeline`` and ``sweep``.  Every flag can also come from a flat
-``key = value`` config file passed with --config; explicit flags win over
-config values, which win over defaults.  Bad input, an :class:`InputError` or
+``train``, ``pipeline`` and ``sweep``.  A flag that sets a field of a config
+class (``_FLAGS``) takes its type and default from that field.  Every flag can
+also come from a flat ``key = value`` config file passed with --config: its
+values, converted by each flag's own type, become the subcommand's argparse
+defaults, so explicit flags win over them.  Bad input, an :class:`InputError` or
 a pipeline stage failure that one caused, ends the command with one
 ``graphclean: error: ...`` line on stderr and exit status 2, as argparse does;
 any other exception keeps its traceback.
@@ -12,8 +14,10 @@ any other exception keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .attacks import perturbation_report
@@ -34,6 +38,7 @@ from .gcn import TrainConfig, normalize_adjacency, train
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
+    SWEEPABLE,
     PipelineStageError,
     apply_attack,
     run_configs,
@@ -61,91 +66,91 @@ def _float_list(text: str) -> list:
     return [float(x) for x in text.split(",")]
 
 
+# the flags that set each config class's fields, flag -> field; a flag's type
+# and default are its field's unless _EXTRA says otherwise
+_FLAGS = {
+    SbmParams: {"--sbm-blocks": "blocks", "--sbm-size": "nodes_per_block",
+                "--sbm-p-in": "p_in", "--sbm-p-out": "p_out", "--sbm-dim": "feature_dim",
+                "--sbm-signal": "feature_signal", "--sbm-noise": "feature_noise"},
+    AttackSpec: {"--attack": "kind", "--rate": "rate", "--budget": "budget"},
+    DenoiseConfig: {"--alpha": "alpha", "--beta": "beta", "--p": "p",
+                    "--iters": "max_iters", "--tol": "tol"},
+    TrainConfig: {"--epochs": "epochs", "--lr-gnn": "learning_rate", "--hidden": "hidden",
+                  "--weight-decay": "weight_decay"},
+    ExperimentConfig: {"--seed": "seed", "--split": "fractions", "--bundle": "bundle",
+                       "--reps": "repetitions"},
+}
+_EXTRA = {
+    "--sbm-size": {"help": "nodes per block"},
+    "--sbm-dim": {"help": "feature dimension"},
+    "--attack": {"choices": ["none", "random", "heterophilic"]},
+    "--p": {"help": "p of the feature distances d_p"},
+    "--split": {"type": _fractions, "help": "train,val,test fractions"},
+    "--bundle": {"type": str},
+}
+
+
+def _add_fields(parser, cls, *only) -> None:
+    """Add the flags of ``cls``'s fields, or only the flags named in ``only``."""
+    types = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for flag, name in _FLAGS[cls].items():
+        if not only or flag in only:
+            parser.add_argument(flag, **{"dest": name, "type": types[name],
+                                         "default": defaults[name], **_EXTRA.get(flag, {})})
+
+
+def _from_args(cls, args, **given):
+    """A ``cls`` whose fields not in ``given`` are the values of their flags."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if f.name not in given}, **given)
+
+
 def _add_common(p):
-    p.add_argument("--config", type=str, default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None, help="output path")
-
-
-def _add_sbm(p):
-    p.add_argument("--sbm-blocks", type=int, default=2)
-    p.add_argument("--sbm-size", type=int, default=50, help="nodes per block")
-    p.add_argument("--sbm-p-in", type=float, default=0.2)
-    p.add_argument("--sbm-p-out", type=float, default=0.01)
-    p.add_argument("--sbm-dim", type=int, default=8, help="feature dimension")
-    p.add_argument("--sbm-signal", type=float, default=2.0)
-    p.add_argument("--sbm-noise", type=float, default=0.5)
-
-
-def _add_attack(p):
-    p.add_argument("--attack", choices=["none", "random", "heterophilic"], default="none")
-    p.add_argument("--rate", type=float, default=0.0)
-    p.add_argument("--budget", type=int, default=0)
-
-
-def _add_denoise(p):
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=0.0)
-
-
-def _add_train(p):
-    p.add_argument("--epochs", type=int, default=250)
-    p.add_argument("--lr-gnn", type=float, default=1e-2)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--split", type=_fractions, default=(0.8, 0.1, 0.1),
-                   help="train,val,test fractions")
+    p.add_argument("--config", help="flat key=value config file")
+    _add_fields(p, ExperimentConfig, "--seed")
+    p.add_argument("--out", help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphclean",
         description="Denoise poisoned graphs and evaluate a GCN on the result.",
-        # abbreviated flags would dodge the explicit-flag detection that
-        # gives command-line values precedence over --config values
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic SBM bundle")
     _add_common(p)
-    _add_sbm(p)
+    _add_fields(p, SbmParams)
 
     p = sub.add_parser("attack", help="poison a bundle and write the result")
     _add_common(p)
-    _add_attack(p)
-    p.add_argument("--bundle", type=str, required=False)
-    p.add_argument("--p", type=float, default=2.0, help="p for the distance report")
+    _add_fields(p, AttackSpec)
+    _add_fields(p, ExperimentConfig, "--bundle")
+    _add_fields(p, DenoiseConfig, "--p")
 
     p = sub.add_parser("denoise", help="recover clean weights from a bundle")
     _add_common(p)
-    _add_denoise(p)
-    p.add_argument("--bundle", type=str, required=False)
+    _add_fields(p, DenoiseConfig)
+    _add_fields(p, ExperimentConfig, "--bundle")
     p.add_argument("--threshold", type=float, default=1e-8,
                    help="emit recovered edges with weight above this")
 
     p = sub.add_parser("train", help="train the GCN on a bundle")
     _add_common(p)
-    _add_train(p)
-    p.add_argument("--bundle", type=str, required=False)
+    _add_fields(p, TrainConfig)
+    _add_fields(p, ExperimentConfig, "--split", "--bundle")
 
     for name in ("pipeline", "sweep"):
         p = sub.add_parser(name, help=f"run the {name}")
         _add_common(p)
-        _add_sbm(p)
-        _add_attack(p)
-        _add_denoise(p)
-        _add_train(p)
-        p.add_argument("--bundle", type=str, default=None)
-        p.add_argument("--reps", type=int, default=10)
-        p.add_argument("--csv", type=str, default=None)
+        for cls in (SbmParams, AttackSpec, DenoiseConfig, TrainConfig):
+            _add_fields(p, cls)
+        _add_fields(p, ExperimentConfig, "--split", "--bundle", "--reps")
+        p.add_argument("--csv")
         if name == "sweep":
-            p.add_argument("--sweep-param", choices=["rate", "beta", "p"], required=False)
-            p.add_argument("--values", type=_float_list, default=None,
-                           help="comma-separated sweep values")
+            p.add_argument("--sweep-param", choices=SWEEPABLE)
+            p.add_argument("--values", type=_float_list, help="comma-separated sweep values")
 
     return parser
 
@@ -173,77 +178,37 @@ def read_config_file(path: str) -> dict:
 
 
 def parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``; --config values become the subcommand's defaults."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        file_values = read_config_file(args.config)
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        # a config key is a flag name with '_' for '-'
+        flags = {name: {a.option_strings[0][2:].replace("-", "_"): a
+                        for a in sub._actions if a.dest != "help"}
+                 for name, sub in commands.items()}
         # keys of any subcommand are allowed, so one file can serve them all
-        known = set().union(*(vars(parser.parse_args([name])) for name in _COMMANDS))
-        known -= {"command", "config"}
-        defaults = parser.parse_args([args.command])
-        explicit = _explicit_dests(argv)
-        converters = {"split": _fractions, "values": _float_list}
-        for key, text in file_values.items():
+        known = set().union(*flags.values()) - {"config"}
+        defaults = {}
+        for key, text in read_config_file(args.config).items():
             if key not in known:
                 raise InputError(f"{args.config}: unknown key {key!r}")
-            if not hasattr(args, key):
-                continue  # key belongs to another subcommand
-            if key in explicit:
-                continue  # flags win over the config file
-            like = getattr(defaults, key)
-            convert = converters.get(key, str if like is None else type(like))
-            setattr(args, key, convert(text))
+            action = flags[args.command].get(key)
+            if action is not None:
+                try:
+                    defaults[action.dest] = (action.type or str)(text)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise InputError(f"{args.config}: {key}: {exc}") from None
+        commands[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)  # flags win over the new defaults
     return args
-
-
-def _explicit_dests(argv) -> set:
-    dests = set()
-    for token in argv:
-        if token.startswith("--"):
-            dests.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return dests
 
 
 def _fail(error) -> None:
     """Report bad input the way argparse does: one line, exit status 2."""
     print(f"graphclean: error: {error}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _sbm_from_args(args) -> SbmParams:
-    return SbmParams(
-        nodes_per_block=args.sbm_size,
-        blocks=args.sbm_blocks,
-        p_in=args.sbm_p_in,
-        p_out=args.sbm_p_out,
-        feature_dim=args.sbm_dim,
-        feature_signal=args.sbm_signal,
-        feature_noise=args.sbm_noise,
-    )
-
-
-def _attack_from_args(args) -> AttackSpec:
-    return AttackSpec(kind=args.attack, rate=args.rate, budget=args.budget)
-
-
-def _denoise_from_args(args) -> DenoiseConfig:
-    return DenoiseConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        p=args.p,
-        max_iters=args.iters,
-        tol=args.tol,
-    )
-
-
-def _train_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        hidden=args.hidden,
-        epochs=args.epochs,
-        learning_rate=args.lr_gnn,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
 
 
 def _require(args, attr: str):
@@ -254,7 +219,7 @@ def _require(args, attr: str):
 
 def cmd_synth(args) -> int:
     out = _require(args, "out")
-    dataset = generate_sbm(_sbm_from_args(args), args.seed)
+    dataset = generate_sbm(_from_args(SbmParams, args), args.seed)
     save_bundle(dataset, out)
     print(f"wrote bundle: {out} (n={dataset.n}, edges={dataset.graph.edge_count}, "
           f"classes={dataset.num_classes}, dim={dataset.feature_dim})")
@@ -264,7 +229,7 @@ def cmd_synth(args) -> int:
 def cmd_attack(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
-    attack = _attack_from_args(args)
+    attack = _from_args(AttackSpec, args)
     dataset = load_bundle(bundle)
     d_p = pairwise_p_distances(dataset.features, args.p)
     poisoned = apply_attack(dataset, attack, args.seed)
@@ -279,7 +244,7 @@ def cmd_attack(args) -> int:
 def cmd_denoise(args) -> int:
     bundle = _require(args, "bundle")
     out = _require(args, "out")
-    config = _denoise_from_args(args)
+    config = _from_args(DenoiseConfig, args)
     threshold = check_weight_threshold(args.threshold)
     dataset = load_bundle(bundle)
     result = denoise(dataset.graph, dataset.features, config)
@@ -295,11 +260,11 @@ def cmd_denoise(args) -> int:
 
 def cmd_train(args) -> int:
     bundle = _require(args, "bundle")
-    config = _train_from_args(args)
+    config = _from_args(TrainConfig, args)
     dataset = load_bundle(bundle)
     split = load_splits(bundle, dataset.n)
     if split is None:
-        split = split_nodes(dataset.n, args.split, args.seed)
+        split = split_nodes(dataset.n, args.fractions, args.seed)
     a_hat = normalize_adjacency(dataset.graph)
     _, report = train(dataset, a_hat, split, config)
     if args.out:
@@ -310,15 +275,12 @@ def cmd_train(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        bundle=args.bundle,
-        sbm=None if args.bundle else _sbm_from_args(args),
-        attack=_attack_from_args(args),
-        denoise=_denoise_from_args(args),
-        train=_train_from_args(args),
-        fractions=args.split,
-        repetitions=args.reps,
-        seed=args.seed,
+    return _from_args(
+        ExperimentConfig, args,
+        sbm=None if args.bundle else _from_args(SbmParams, args),
+        attack=_from_args(AttackSpec, args),
+        denoise=_from_args(DenoiseConfig, args),
+        train=_from_args(TrainConfig, args),
     )
 
 
@@ -360,9 +322,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        _fail(exc)
-    try:
         return _COMMANDS[args.command](args)
     except InputError as exc:
         _fail(exc)

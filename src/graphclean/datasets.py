@@ -139,16 +139,17 @@ class SbmParams:
     """Stochastic block model with label-aligned blocks and noisy one-hot features.
 
     Class c nodes get centroid ``feature_signal * e_c`` plus i.i.d. uniform
-    noise in [-feature_noise, feature_noise] per coordinate.
+    noise in [-feature_noise, feature_noise] per coordinate.  The defaults
+    are the command line's.
     """
 
-    nodes_per_block: int
-    blocks: int
-    p_in: float
-    p_out: float
-    feature_dim: int
-    feature_signal: float
-    feature_noise: float
+    nodes_per_block: int = 50
+    blocks: int = 2
+    p_in: float = 0.2
+    p_out: float = 0.01
+    feature_dim: int = 8
+    feature_signal: float = 2.0
+    feature_noise: float = 0.5
 
     def __post_init__(self):
         check_finite(feature_signal=self.feature_signal, feature_noise=self.feature_noise)
@@ -418,12 +419,12 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
 
 
 def check_fractions(fractions) -> list[float]:
-    """The (train, val, test) fractions as floats: each >= 0, summing to <= 1."""
+    """The (train, val, test) fractions as floats: each finite and >= 0, summing to <= 1."""
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3:
         raise InputError("fractions must be (train, val, test)")
-    if not all(f >= 0 for f in fractions):
-        raise InputError(f"fractions must be non-negative, got {fractions}")
+    if not all(math.isfinite(f) and f >= 0 for f in fractions):
+        raise InputError(f"fractions must be non-negative and finite, got {fractions}")
     if sum(fractions) > 1.0 + 1e-12:
         raise InputError(f"fractions sum to {sum(fractions)} > 1")
     return fractions

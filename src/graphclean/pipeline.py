@@ -23,6 +23,7 @@ from .datasets import (
     InputError,
     SbmParams,
     Split,
+    _largest_remainder_sizes,
     check_finite,
     check_fractions,
     generate_sbm,
@@ -56,7 +57,8 @@ ARMS = ("clean", "poisoned", "denoised")
 # which takes no seed, and stays unused so training seeds keep their values
 _DATASET, _SPLIT, _ATTACK, _TRAIN = 1, 2, 3, 5
 
-SWEEPABLE = ("rate", "beta", "p")
+# each sweepable parameter and the config section that holds it
+SWEEPABLE = {"rate": "attack", "beta": "denoise", "p": "denoise"}
 
 
 class PipelineStageError(RuntimeError):
@@ -243,16 +245,37 @@ def run_repetition(config: ExperimentConfig, r: int,
     }
 
 
+def _check_split_sizes(config: ExperimentConfig, bundle_dataset: Dataset | None,
+                       bundle_split: Split | None) -> None:
+    """Refuse a split that leaves a part empty, as training would."""
+    parts = ("train", "val", "test")
+    if bundle_split is not None:
+        sizes = [getattr(bundle_split, name).size for name in parts]
+        source = "splits.json has"
+    else:
+        n = (bundle_dataset.n if bundle_dataset is not None
+             else config.sbm.nodes_per_block * config.sbm.blocks)
+        sizes = _largest_remainder_sizes(n, config.fractions)
+        source = f"fractions {list(config.fractions)} of {n} nodes give"
+    for name, size in zip(parts, sizes):
+        if size == 0:
+            raise InputError(f"{name} split must be non-empty: {source} "
+                             f"{'/'.join(map(str, sizes))} train/val/test nodes")
+
+
 def run_configs(configs: list) -> list[ExperimentReport]:
     """Run each config in turn; all share one dataset source.
 
     A bundle is loaded once, and its distances are computed once for each
-    run of consecutive configs with the same ``p``.
+    run of consecutive configs with the same ``p``.  A split with an empty
+    part is refused before any repetition runs.
     """
     bundle_dataset = bundle_split = None
     if configs[0].bundle is not None:
         bundle_dataset = load_bundle(configs[0].bundle)
         bundle_split = load_splits(configs[0].bundle, bundle_dataset.n)
+    for config in configs:
+        _check_split_sizes(config, bundle_dataset, bundle_split)
     # (p, d_p) of the last distances computed, so one pair vector is held
     distances = (None, None)
     reports = []
@@ -283,23 +306,15 @@ def sweep_configs(config: ExperimentConfig, parameter: str, values) -> list[Expe
     Every config is built, and so checked, before any of them runs.
     """
     if parameter not in SWEEPABLE:
-        raise InputError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
+        raise InputError(f"parameter must be one of {tuple(SWEEPABLE)}, got {parameter!r}")
     values = list(values)
     if not values:
         raise InputError("sweep needs at least one value")
-    configs = []
-    for value in values:
-        if parameter == "rate":
-            cfg = dataclasses.replace(
-                config, attack=dataclasses.replace(config.attack, rate=float(value)))
-        elif parameter == "beta":
-            cfg = dataclasses.replace(
-                config, denoise=dataclasses.replace(config.denoise, beta=float(value)))
-        else:
-            cfg = dataclasses.replace(
-                config, denoise=dataclasses.replace(config.denoise, p=float(value)))
-        configs.append(cfg)
-    return configs
+    section = SWEEPABLE[parameter]
+    held = getattr(config, section)
+    return [dataclasses.replace(
+                config, **{section: dataclasses.replace(held, **{parameter: float(value)})})
+            for value in values]
 
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentReport]:

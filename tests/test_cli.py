@@ -8,8 +8,10 @@ import pytest
 
 from graphclean import cli, pipeline
 from graphclean.cli import build_parser, main, parse_args, read_config_file
-from graphclean.datasets import load_bundle
-from graphclean.pipeline import PipelineStageError
+from graphclean.datasets import SbmParams, load_bundle
+from graphclean.denoise import DenoiseConfig
+from graphclean.gcn import TrainConfig
+from graphclean.pipeline import AttackSpec, ExperimentConfig, PipelineStageError
 
 
 def run(argv):
@@ -115,8 +117,8 @@ class TestConfigFile:
         cfg.write_text("beta = 0.25\niters = 42  # short run\nattack = random\n")
         args = parse_args(["pipeline", "--config", str(cfg)])
         assert args.beta == 0.25
-        assert args.iters == 42
-        assert args.attack == "random"
+        assert args.max_iters == 42
+        assert args.kind == "random"
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -133,6 +135,18 @@ class TestConfigFile:
         args = parse_args(["sweep", "--config", str(cfg)])
         assert args.sweep_param == "beta"
         assert args.values == [0.1, 0.5]
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta = 0.25\n")
+        assert parse_args(["pipeline", "--config", str(cfg), "--bet", "0.75"]).beta == 0.75
+
+    def test_split_from_file_parses_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("split = 0.6,0.2,0.2\n")
+        from_file = parse_args(["train", "--config", str(cfg)]).fractions
+        assert from_file == parse_args(["train", "--split", "0.6,0.2,0.2"]).fractions
+        assert from_file == (0.6, 0.2, 0.2)
 
     def test_command_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -169,6 +183,20 @@ class TestConfigFile:
         payload = json.loads(out.read_text())
         assert payload["config"]["seed"] == 13
         assert payload["config"]["attack"]["kind"] == "heterophilic"
+
+
+class TestDefaults:
+    """Every flag's default is its config field's default."""
+
+    def test_pipeline_config_is_the_default_config(self):
+        args = parse_args(["pipeline"])
+        assert cli._experiment_config(args) == ExperimentConfig(sbm=SbmParams())
+
+    @pytest.mark.parametrize("command, cls", [
+        ("synth", SbmParams), ("attack", AttackSpec), ("denoise", DenoiseConfig),
+        ("train", TrainConfig)])
+    def test_subcommand_config_is_the_default_config(self, command, cls):
+        assert cli._from_args(cls, parse_args([command])) == cls()
 
 
 def _float_flags():
@@ -239,12 +267,19 @@ class TestBadInput:
         (["train", "--bundle", "{bundle}"], None, None, "test split must be non-empty"),
         # 0.8,0.1,0.1 of 2 x 2 nodes is 3/1/0
         (["pipeline", "--sbm-size", "2", "--reps", "1"], None, None,
-         "repetition 0, stage train[clean]: test split must be non-empty"),
+         "test split must be non-empty: fractions [0.8, 0.1, 0.1] of 4 nodes give 3/1/0"),
+        (["pipeline"], "reps = x\n", None,
+         "bad.cfg: reps: invalid literal for int() with base 10: 'x'"),
+        (["pipeline"], "split = 0.5,x,0\n", None,
+         "bad.cfg: split: could not convert string to float: 'x'"),
+        (["pipeline"], "split = nan,0,0\n", None,
+         "bad.cfg: split: fractions must be non-negative and finite, got [nan, 0.0, 0.0]"),
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
             "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
             "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config",
-            "train-empty-split", "pipeline-empty-split"])
+            "train-empty-split", "pipeline-empty-split", "config-bad-int",
+            "config-bad-split", "config-nan-split"])
     def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
         if edit is not None:
             name, row, content = edit
@@ -323,6 +358,7 @@ class TestBadInput:
     @pytest.mark.parametrize("split, message", [
         ("--split=-0.1,0.5,0.5", "fractions must be non-negative"),
         ("--split=0.8,0.3,0.1", "fractions sum to 1.2"),
+        ("--split=nan,0,0", "fractions must be non-negative and finite, got [nan, 0.0, 0.0]"),
     ])
     def test_split_flag_refused_before_work(self, capsys, split, message):
         # argparse reports a bad flag value under its usage line
@@ -330,6 +366,28 @@ class TestBadInput:
             main(["pipeline", split, "--reps", "1"])
         assert stopped.value.code == 2
         assert f"argument --split: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, splits, message", [
+        (["pipeline", "--split", "0,0,1"], None,
+         "train split must be non-empty: fractions [0.0, 0.0, 1.0] of 10 nodes give 0/0/10 "
+         "train/val/test nodes"),
+        (["sweep", "--sweep-param", "p", "--values", "2,3", "--split", "0.5,0.5,0"], None,
+         "test split must be non-empty: fractions [0.5, 0.5, 0.0] of 10 nodes give 5/5/0 "
+         "train/val/test nodes"),
+        (["pipeline", "--bundle", "{bundle}"], {"train": [0, 1, 2, 3], "val": [], "test": [4, 5]},
+         "val split must be non-empty: splits.json has 4/0/2 train/val/test nodes"),
+    ], ids=["pipeline", "sweep", "bundle-splits"])
+    def test_empty_split_refused_before_work(self, bundle_dir, capsys, monkeypatch,
+                                             argv, splits, message):
+        for name in ("generate_sbm", "apply_attack", "pairwise_p_distances", "denoise"):
+            monkeypatch.setattr(pipeline, name, _refuse(name))
+        if splits is not None:
+            (bundle_dir / "splits.json").write_text(json.dumps(splits))
+        with pytest.raises(SystemExit) as stopped:
+            main([a.format(bundle=bundle_dir) for a in argv] + ["--sbm-size", "5", "--reps", "1"])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"graphclean: error: {message}\n"
 
     @pytest.mark.parametrize("stage, target", [("attack", "heterophilic_add"),
                                                ("train[clean]", "train")])

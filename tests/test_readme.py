@@ -1,7 +1,10 @@
 """The README's documented examples run against the current library."""
 
 import re
+import shlex
 from pathlib import Path
+
+from graphclean.cli import parse_args
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +16,19 @@ def test_library_block_runs(capsys):
     exec(compile(block, f"{README.name} (## Library)", "exec"), {})
     accuracy = float(capsys.readouterr().out)
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_cli_examples_parse(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    shell = "".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    monkeypatch.chdir(tmp_path)
+    heredoc = re.search(r"cat > exp\.cfg <<EOF\n(.*?)EOF\n", shell, re.S).group(1)
+    Path("exp.cfg").write_text(heredoc, encoding="utf-8")
+    parsed = [parse_args(shlex.split(line)[1:])
+              for line in shell.splitlines() if line.startswith("graphclean ")]
+    assert [args.command for args in parsed] == [
+        "synth", "attack", "denoise", "train", "pipeline", "sweep", "pipeline"]
+    from_file = parsed[-1]
+    assert (from_file.kind, from_file.rate, from_file.max_iters, from_file.repetitions,
+            from_file.seed, from_file.beta) == ("heterophilic", 0.25, 200, 10, 7, 1.0)

@@ -1,13 +1,15 @@
 """Stage 2: two-layer graph convolutional classifier with manual backprop.
 
-logits = A_hat @ relu(A_hat @ X @ W1) @ W2 with the symmetric self-loop
+logits = A_hat @ (relu(A_hat X @ W1) @ W2) with the symmetric self-loop
 normalization A_hat = D^{-1/2} (W + I) D^{-1/2}, built from the graph's pair
-weights.  A_hat may be sparse: a graph whose A_hat has at most n^2 / 40
-nonzeros gets a :class:`SparseAdjacency` in CSR rows, a denser one a dense
-n x n array, and every function here accepts either.  Training is plain
-full-batch gradient descent on masked cross-entropy plus an L2 penalty
-0.5 * weight_decay * (||W1||^2 + ||W2||^2); gradients are written out by
-hand so they can be checked against finite differences.
+weights.  A_hat X is formed once; every other product with A_hat has one
+column per class (Kipf & Welling, ICLR 2017).  A_hat may be sparse: a graph
+whose A_hat has at most n^2 / 40 nonzeros gets a :class:`SparseAdjacency` in
+CSR rows, a denser one a dense n x n array, and every function here accepts
+either.  Training is plain full-batch gradient descent on masked
+cross-entropy plus an L2 penalty 0.5 * weight_decay * (||W1||^2 + ||W2||^2);
+gradients are written out by hand so they can be checked against finite
+differences.
 """
 
 from __future__ import annotations
@@ -109,10 +111,12 @@ def xavier_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(W1=layer(feature_dim, hidden), W2=layer(hidden, num_classes))
 
 
-# A_hat is held sparse when nnz(A_hat) * _SPARSE_RATIO <= n^2.  Measured for
-# A_hat @ H with h = 16 on one core: sparse and dense break even near n^2 / 32
-# at n = 1000 and n = 2485; at n^2 / 40 sparse takes 0.83 ms against 1.14 ms
-# (n = 1000), and at n^2 / 5 it takes 9.2 ms against 1.1 ms.
+# A_hat is held sparse when nnz(A_hat) * _SPARSE_RATIO <= n^2.  Measured on one
+# core: an epoch's products A_hat @ H have one column per class, and at n = 1000
+# and width 2 sparse takes 0.18 ms against 1.06 ms dense at n^2 / 40, breaking
+# even near n^2 / 5.  The one-off A_hat @ X goes the other way: at n = 2485,
+# d = 1433 and n^2 / 40, sparse takes 1.4 s against 0.39 s.  A retune must
+# price both, so the cut-off stays near where width-16 products break even.
 _SPARSE_RATIO = 40
 # columns of H per pass of SparseAdjacency @ H, which bounds its scratch to
 # _CHUNK * nnz values
@@ -207,12 +211,12 @@ def _adjacency(A_hat) -> np.ndarray | SparseAdjacency:
 def _propagate(params: GcnParams, A_hat, AX: np.ndarray):
     """Forward pass from the propagated features AX = A_hat @ X.
 
-    Returns the pre-activation AX @ W1, the propagated hidden layer and the
-    logits; :func:`_loss_and_gradients` needs all three.
+    Returns XW = AX @ W1, the hidden layer relu(XW) and the logits
+    A_hat @ (hidden @ W2); :func:`_loss_and_gradients` needs all three.
     """
     XW = AX @ params.W1
-    prop_hidden = A_hat @ np.maximum(XW, 0.0)
-    return XW, prop_hidden, prop_hidden @ params.W2
+    hidden = np.maximum(XW, 0.0)
+    return XW, hidden, A_hat @ (hidden @ params.W2)
 
 
 def _finite(logits: np.ndarray) -> np.ndarray:
@@ -222,7 +226,7 @@ def _finite(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: GcnParams, A_hat, X: np.ndarray) -> np.ndarray:
-    """logits = A_hat @ relu(A_hat @ X @ W1) @ W2; A_hat is dense or sparse."""
+    """logits = A_hat @ (relu(A_hat @ X @ W1) @ W2); A_hat is dense or sparse."""
     X = np.asarray(X, dtype=np.float64)
     A_hat = _adjacency(A_hat)
     if X.shape[1] != params.W1.shape[0] or A_hat.shape[1] != X.shape[0]:
@@ -276,7 +280,7 @@ def _loss_and_gradients(params: GcnParams, A_hat, AX: np.ndarray,
                         state, labels: np.ndarray, mask: np.ndarray,
                         weight_decay: float):
     """Loss and gradients at ``params``, whose :func:`_propagate` is ``state``."""
-    XW, prop_hidden, logits = state
+    XW, hidden, logits = state
     probs = softmax(logits)
     loss = cross_entropy(logits, labels, mask)
     loss += 0.5 * weight_decay * (
@@ -288,8 +292,10 @@ def _loss_and_gradients(params: GcnParams, A_hat, AX: np.ndarray,
     d_logits[mask, labels[mask]] -= 1.0
     d_logits /= mask.size
 
-    grad_W2 = prop_hidden.T @ d_logits + weight_decay * params.W2
-    d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
+    # A_hat is symmetric, so both layers' gradients read A_hat @ d_logits
+    prop_d = A_hat @ d_logits
+    grad_W2 = hidden.T @ prop_d + weight_decay * params.W2
+    d_hidden = (prop_d @ params.W2.T) * (XW > 0.0)
     grad_W1 = AX.T @ d_hidden + weight_decay * params.W1
     return loss, grad_W1, grad_W2
 

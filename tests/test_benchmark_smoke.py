@@ -3,8 +3,9 @@
 perfbench binds ``denoise(..., X, d_p)``, ``perturbation_report(clean,
 perturbed, dataset, ...)`` and ``pipeline.run_repetition`` by name and checks
 every output with its own numpy code, so a change that breaks either shows up
-here.  Each run works on a copy of ``perfbench/`` and ``src/``, so its inputs
-and outputs stay out of the checkout.
+here.  protocol-n1000 is the one workload whose GCN arms include a dense
+``A_hat``.  Each run works on a copy of ``perfbench/`` and ``src/``, so its
+inputs and outputs stay out of the checkout.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["denoise-kkt", "cora-shape"])
+@pytest.mark.parametrize("workload", ["denoise-kkt", "cora-shape", "protocol-n1000"])
 def test_one_benchmark_run_is_correct(tmp_path, workload):
     skip = shutil.ignore_patterns("__pycache__", ".perfbench_work")
     for name in ("perfbench", "src"):

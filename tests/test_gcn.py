@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphclean import gcn
 from graphclean.datasets import SbmParams, Split, generate_sbm, split_nodes
 from graphclean.gcn import (
     GcnParams,
@@ -75,23 +76,29 @@ def fd_parameter_gradient(params, A_hat, X, labels, mask, weight_decay):
     return grads
 
 
-def reference_train(dataset, A_hat, split, config):
+def reference_train(dataset, A_hat, split, config, class_width=True):
     """Oracle: the training loop with A_hat @ X recomputed in every product
-    and a separate forward pass for validation, six n x n products per epoch."""
+    and a separate forward pass for validation.
+
+    With ``class_width`` the other products with A_hat take the class-width
+    operands hidden @ W2 and d_logits, as :func:`train` does; without it they
+    take the hidden-width operands relu(A_hat X W1) and d_logits @ W2.T.
+    """
     params = xavier_params(dataset.feature_dim, config.hidden,
                            dataset.num_classes, config.seed)
     X, y = dataset.features, dataset.labels
 
     def logits_of(p):
-        return A_hat @ np.maximum(A_hat @ X @ p.W1, 0.0) @ p.W2
+        hidden = np.maximum(A_hat @ X @ p.W1, 0.0)
+        return A_hat @ (hidden @ p.W2) if class_width else (A_hat @ hidden) @ p.W2
 
     loss_trace, val_trace = [], []
     best_acc, best_epoch, best_params = -1.0, 0, params.copy()
     mask = split.train
     for epoch in range(config.epochs):
         XW = A_hat @ X @ params.W1
-        prop_hidden = A_hat @ np.maximum(XW, 0.0)
-        logits = prop_hidden @ params.W2
+        hidden = np.maximum(XW, 0.0)
+        logits = logits_of(params)
         probs = softmax(logits)
         loss = cross_entropy(logits, y, mask) + 0.5 * config.weight_decay * (
             float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2)))
@@ -99,8 +106,14 @@ def reference_train(dataset, A_hat, split, config):
         d_logits[mask] = probs[mask]
         d_logits[mask, y[mask]] -= 1.0
         d_logits /= mask.size
-        g2 = prop_hidden.T @ d_logits + config.weight_decay * params.W2
-        d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
+        if class_width:
+            prop_d = A_hat @ d_logits
+            g2 = hidden.T @ prop_d
+            d_hidden = (prop_d @ params.W2.T) * (XW > 0.0)
+        else:
+            g2 = (A_hat @ hidden).T @ d_logits
+            d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
+        g2 = g2 + config.weight_decay * params.W2
         g1 = (A_hat @ X).T @ d_hidden + config.weight_decay * params.W1
         loss_trace.append(loss)
         params.W1 = params.W1 - config.learning_rate * g1
@@ -111,6 +124,18 @@ def reference_train(dataset, A_hat, split, config):
             best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
     return best_params, loss_trace, val_trace, best_epoch, accuracy(
         logits_of(best_params), y, split.test)
+
+
+class SpyAdjacency:
+    """Wraps an A_hat and records the width of every operand it multiplies."""
+
+    def __init__(self, A_hat):
+        self.A_hat = A_hat
+        self.widths = []
+
+    def __matmul__(self, H):
+        self.widths.append(H.shape[1])
+        return self.A_hat @ H
 
 
 def random_gcn_instance(seed, n=5, d=3, h=2, C=2):
@@ -344,6 +369,25 @@ class TestAccuracy:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_finite_differences_with_distinct_widths(self, sparse):
+        """h = 4 and C = 3, so a W2 / W2.T mix-up cannot pass."""
+        n, d, h, C = 80, 3, 4, 3
+        w = sparse_weights(78, n, 20)
+        A_hat = normalize_adjacency(w) if sparse else dense_a_hat(w)
+        assert isinstance(A_hat, SparseAdjacency) == sparse
+        rng = SplitMix64(79)
+        X = rng.uniforms(n * d).reshape(n, d) - 0.5
+        labels = np.array([rng.bounded(C) for _ in range(n)], dtype=np.int64)
+        params = xavier_params(d, h, C, seed=80)
+        mask = np.arange(0, n, 2)
+        loss, g1, g2 = loss_and_gradients(params, A_hat, X, labels, mask, 0.05)
+        fd1, fd2 = fd_parameter_gradient(params, A_hat, X, labels, mask, 0.05)
+        assert g1.shape == (d, h) and g2.shape == (h, C)
+        assert np.max(np.abs(g1 - fd1)) <= 1e-4 * (1.0 + np.max(np.abs(fd1)))
+        assert np.max(np.abs(g2 - fd2)) <= 1e-4 * (1.0 + np.max(np.abs(fd2)))
+        assert abs(loss - training_loss(params, A_hat, X, labels, mask, 0.05)) < 1e-12
+
     def test_matches_finite_differences(self):
         for seed in range(20):
             params, A_hat, X, labels, mask = random_gcn_instance(seed)
@@ -361,6 +405,23 @@ def separable_dataset(seed=3):
     params = SbmParams(nodes_per_block=50, blocks=2, p_in=0.25, p_out=0.01,
                        feature_dim=6, feature_signal=3.0, feature_noise=0.3)
     return generate_sbm(params, seed)
+
+
+LOOP_INSTANCES = [
+    (50, 2, 6, 60),
+    (60, 3, 20, 40),
+    (50, 4, 1433, 15),  # Cora's feature width
+]
+
+
+def loop_instance(size, blocks, dim, epochs):
+    """Dataset, A_hat, split and config of one reference-loop comparison."""
+    ds = generate_sbm(SbmParams(nodes_per_block=size, blocks=blocks, p_in=0.2,
+                                p_out=0.02, feature_dim=dim, feature_signal=1.0,
+                                feature_noise=0.8), 13)
+    split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
+    config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05, seed=15)
+    return ds, normalize_adjacency(ds.graph), split, config
 
 
 class TestTrain:
@@ -404,18 +465,9 @@ class TestTrain:
         assert report.val_accuracy_trace[best] == peak
         assert best == report.val_accuracy_trace.index(peak)
 
-    @pytest.mark.parametrize("size, blocks, dim, epochs", [
-        (50, 2, 6, 60),
-        (60, 3, 20, 40),
-        (50, 4, 1433, 15),  # Cora's feature width
-    ])
+    @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
     def test_bit_identical_to_reference_loop(self, size, blocks, dim, epochs):
-        ds = generate_sbm(SbmParams(nodes_per_block=size, blocks=blocks, p_in=0.2,
-                                    p_out=0.02, feature_dim=dim, feature_signal=1.0,
-                                    feature_noise=0.8), 13)
-        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
-        A_hat = normalize_adjacency(ds.graph)
-        config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05, seed=15)
+        ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
         params, report = train(ds, A_hat, split, config)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
             ds, A_hat, split, config)
@@ -425,6 +477,37 @@ class TestTrain:
         np.testing.assert_array_equal(report.val_accuracy_trace, val_trace)
         assert report.best_val_epoch == best_epoch
         assert report.test_accuracy == test_acc
+
+    @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
+    def test_hidden_width_order_agrees(self, size, blocks, dim, epochs):
+        """A_hat @ (H W2) and (A_hat @ H) W2 differ only in rounding."""
+        ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
+        params, report = train(ds, A_hat, split, config)
+        ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
+            ds, A_hat, split, config, class_width=False)
+        np.testing.assert_allclose(params.W1, ref_params.W1, rtol=1e-12)
+        np.testing.assert_allclose(params.W2, ref_params.W2, rtol=1e-12)
+        np.testing.assert_allclose(report.loss_trace, loss_trace, rtol=1e-12)
+        assert report.val_accuracy_trace == val_trace
+        assert report.best_val_epoch == best_epoch
+        assert report.test_accuracy == test_acc
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_epoch_products_have_class_width(self, monkeypatch, sparse):
+        """A_hat multiplies X once and otherwise only operands with one column
+        per class: one product to score the start and two per epoch."""
+        ds = generate_sbm(SbmParams(nodes_per_block=50, blocks=3, p_in=0.04,
+                                    p_out=0.002, feature_dim=6), 16)
+        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=17)
+        A_hat = normalize_adjacency(ds.graph)
+        assert isinstance(A_hat, SparseAdjacency)
+        spy = SpyAdjacency(A_hat if sparse else dense_a_hat(ds.graph))
+        monkeypatch.setattr(gcn, "_adjacency", lambda A: A)
+        config = TrainConfig(hidden=16, epochs=20, seed=18)
+        assert ds.feature_dim != ds.num_classes != config.hidden
+        train(ds, spy, split, config)
+        assert sorted(spy.widths) == sorted(
+            [ds.feature_dim] + [ds.num_classes] * (2 * config.epochs + 1))
 
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)

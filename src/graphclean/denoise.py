@@ -108,7 +108,8 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
 
     When every feature is 0 or 1, the answer comes from the Gram matrix
     G = X X^T as d_p[k] = s_i + s_j - 2 G_ij with s = diag G.  For any p,
-    |x_i - x_j|^p is then (x_i - x_j)^2, and every product and partial sum
+    |x_i - x_j|^p is then (x_i - x_j)^2, so d_p is the Hamming distance for
+    every p and a change of p changes nothing.  Every product and partial sum
     is an integer that float64 holds exactly, so the summation order of the
     row loop and of BLAS cannot change a bit.  G is built a block of rows at
     a time, so no n x n matrix is held.

@@ -3,13 +3,12 @@
 logits = A_hat @ (relu(A_hat X @ W1) @ W2) with the symmetric self-loop
 normalization A_hat = D^{-1/2} (W + I) D^{-1/2}, built from the graph's pair
 weights.  A_hat X is formed once; every other product with A_hat has one
-column per class (Kipf & Welling, ICLR 2017).  A_hat may be sparse: a graph
-whose A_hat has at most n^2 / 40 nonzeros gets a :class:`SparseAdjacency` in
-CSR rows, a denser one a dense n x n array, and every function here accepts
-either.  Training is plain full-batch gradient descent on masked
-cross-entropy plus an L2 penalty 0.5 * weight_decay * (||W1||^2 + ||W2||^2);
-gradients are written out by hand so they can be checked against finite
-differences.
+column per class (Kipf & Welling, ICLR 2017).  A_hat is a
+:class:`SparseAdjacency` in CSR rows; every function here accepts any
+symmetric matrix that supports ``@``, a dense array included.  Training is
+plain full-batch gradient descent on masked cross-entropy plus an L2 penalty
+0.5 * weight_decay * (||W1||^2 + ||W2||^2); gradients are written out by hand
+so they can be checked against finite differences.
 """
 
 from __future__ import annotations
@@ -111,16 +110,14 @@ def xavier_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(W1=layer(feature_dim, hidden), W2=layer(hidden, num_classes))
 
 
-# A_hat is held sparse when nnz(A_hat) * _SPARSE_RATIO <= n^2.  Measured on one
-# core: an epoch's products A_hat @ H have one column per class, and at n = 1000
-# and width 2 sparse takes 0.18 ms against 1.06 ms dense at n^2 / 40, breaking
-# even near n^2 / 5.  The one-off A_hat @ X goes the other way: at n = 2485,
-# d = 1433 and n^2 / 40, sparse takes 1.4 s against 0.39 s.  A retune must
-# price both, so the cut-off stays near where width-16 products break even.
-_SPARSE_RATIO = 40
-# columns of H per pass of SparseAdjacency @ H, which bounds its scratch to
-# _CHUNK * nnz values
-_CHUNK = 64
+# SparseAdjacency @ H takes max(1, _PASS_VALUES // nnz) columns of H per pass,
+# so a pass's scratch (the gathered products, and the transposed block of H,
+# as nnz >= n) holds at most 2^18 values, 2 MB, whatever the width of H or the
+# density of the graph, unless one column alone has more.  That is half of one
+# of the denoiser's pair vectors at n = 1000, so a product does not set a run's
+# peak memory.  On one core, passes of 2^16 to 2^19 values took about the same
+# time at the benchmark's sizes.
+_PASS_VALUES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +126,8 @@ class SparseAdjacency:
 
     Row i keeps ``data[indptr[i]:indptr[i+1]]`` at the columns
     ``indices[indptr[i]:indptr[i+1]]``, sorted.  ``A @ H`` multiplies by a
-    dense (n, k) array.
+    dense (n, k) array a few columns at a time, so its scratch is bounded by
+    ``_PASS_VALUES`` values, not by k.
     """
 
     indptr: np.ndarray
@@ -148,23 +146,22 @@ class SparseAdjacency:
         out = np.empty(H.shape)
         # no row is empty, so every reduceat segment is the row's own entries
         starts = self.indptr[:-1]
-        for c0 in range(0, H.shape[1], _CHUNK):
-            block = np.ascontiguousarray(H[:, c0:c0 + _CHUNK].T)
+        step = max(1, _PASS_VALUES // self.data.size)
+        for c0 in range(0, H.shape[1], step):
+            block = np.ascontiguousarray(H[:, c0:c0 + step].T)
             prod = block.take(self.indices, axis=1)
             prod *= self.data
-            out[:, c0:c0 + _CHUNK] = np.add.reduceat(prod, starts, axis=1).T
+            out[:, c0:c0 + step] = np.add.reduceat(prod, starts, axis=1).T
         return out
 
 
-def normalize_adjacency(weights) -> np.ndarray | SparseAdjacency:
-    """D^{-1/2} (W + I) D^{-1/2} for the graph with pair weights ``weights``,
-    D the degree matrix of W + I.
+def normalize_adjacency(weights) -> SparseAdjacency:
+    """D^{-1/2} (W + I) D^{-1/2} in CSR rows for the graph with pair weights
+    ``weights``, D the degree matrix of W + I.
 
-    Only the positive pairs are read.  With nnz = n + 2 * (positive pairs),
-    the result is a :class:`SparseAdjacency` when nnz * 40 <= n^2 and a dense
-    C-ordered array otherwise.  The dense one is written into a single n x n
-    buffer and scaled in place.  Rows of isolated nodes reduce to a unit
-    self-loop.
+    Only the positive pairs are read, so the result holds nnz = n + 2 *
+    (positive pairs) values and no n x n array is built.  Rows of isolated
+    nodes reduce to a unit self-loop.
     """
     values = _weight_array(weights)
     if np.any(values < 0):
@@ -173,21 +170,6 @@ def normalize_adjacency(weights) -> np.ndarray | SparseAdjacency:
     edges = np.flatnonzero(values)
     rows, cols = _triu(n)
     r, c, v = rows[edges], cols[edges], values[edges]
-    if (n + 2 * edges.size) * _SPARSE_RATIO <= n * n:
-        return _sparse_adjacency(n, r, c, v)
-    A_hat = np.zeros((n, n))
-    A_hat[r, c] = v
-    A_hat[c, r] = v
-    np.fill_diagonal(A_hat, 1.0)
-    inv_sqrt = 1.0 / np.sqrt(A_hat.sum(axis=1))
-    A_hat *= inv_sqrt[:, None]
-    A_hat *= inv_sqrt[None, :]
-    return A_hat
-
-
-def _sparse_adjacency(n: int, r: np.ndarray, c: np.ndarray,
-                      v: np.ndarray) -> SparseAdjacency:
-    """The CSR form of normalize_adjacency from the positive pairs (r, c, v)."""
     loops = np.arange(n)
     src = np.concatenate([r, c, loops])
     dst = np.concatenate([c, r, loops])
@@ -200,12 +182,6 @@ def _sparse_adjacency(n: int, r: np.ndarray, c: np.ndarray,
     data *= inv_sqrt[src]
     data *= inv_sqrt[indices]
     return SparseAdjacency(indptr=indptr, indices=indices, data=data)
-
-
-def _adjacency(A_hat) -> np.ndarray | SparseAdjacency:
-    if isinstance(A_hat, SparseAdjacency):
-        return A_hat
-    return np.asarray(A_hat, dtype=np.float64)
 
 
 def _propagate(params: GcnParams, A_hat, AX: np.ndarray):
@@ -226,9 +202,8 @@ def _finite(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: GcnParams, A_hat, X: np.ndarray) -> np.ndarray:
-    """logits = A_hat @ (relu(A_hat @ X @ W1) @ W2); A_hat is dense or sparse."""
+    """logits = A_hat @ (relu(A_hat @ X @ W1) @ W2)."""
     X = np.asarray(X, dtype=np.float64)
-    A_hat = _adjacency(A_hat)
     if X.shape[1] != params.W1.shape[0] or A_hat.shape[1] != X.shape[0]:
         raise ValueError(
             f"shape mismatch: A_hat {A_hat.shape}, X {X.shape}, W1 {params.W1.shape}"
@@ -303,8 +278,7 @@ def _loss_and_gradients(params: GcnParams, A_hat, AX: np.ndarray,
 def loss_and_gradients(params: GcnParams, A_hat, X: np.ndarray,
                        labels: np.ndarray, mask, weight_decay: float):
     """Training loss (cross-entropy + L2) and its exact parameter gradients;
-    A_hat is dense or sparse."""
-    A_hat = _adjacency(A_hat)
+    A_hat is any symmetric matrix that supports ``@``."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = _check_mask(mask, X.shape[0])
@@ -317,7 +291,7 @@ def train(dataset: Dataset, A_hat, split: Split,
           config: TrainConfig) -> tuple[GcnParams, TrainReport]:
     """Full-batch gradient descent on the train mask, model selection on val.
 
-    ``A_hat`` comes from :func:`normalize_adjacency`, dense or sparse.
+    ``A_hat`` comes from :func:`normalize_adjacency`.
 
     Each epoch records the pre-update training loss and the post-update
     validation accuracy; the returned parameters are the snapshot from the
@@ -330,7 +304,6 @@ def train(dataset: Dataset, A_hat, split: Split,
 
     params = xavier_params(dataset.feature_dim, config.hidden,
                            dataset.num_classes, config.seed)
-    A_hat = _adjacency(A_hat)
     y = dataset.labels
     train_mask = _check_mask(split.train, dataset.n)
     # A_hat @ X is fixed during training, and the forward pass that scores an

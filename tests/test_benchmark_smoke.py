@@ -3,9 +3,10 @@
 perfbench binds ``denoise(..., X, d_p)``, ``perturbation_report(clean,
 perturbed, dataset, ...)`` and ``pipeline.run_repetition`` by name and checks
 every output with its own numpy code, so a change that breaks either shows up
-here.  protocol-n1000 is the one workload whose GCN arms include a dense
-``A_hat``.  Each run works on a copy of ``perfbench/`` and ``src/``, so its
-inputs and outputs stay out of the checkout.
+here.  protocol-n1000 is the workload whose densest ``A_hat`` (its denoised
+arm, nnz about n^2 / 5) takes one column per pass of ``A_hat @ H``.  Each run
+works on a copy of ``perfbench/`` and ``src/``, so its inputs and outputs stay
+out of the checkout.
 """
 
 import json

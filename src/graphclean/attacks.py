@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, InputError
-from .operators import WeightVector, _triu
+from .operators import WeightVector, pair_nodes
 from .rng import SplitMix64
 
 __all__ = [
@@ -93,7 +93,7 @@ def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     graph = dataset.graph
-    rows, cols = _triu(graph.n)
+    rows, cols = np.triu_indices(graph.n, 1)
     cross = dataset.labels[rows] != dataset.labels[cols]
     rng = SplitMix64(seed)
     picks = _sample_absent(graph.values, budget, rng, eligible=cross)
@@ -122,9 +122,9 @@ def perturbation_report(clean: WeightVector, perturbed: WeightVector,
     removed = np.flatnonzero((clean.values != 0.0) & (perturbed.values == 0.0))
     original = np.flatnonzero(clean.values != 0.0)
 
-    rows, cols = _triu(clean.n)
     if added.size:
-        cross = dataset.labels[rows[added]] != dataset.labels[cols[added]]
+        rows, cols = pair_nodes(added, clean.n)
+        cross = dataset.labels[rows] != dataset.labels[cols]
         cross_fraction = float(cross.mean())
     else:
         cross_fraction = 0.0

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import WeightVector, pair_count, pair_index, _triu
+from .operators import WeightVector, pair_count, pair_index, pair_nodes
 from .rng import SplitMix64
 
 __all__ = [
@@ -321,14 +321,14 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
     check_weight_threshold(weight_threshold)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    n = dataset.n
 
-    rows, cols = _triu(n)
     values = dataset.graph.values
+    kept = np.flatnonzero(values > weight_threshold)
+    rows, cols = pair_nodes(kept, dataset.n)
     with open(root / "edges.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("src,dst,weight\n")
-        for k in np.flatnonzero(values > weight_threshold):
-            fh.write(f"{rows[k]},{cols[k]},{float(values[k])!r}\n")
+        for u, v, k in zip(rows, cols, kept):
+            fh.write(f"{u},{v},{float(values[k])!r}\n")
 
     with open(root / "features.csv", "w", encoding="utf-8", newline="\n") as fh:
         for row in dataset.features:
@@ -401,7 +401,7 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
     labels = np.arange(n, dtype=np.int64) // params.nodes_per_block
     rng = SplitMix64(seed)
 
-    rows, cols = _triu(n)
+    rows, cols = np.triu_indices(n, 1)
     prob = np.where(labels[rows] == labels[cols], params.p_in, params.p_out)
     values = (rng.uniforms(prob.shape[0]) < prob).astype(np.float64)
 

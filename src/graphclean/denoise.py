@@ -28,18 +28,19 @@ objective and the next gradient share.  No n x n matrix is built.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .datasets import InputError, check_finite
-from .operators import WeightVector, _triu, _weight_array, node_count_for_pairs, pair_count
+from .operators import (WeightVector, _row_starts, _weight_array, node_count_for_pairs,
+                        pair_count)
 
 __all__ = [
     "DenoiseConfig",
     "DenoiseResult",
     "DenoiseDivergence",
     "pairwise_p_distances",
+    "features_are_binary",
     "linear_coefficient",
     "objective",
     "gradient",
@@ -123,7 +124,7 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
-    if _gram_is_exact(X):
+    if features_are_binary(X):
         return _gram_distances(X)
     n = X.shape[0]
     out = np.empty(pair_count(n), dtype=np.float64)
@@ -141,7 +142,9 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _gram_is_exact(X: np.ndarray) -> bool:
+def features_are_binary(X: np.ndarray) -> bool:
+    """Whether every feature is 0 or 1.  Then :func:`pairwise_p_distances` is
+    the Hamming distance for every p, computed exactly from the Gram matrix."""
     return bool(((X == 0.0) | (X == 1.0)).all())
 
 
@@ -188,23 +191,13 @@ def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.nd
     values, n = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, d_p)
-    index = _triu(n)
+    index = np.triu_indices(n, 1)
     return _gradient(values, _degrees(values, n, index[1]), beta * d_p, alpha, index)
 
 
-@lru_cache(maxsize=64)
-def _row_starts(n: int) -> np.ndarray:
-    """Where the pairs (i, j > i) of each row i = 0 .. n-2 start; in pair
-    order they form one contiguous, non-empty block per row."""
-    i = np.arange(n - 1)
-    starts = i * (n - 1) - i * (i - 1) // 2
-    starts.flags.writeable = False
-    return starts
-
-
 def _degrees(values: np.ndarray, n: int, cols: np.ndarray) -> np.ndarray:
-    """deg = S w, the weighted degree of every node; ``cols`` is ``_triu(n)[1]``
-    or a copy of it.
+    """deg = S w, the weighted degree of every node; ``cols`` is
+    ``np.triu_indices(n, 1)[1]``.
 
     The row side sums each row's block, which is contiguous; bincount over
     the sorted rows would hit the same bin on every add.
@@ -239,7 +232,7 @@ def objective(w, w_p, d_p: np.ndarray, alpha: float, beta: float) -> float:
     target, _ = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, target, d_p)
-    cols = _triu(n)[1]
+    cols = np.triu_indices(n, 1)[1]
     return _objective(values, _degrees(values, n, cols), target,
                       _degrees(target, n, cols), d_p, alpha, beta)
 
@@ -250,7 +243,7 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     values, n = _pairs(w)
     c = np.asarray(c, dtype=np.float64)
     _check_pair_shapes(n, c)
-    index = _triu(n)
+    index = np.triu_indices(n, 1)
     return _gradient(values, _degrees(values, n, index[1]), c, alpha, index)
 
 
@@ -280,10 +273,8 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     w = np.maximum(w_p.values if w0 is None else np.asarray(w0, dtype=np.float64), 0.0)
     _check_pair_shapes(n, d_p, w)
     # the loop allocates no pair vector: glibc handed freed ones back to the
-    # OS and faulted them in again, which cost 25% of the time at n = 300.
-    # np.bincount and take both copy a read-only index on every call, so
-    # index is writeable
-    index = tuple(a.copy() for a in _triu(n))
+    # OS and faulted them in again, which cost 25% of the time at n = 300
+    index = np.triu_indices(n, 1)
     cols = index[1]
     spare, scratch = np.empty_like(w), np.empty_like(w)
 
@@ -319,6 +310,8 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             break
         f_prev = f
 
+    # WeightVector copies w: free the loop's other pair vectors first
+    del index, cols, spare, scratch, c, d_p
     return DenoiseResult(
         weights=WeightVector(n=n, values=w),
         objective_trace=np.asarray(trace),

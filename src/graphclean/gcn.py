@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, InputError, Split, check_finite
-from .operators import _triu, _weight_array, node_count_for_pairs
+from .operators import _weight_array, node_count_for_pairs, pair_nodes
 from .rng import SplitMix64
 
 __all__ = [
@@ -152,6 +152,8 @@ class SparseAdjacency:
             prod = block.take(self.indices, axis=1)
             prod *= self.data
             out[:, c0:c0 + step] = np.add.reduceat(prod, starts, axis=1).T
+            # freed before the next pass's take, so one pass's scratch is live
+            del prod
         return out
 
 
@@ -168,8 +170,8 @@ def normalize_adjacency(weights) -> SparseAdjacency:
         raise ValueError("adjacency has negative weights")
     n = node_count_for_pairs(values.shape[0])
     edges = np.flatnonzero(values)
-    rows, cols = _triu(n)
-    r, c, v = rows[edges], cols[edges], values[edges]
+    r, c = pair_nodes(edges, n)
+    v = values[edges]
     loops = np.arange(n)
     src = np.concatenate([r, c, loops])
     dst = np.concatenate([c, r, loops])

@@ -1,10 +1,10 @@
-"""Pair vectors: a weighted graph stored as its n(n-1)/2 pair weights.
+"""Pair vectors, and the pair layout that only this module computes.
 
-The canonical pair enumeration is column-major over the lower triangle:
-(2,1), (3,1), ..., (n,1), (3,2), ..., (n,n-1) in 1-based node ids, which
-coincides with ``numpy.triu_indices(n, 1)`` order on the transpose.  The
-denoiser and the GCN's normalised adjacency work on pair vectors directly;
-no n x n matrix is built here.
+Pair k of n nodes is pair k of ``numpy.triu_indices(n, 1)`` and pair k+1 of
+:func:`pair_index`; each row's pairs (i, j > i) form one contiguous block.
+:func:`pair_nodes` inverts this order for a few pairs; code that reads every
+pair builds ``triu_indices`` itself, which ``take`` and ``bincount`` use
+without a copy.  No pair-length array is cached, and no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "pair_count",
     "node_count_for_pairs",
     "pair_index",
+    "pair_nodes",
 ]
 
 
@@ -56,11 +57,22 @@ def pair_index(i: int, j: int, n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _triu(n: int):
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+def _row_starts(n: int) -> np.ndarray:
+    """Where the pairs (i, j > i) of each row i = 0 .. n-2 start; in pair
+    order they form one contiguous, non-empty block per row."""
+    i = np.arange(n - 1)
+    starts = i * (n - 1) - i * (i - 1) // 2
+    starts.flags.writeable = False
+    return starts
+
+
+def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes (i, j), i < j, of pair positions ``k`` in [0, n(n-1)/2), in the
+    order of ``k``; O(|k| log n), with no pair-length scratch."""
+    k = np.asarray(k, dtype=np.int64)
+    starts = _row_starts(n)
+    i = np.searchsorted(starts, k, "right") - 1
+    return i, k - starts[i] + i + 1
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .datasets import (
     load_splits,
     split_nodes,
 )
-from .denoise import DenoiseConfig, denoise, pairwise_p_distances
+from .denoise import DenoiseConfig, denoise, features_are_binary, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
 from .operators import WeightVector
 from .rng import derive_seed
@@ -267,8 +267,9 @@ def run_configs(configs: list) -> list[ExperimentReport]:
     """Run each config in turn; all share one dataset source.
 
     A bundle is loaded once, and its distances are computed once for each
-    run of consecutive configs with the same ``p``.  A split with an empty
-    part is refused before any repetition runs.
+    run of consecutive configs with the same ``p``, or once in all when its
+    features are all 0 or 1, since ``d_p`` is then the same for every ``p``.
+    A split with an empty part is refused before any repetition runs.
     """
     bundle_dataset = bundle_split = None
     if configs[0].bundle is not None:
@@ -280,7 +281,8 @@ def run_configs(configs: list) -> list[ExperimentReport]:
     distances = (None, None)
     reports = []
     for config in configs:
-        if bundle_dataset is not None and distances[0] != config.denoise.p:
+        if bundle_dataset is not None and distances[0] != config.denoise.p and (
+                distances[1] is None or not features_are_binary(bundle_dataset.features)):
             distances = (config.denoise.p,
                          pairwise_p_distances(bundle_dataset.features, config.denoise.p))
         records = [

@@ -32,7 +32,6 @@ from graphclean.pipeline import (
     sweep,
 )
 from graphclean.rng import SplitMix64, derive_seed
-from graphclean.operators import _triu
 
 from test_denoise import finite_difference_gradient, random_problem
 from test_gcn import fd_parameter_gradient, random_gcn_instance
@@ -172,7 +171,7 @@ def test_adversarial_weight_suppression():
     budget = int(0.25 * ds.graph.edge_count)
     poisoned = heterophilic_add(ds, budget, derive_seed(TREND_SEED, 0, 3))
     injected = np.flatnonzero((ds.graph.values == 0) & (poisoned.values > 0))
-    rows, cols = _triu(ds.n)
+    rows, cols = np.triu_indices(ds.n, 1)
     intra = np.flatnonzero((ds.graph.values > 0)
                            & (ds.labels[rows] == ds.labels[cols]))
     for p in (1.0, 2.0, 3.0):

@@ -8,7 +8,7 @@ import pytest
 from graphclean.attacks import heterophilic_add, perturbation_report, random_add
 from graphclean.datasets import Dataset, SbmParams, generate_sbm
 from graphclean.denoise import pairwise_p_distances
-from graphclean.operators import WeightVector, _triu, pair_count
+from graphclean.operators import WeightVector, pair_count
 from graphclean.rng import SplitMix64
 
 
@@ -84,7 +84,7 @@ class TestHeterophilicAdd:
         out = heterophilic_add(ds, 10, seed=2)
         added = np.flatnonzero((ds.graph.values == 0) & (out.values > 0))
         assert added.size == 10
-        rows, cols = _triu(ds.n)
+        rows, cols = np.triu_indices(ds.n, 1)
         assert np.all(ds.labels[rows[added]] != ds.labels[cols[added]])
 
     def test_added_pairs_previously_absent(self):
@@ -97,7 +97,7 @@ class TestHeterophilicAdd:
         # feature_signal = 2 > 2 * feature_noise, so cross pairs are far apart
         ds = sbm(seed=4)
         out = heterophilic_add(ds, 50, seed=5)
-        rows, cols = _triu(ds.n)
+        rows, cols = np.triu_indices(ds.n, 1)
         added = np.flatnonzero((ds.graph.values == 0) & (out.values > 0))
         intra = np.flatnonzero((ds.graph.values > 0)
                                & (ds.labels[rows] == ds.labels[cols]))
@@ -122,7 +122,7 @@ def gather_mean(X, pair_idx, p):
     """The report's mean distance by gathering feature rows: the oracle."""
     if pair_idx.size == 0:
         return 0.0
-    rows, cols = _triu(X.shape[0])
+    rows, cols = np.triu_indices(X.shape[0], 1)
     diffs = np.abs(X[cols[pair_idx]] - X[rows[pair_idx]])
     return float(np.mean((diffs**p).sum(axis=1)))
 
@@ -203,12 +203,28 @@ class TestPerturbationReport:
         np.testing.assert_allclose(report.mean_p_distance_original,
                                    gather_mean(ds.features, original, p), rtol=1e-12)
 
+    def test_reads_the_added_pairs_without_a_pair_index(self):
+        # the masks over the pair vectors take a few bytes per pair; a
+        # pair-length int64 index would take 16
+        n, edges = 1523, 3000  # an n no other test uses, so nothing is cached
+        ds = binary_dataset(n, 4, 0.3, edges, seed=18)
+        perturbed = random_add(ds.graph, 0.25, seed=19)
+        d_p = pairwise_p_distances(ds.features, 2.0)
+        tracemalloc.start()
+        try:
+            report = perturbation_report(ds.graph, perturbed, ds, d_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.edges_added == perturbed.edge_count - edges
+        assert peak <= 4 * pair_count(n) + 1024 * (edges + n)
+
     def test_reads_d_p_without_gathering_features(self):
         # the gather held (|E| + added) x d feature differences: 61 MB here
         ds = binary_dataset(300, 2000, 0.01, 2000, seed=16)
         perturbed = random_add(ds.graph, 0.25, seed=17)
         d_p = pairwise_p_distances(ds.features, 2.0)
-        expected = perturbation_report(ds.graph, perturbed, ds, d_p)  # warms _triu
+        expected = perturbation_report(ds.graph, perturbed, ds, d_p)
         tracemalloc.start()
         try:
             report = perturbation_report(ds.graph, perturbed, ds, d_p)

@@ -18,7 +18,7 @@ from graphclean.datasets import (
     save_bundle,
     split_nodes,
 )
-from graphclean.operators import WeightVector, _triu, pair_count
+from graphclean.operators import WeightVector, pair_count
 from graphclean.rng import SplitMix64
 
 
@@ -261,7 +261,7 @@ def loop_sbm(params, seed):
     n = params.nodes_per_block * params.blocks
     labels = np.arange(n, dtype=np.int64) // params.nodes_per_block
     rng = SplitMix64(seed)
-    rows, cols = _triu(n)
+    rows, cols = np.triu_indices(n, 1)
     values = np.zeros(pair_count(n), dtype=np.float64)
     for k in range(values.shape[0]):
         prob = params.p_in if labels[rows[k]] == labels[cols[k]] else params.p_out
@@ -286,13 +286,13 @@ class TestGenerateSbm:
 
     def test_no_inter_edges_when_p_out_zero(self):
         ds = generate_sbm(self.params(), seed=1)
-        rows, cols = _triu(ds.n)
+        rows, cols = np.triu_indices(ds.n, 1)
         cross = ds.labels[rows] != ds.labels[cols]
         assert np.all(ds.graph.values[cross] == 0.0)
 
     def test_complete_blocks_when_p_in_one(self):
         ds = generate_sbm(self.params(p_in=1.0), seed=2)
-        rows, cols = _triu(ds.n)
+        rows, cols = np.triu_indices(ds.n, 1)
         intra = ds.labels[rows] == ds.labels[cols]
         # each 50-clique holds C(50,2) = 1225 edges
         assert int(np.count_nonzero(ds.graph.values[intra])) == 2 * 1225
@@ -300,7 +300,7 @@ class TestGenerateSbm:
     def test_intra_count_within_3_sigma(self):
         # Binomial(2450, 0.2): mean 490, sigma = sqrt(2450*0.2*0.8) ~= 19.8
         ds = generate_sbm(self.params(p_out=0.01), seed=3)
-        rows, cols = _triu(ds.n)
+        rows, cols = np.triu_indices(ds.n, 1)
         intra = ds.labels[rows] == ds.labels[cols]
         count = int(np.count_nonzero(ds.graph.values[intra]))
         assert abs(count - 490) <= 3 * math.sqrt(2450 * 0.2 * 0.8)

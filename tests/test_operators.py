@@ -10,11 +10,11 @@ import pytest
 from graphclean.denoise import pairwise_p_distances
 from graphclean.operators import (
     WeightVector,
-    _triu,
     _weight_array,
     node_count_for_pairs,
     pair_count,
     pair_index,
+    pair_nodes,
 )
 from graphclean.rng import SplitMix64
 
@@ -25,7 +25,7 @@ def adjacency_from_weights(w) -> np.ndarray:
     if np.any(values < 0):
         raise ValueError("adjacency weights must be non-negative")
     n = node_count_for_pairs(values.shape[0])
-    rows, cols = _triu(n)
+    rows, cols = np.triu_indices(n, 1)
     W = np.zeros((n, n), dtype=np.float64)
     W[rows, cols] = values
     W += W.T
@@ -41,7 +41,7 @@ def laplacian_from_weights(w) -> np.ndarray:
     """
     values = _weight_array(w)
     n = node_count_for_pairs(values.shape[0])
-    rows, cols = _triu(n)
+    rows, cols = np.triu_indices(n, 1)
     M = np.zeros((n, n), dtype=np.float64)
     M[rows, cols] = -values
     M += M.T
@@ -57,7 +57,7 @@ def adjoint_of(Y: np.ndarray) -> np.ndarray:
     n = Y.shape[0]
     if n < 2:
         raise ValueError(f"adjoint input must be at least 2x2, got n={n}")
-    rows, cols = _triu(n)
+    rows, cols = np.triu_indices(n, 1)
     d = np.diag(Y)
     return d[rows] + d[cols] - Y[rows, cols] - Y[cols, rows]
 
@@ -170,6 +170,25 @@ class TestPairIndex:
     def test_rejects_bad_indices(self, i, j):
         with pytest.raises(ValueError):
             pair_index(i, j, 4)
+
+    def test_pair_nodes_inverts_pair_order(self):
+        for n in range(2, 61):
+            i, j = pair_nodes(np.arange(pair_count(n)), n)
+            rows, cols = np.triu_indices(n, 1)
+            np.testing.assert_array_equal(i, rows)
+            np.testing.assert_array_equal(j, cols)
+            # pair_index numbers the transposed pair (j, i) from 1
+            assert [pair_index(b + 1, a + 1, n) for a, b in zip(i.tolist(), j.tolist())] \
+                == list(range(1, pair_count(n) + 1))
+
+    def test_pair_nodes_of_some_pairs(self):
+        i, j = pair_nodes([], 5)
+        assert i.shape == j.shape == (0,)
+        k = np.array([9, 0, 4, 4, 7, 1])
+        rows, cols = np.triu_indices(5, 1)
+        i, j = pair_nodes(k, 5)
+        np.testing.assert_array_equal(i, rows[k])
+        np.testing.assert_array_equal(j, cols[k])
 
     def test_node_count_inverse(self):
         for n in range(2, 40):

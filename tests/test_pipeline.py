@@ -271,6 +271,33 @@ class TestSweep:
         assert calls == {"load_bundle": 1, "pairwise_p_distances": 1}
         assert report_json_text(reports) == expected
 
+    @pytest.mark.parametrize("binary,distance_calls", [(True, 1), (False, 3)])
+    def test_p_sweep_reuses_distances_on_binary_features(self, tmp_path, monkeypatch,
+                                                         binary, distance_calls):
+        # on 0/1 features d_p is the Hamming distance at every p
+        dataset = generate_sbm(small_config().sbm, 3)
+        if binary:
+            dataset = dataclasses.replace(
+                dataset, features=(dataset.features > 1.0).astype(np.float64))
+        bundle = tmp_path / "bundle"
+        save_bundle(dataset, bundle)
+        config = small_config(sbm=None, bundle=str(bundle), repetitions=2)
+        ps = [1.0, 2.0, 3.0]
+        expected = [report_json_text(run_pipeline(dataclasses.replace(
+                        config, denoise=dataclasses.replace(config.denoise, p=p))))
+                    for p in ps]
+        calls = []
+        computed = pipeline.pairwise_p_distances
+
+        def counted(X, p):
+            calls.append(p)
+            return computed(X, p)
+
+        monkeypatch.setattr(pipeline, "pairwise_p_distances", counted)
+        reports = sweep(config, "p", ps)
+        assert len(calls) == distance_calls
+        assert [report_json_text(r) for r in reports] == expected
+
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError, match="parameter"):
             sweep(small_config(), "gamma", [1.0])

@@ -2,9 +2,8 @@
 
 Both attacks only *add* unit-weight edges (the random and heterophilic
 poisoning models studied here never remove structure).  Added pairs are
-sampled uniformly among the eligible absent pairs: by rejection sampling
-while the graph stays sparse, falling back to explicit enumeration of the
-eligible set once more than half of all pairs would be in play.
+drawn uniformly among the eligible absent pairs by :meth:`SplitMix64.choose`
+(Floyd's algorithm): exactly one draw per added edge at any density.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset, InputError
-from .operators import WeightVector, pair_nodes
+from .operators import WeightVector, pair_nodes, same_label_pairs
 from .rng import SplitMix64
 
 __all__ = [
@@ -40,31 +39,15 @@ def _sample_absent(values: np.ndarray, count: int, rng: SplitMix64,
                    eligible: np.ndarray | None = None) -> np.ndarray:
     """``count`` distinct pair indices with zero weight, uniform over the
     eligible set (all absent pairs, or ``eligible & absent`` when a mask is
-    given)."""
-    total = values.shape[0]
+    given), in pair order."""
     absent = values == 0.0
     if eligible is not None:
         absent &= eligible
-    available = int(absent.sum())
-    if count > available:
-        raise InputError(
-            f"cannot add {count} edges: only {available} eligible absent pairs"
-        )
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    if available - count >= 0.5 * total:
-        # sparse regime: rejection sampling stays cheap and allocation-free
-        chosen: set[int] = set()
-        picks = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            k = rng.bounded(total)
-            if absent[k] and k not in chosen:
-                chosen.add(k)
-                picks[filled] = k
-                filled += 1
-        return picks
     candidates = np.flatnonzero(absent)
+    if count > candidates.size:
+        raise InputError(
+            f"cannot add {count} edges: only {candidates.size} eligible absent pairs"
+        )
     return rng.choose(candidates, count)
 
 
@@ -93,8 +76,7 @@ def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     graph = dataset.graph
-    rows, cols = np.triu_indices(graph.n, 1)
-    cross = dataset.labels[rows] != dataset.labels[cols]
+    cross = ~same_label_pairs(dataset.labels)
     rng = SplitMix64(seed)
     picks = _sample_absent(graph.values, budget, rng, eligible=cross)
     values = graph.values.copy()

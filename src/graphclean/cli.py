@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file; '#' starts a comment, and a key
+    ('-' and '_' alike) may be given once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -165,7 +166,7 @@ def read_config_file(path: str) -> dict:
         # read_text decodes the whole file at once, so exc.start is a file offset
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}: not UTF-8 text (line {line})") from None
-    values = {}
+    values, lines = {}, {}
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,7 +174,10 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise InputError(f"{path}:{ln}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise InputError(f"{path}:{ln}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value.strip(), ln
     return values
 
 

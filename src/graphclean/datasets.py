@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import WeightVector, pair_count, pair_index, pair_nodes
+from .operators import WeightVector, pair_count, pair_index, pair_nodes, same_label_pairs
 from .rng import SplitMix64
 
 __all__ = [
@@ -401,8 +401,7 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
     labels = np.arange(n, dtype=np.int64) // params.nodes_per_block
     rng = SplitMix64(seed)
 
-    rows, cols = np.triu_indices(n, 1)
-    prob = np.where(labels[rows] == labels[cols], params.p_in, params.p_out)
+    prob = np.where(same_label_pairs(labels), params.p_in, params.p_out)
     values = (rng.uniforms(prob.shape[0]) < prob).astype(np.float64)
 
     features = np.zeros((n, params.feature_dim), dtype=np.float64)

@@ -2,9 +2,11 @@
 
 Pair k of n nodes is pair k of ``numpy.triu_indices(n, 1)`` and pair k+1 of
 :func:`pair_index`; each row's pairs (i, j > i) form one contiguous block.
-:func:`pair_nodes` inverts this order for a few pairs; code that reads every
-pair builds ``triu_indices`` itself, which ``take`` and ``bincount`` use
-without a copy.  No pair-length array is cached, and no n x n matrix is built.
+:func:`pair_nodes` inverts this order for a few pairs, and
+:func:`same_label_pairs` fills a pair mask row block by row block; code that
+reads every pair builds ``triu_indices`` itself, which ``take`` and
+``bincount`` use without a copy.  No pair-length array is cached, and no
+n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "node_count_for_pairs",
     "pair_index",
     "pair_nodes",
+    "same_label_pairs",
 ]
 
 
@@ -73,6 +76,18 @@ def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     starts = _row_starts(n)
     i = np.searchsorted(starts, k, "right") - 1
     return i, k - starts[i] + i + 1
+
+
+def same_label_pairs(labels: np.ndarray) -> np.ndarray:
+    """Boolean pair vector: whether the two nodes of each pair share a label.
+
+    Filled row block by row block, so no pair index is built.
+    """
+    n = labels.shape[0]
+    out = np.empty(pair_count(n), dtype=bool)
+    for i, start in enumerate(_row_starts(n).tolist()):
+        np.equal(labels[i + 1:], labels[i], out=out[start:start + n - 1 - i])
+    return out
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,15 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """Rebuild a config from a report echo, so runs are reproducible.
 
-        Older reports carry keys the denoiser has since lost in their
-        ``denoise`` block.  ``seed`` and ``step_size`` are dropped, as are
-        ``restrict_support = false`` and ``step_mode = "lipschitz"``; other
-        values of those two are refused, since the run they describe can no
-        longer be made.
+        An unknown key, in the echo or in one of its sections, or a missing
+        required key is refused.  Older reports carry keys the denoiser has
+        since lost in their ``denoise`` block.  ``seed`` and ``step_size`` are
+        dropped, as are ``restrict_support = false`` and ``step_mode =
+        "lipschitz"``; other values of those two are refused, since the run
+        they describe can no longer be made.
         """
+        _check_keys("config", payload, cls,
+                    required=("attack", "denoise", "train", "fractions", "repetitions", "seed"))
         sbm = payload.get("sbm")
         denoise_fields = dict(payload["denoise"])
         for key in ("seed", "step_size"):
@@ -137,14 +140,31 @@ class ExperimentConfig:
                 raise InputError(f"denoise.{key} = {value!r} is no longer supported")
         return cls(
             bundle=payload.get("bundle"),
-            sbm=None if sbm is None else SbmParams(**sbm),
-            attack=AttackSpec(**payload["attack"]),
-            denoise=DenoiseConfig(**denoise_fields),
-            train=TrainConfig(**payload["train"]),
+            sbm=None if sbm is None else _section("sbm", sbm, SbmParams),
+            attack=_section("attack", payload["attack"], AttackSpec),
+            denoise=_section("denoise", denoise_fields, DenoiseConfig),
+            train=_section("train", payload["train"], TrainConfig),
             fractions=tuple(payload["fractions"]),
             repetitions=payload["repetitions"],
             seed=payload["seed"],
         )
+
+
+def _check_keys(name: str, payload: dict, cls, required=()) -> None:
+    """Refuse a key of ``payload`` that is not a field of ``cls``, and a
+    missing ``required`` one."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for key in payload:
+        if key not in fields:
+            raise InputError(f"{name}: unknown key {key!r}")
+    for key in required:
+        if key not in payload:
+            raise InputError(f"{name}: missing key {key!r}")
+
+
+def _section(name: str, payload: dict, cls):
+    _check_keys(name, payload, cls)
+    return cls(**payload)
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,20 @@ class SplitMix64:
             arr[i], arr[j] = arr[j], arr[i]
 
     def choose(self, items: np.ndarray, k: int) -> np.ndarray:
-        """k distinct elements, sampled without replacement (partial Fisher-Yates)."""
+        """k distinct elements of ``items``, uniform over the k-subsets, in the
+        order of ``items``.
+
+        Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM
+        1987): exactly k :meth:`bounded` draws and O(k) memory, however large
+        ``items`` is; the items are not copied.
+        """
         if not 0 <= k <= len(items):
             raise ValueError(f"cannot choose {k} items out of {len(items)}")
-        pool = np.array(items)
-        for i in range(k):
-            j = i + self.bounded(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        ranks: set[int] = set()
+        for top in range(len(items) - k, len(items)):
+            r = self.bounded(top + 1)
+            ranks.add(top if r in ranks else r)
+        return np.asarray(items)[sorted(ranks)]
 
 
 def derive_seed(base: int, *parts: int) -> int:

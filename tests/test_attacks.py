@@ -87,6 +87,22 @@ class TestHeterophilicAdd:
         rows, cols = np.triu_indices(ds.n, 1)
         assert np.all(ds.labels[rows[added]] != ds.labels[cols[added]])
 
+    def test_builds_no_pair_index(self):
+        # a full triu_indices index and its two label gathers would peak at
+        # 4.1 float64 pair vectors here; the values copy and the
+        # WeightVector's copy of it are 2
+        params = SbmParams(nodes_per_block=500, blocks=3, p_in=0.02, p_out=0.001,
+                           feature_dim=4, feature_signal=1.0, feature_noise=0.5)
+        ds = generate_sbm(params, 3)
+        tracemalloc.start()
+        try:
+            out = heterophilic_add(ds, 500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.edge_count == ds.graph.edge_count + 500
+        assert peak < 2.5 * ds.graph.values.nbytes
+
     def test_added_pairs_previously_absent(self):
         ds = sbm(p_out=0.02)
         out = heterophilic_add(ds, 25, seed=3)

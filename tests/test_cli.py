@@ -166,6 +166,16 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="run.cfg: unknown key 'iter'"):
             parse_args(["pipeline", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("text, message", [
+        ("iters = 10\niters = 20\n", ":2: key 'iters' repeats line 1$"),
+        ("sbm-size = 5\n# size\nsbm_size = 6\n", ":3: key 'sbm_size' repeats line 1$"),
+    ], ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_key_rejected(self, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match="run.cfg" + message):
+            read_config_file(str(cfg))
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("beta 0.25\n")

@@ -26,6 +26,7 @@ SBM = dict(nodes_per_block=5, blocks=2, p_in=0.5, p_out=0.1, feature_dim=4,
            feature_signal=1.0, feature_noise=0.5)
 OLD_REPORT = {"sbm": SBM, "attack": {}, "train": {}, "fractions": [0.8, 0.1, 0.1],
               "repetitions": 1, "seed": 0, "denoise": {"step_mode": "fixed"}}
+REPORT = {**OLD_REPORT, "denoise": {}}
 
 
 def _train_on_empty_test_split(dataset):
@@ -45,6 +46,12 @@ REFUSALS = {
     "train-nan-lr": lambda ds: TrainConfig(learning_rate=math.nan),
     "experiment-config": lambda ds: ExperimentConfig(),
     "from-dict": lambda ds: ExperimentConfig.from_dict(OLD_REPORT),
+    "from-dict-unknown-key": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "extra": 1}),
+    "from-dict-missing-section": lambda ds: ExperimentConfig.from_dict(
+        {k: v for k, v in REPORT.items() if k != "train"}),
+    "from-dict-unknown-section-key": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "attack": {"strength": 1.0}}),
     "check-finite": lambda ds: check_finite(x=-math.inf),
     "check-fractions": lambda ds: check_fractions((0.5, 0.6, 0.1)),
     "check-weight-threshold": lambda ds: check_weight_threshold(-1.0),
@@ -64,6 +71,16 @@ def test_refusal_is_an_input_error_and_a_value_error(small_dataset, refusal):
     with pytest.raises(ValueError) as raised:
         refusal(small_dataset)
     assert isinstance(raised.value, InputError)
+
+
+@pytest.mark.parametrize("refusal, message", [
+    ("from-dict-unknown-key", "^config: unknown key 'extra'$"),
+    ("from-dict-missing-section", "^config: missing key 'train'$"),
+    ("from-dict-unknown-section-key", "^attack: unknown key 'strength'$"),
+])
+def test_from_dict_names_the_section_and_the_key(small_dataset, refusal, message):
+    with pytest.raises(InputError, match=message):
+        REFUSALS[refusal](small_dataset)
 
 
 def test_bundle_format_error_is_an_input_error():

@@ -15,6 +15,7 @@ from graphclean.operators import (
     pair_count,
     pair_index,
     pair_nodes,
+    same_label_pairs,
 )
 from graphclean.rng import SplitMix64
 
@@ -189,6 +190,15 @@ class TestPairIndex:
         i, j = pair_nodes(k, 5)
         np.testing.assert_array_equal(i, rows[k])
         np.testing.assert_array_equal(j, cols[k])
+
+    def test_same_label_pairs_matches_the_pair_index(self):
+        rng = SplitMix64(21)
+        for n in range(2, 61):
+            labels = (rng.uniforms(n) * 3).astype(np.int64)
+            rows, cols = np.triu_indices(n, 1)
+            mask = same_label_pairs(labels)
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, labels[rows] == labels[cols])
 
     def test_node_count_inverse(self):
         for n in range(2, 40):

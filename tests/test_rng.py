@@ -61,8 +61,53 @@ class TestStream:
         rng = SplitMix64(5)
         picks = rng.choose(np.arange(30), 10)
         assert len(set(picks.tolist())) == 10
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot choose 4 items out of 3"):
             rng.choose(np.arange(3), 4)
+        with pytest.raises(ValueError):
+            rng.choose(np.arange(3), -1)
+
+
+class CountingSplitMix64(SplitMix64):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounded_calls = 0
+
+    def bounded(self, n):
+        self.bounded_calls += 1
+        return super().bounded(n)
+
+
+class TestChoose:
+    def test_uniform_over_two_subsets(self):
+        rng = SplitMix64(2024)
+        draws = 20_000
+        counts = {}
+        for _ in range(draws):
+            pick = tuple(rng.choose(np.arange(5), 2).tolist())
+            counts[pick] = counts.get(pick, 0) + 1
+        assert len(counts) == 10
+        expected = draws / 10
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        # chi-square with 9 degrees of freedom: P(chi2 > 27.88) = 0.001
+        assert chi2 < 27.88
+
+    @pytest.mark.parametrize("k", [0, 1, 20, 40])
+    def test_one_bounded_draw_per_item(self, k):
+        rng = CountingSplitMix64(11)
+        rng.choose(np.arange(40), k)
+        assert rng.bounded_calls == k
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 16, 17])
+    def test_distinct_items_in_the_order_of_items(self, k):
+        items = np.array([5, 90, 12, 3, 77, 41, 8, 66, 23, 50, 1, 34, 99, 60, 18, 2, 71])
+        picks = SplitMix64(k).choose(items, k)
+        assert picks.shape == (k,) and picks.dtype == items.dtype
+        assert len(set(picks.tolist())) == k
+        # every pick is an item, and picks are sorted by their position in items
+        positions = [items.tolist().index(p) for p in picks.tolist()]
+        assert positions == sorted(positions)
+        if k == items.size:
+            np.testing.assert_array_equal(picks, items)
 
 
 class TestDeriveSeed:

@@ -258,7 +258,7 @@ def cmd_denoise(args) -> int:
     (Path(out) / "denoise_result.json").write_text(
         json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"wrote recovered bundle: {out} (iterations={result.iterations_run}, "
-          f"objective={result.objective_trace[-1]:.6g})")
+          f"objective={result.objective_trace[-1]:.6g}, kkt={result.kkt_residual:.3g})")
     return 0
 
 

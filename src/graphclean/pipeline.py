@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -121,30 +122,46 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """Rebuild a config from a report echo, so runs are reproducible.
 
-        An unknown key, in the echo or in one of its sections, or a missing
-        required key is refused.  Older reports carry keys the denoiser has
-        since lost in their ``denoise`` block.  ``seed`` and ``step_size`` are
-        dropped, as are ``restrict_support = false`` and ``step_mode =
-        "lipschitz"``; other values of those two are refused, since the run
-        they describe can no longer be made.
+        An unknown key, in the echo or in one of its sections, a missing
+        required key, or a value whose JSON type does not fit its field (a
+        section that is not an object, ``fractions`` that is not a list of
+        numbers, an integer field holding a string or 2.5) is refused, naming
+        ``section.key``.  Older reports carry keys the denoiser has since lost
+        in their ``denoise`` block.  ``seed`` and ``step_size`` are dropped,
+        as are ``restrict_support = false`` and ``step_mode = "lipschitz"``;
+        other values of those two are refused, since the run they describe
+        can no longer be made.  An old report's ``tol = 0.0`` is accepted and
+        now means "run all ``max_iters``"; the solver has changed since, so
+        such a report reproduces its clean and poisoned arms but not its
+        denoised arm.
         """
-        _check_keys("config", payload, cls,
+        _check_keys("config", _object("config", payload), cls,
                     required=("attack", "denoise", "train", "fractions", "repetitions", "seed"))
         sbm = payload.get("sbm")
-        denoise_fields = dict(payload["denoise"])
+        denoise_fields = dict(_object("denoise", payload["denoise"]))
         for key in ("seed", "step_size"):
             denoise_fields.pop(key, None)
         for key, kept in (("restrict_support", False), ("step_mode", "lipschitz")):
             value = denoise_fields.pop(key, kept)
             if value != kept:
                 raise InputError(f"denoise.{key} = {value!r} is no longer supported")
+        fractions = payload["fractions"]
+        if not isinstance(fractions, (list, tuple)):
+            raise InputError(f"fractions must be a list of numbers, got {fractions!r}")
+        for i, value in enumerate(fractions):
+            _check_type(f"fractions[{i}]", value, float)
+        for key in ("repetitions", "seed"):
+            _check_type(key, payload[key], int)
+        bundle = payload.get("bundle")
+        if bundle is not None:
+            _check_type("bundle", bundle, str)
         return cls(
-            bundle=payload.get("bundle"),
+            bundle=bundle,
             sbm=None if sbm is None else _section("sbm", sbm, SbmParams),
             attack=_section("attack", payload["attack"], AttackSpec),
             denoise=_section("denoise", denoise_fields, DenoiseConfig),
             train=_section("train", payload["train"], TrainConfig),
-            fractions=tuple(payload["fractions"]),
+            fractions=tuple(fractions),
             repetitions=payload["repetitions"],
             seed=payload["seed"],
         )
@@ -162,8 +179,28 @@ def _check_keys(name: str, payload: dict, cls, required=()) -> None:
             raise InputError(f"{name}: missing key {key!r}")
 
 
-def _section(name: str, payload: dict, cls):
-    _check_keys(name, payload, cls)
+# the JSON values a field of each type takes; bool, a subclass of int, is none
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    accepted, expected = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InputError(f"{name} must be {expected}, got {value!r}")
+
+
+def _object(name: str, payload):
+    if not isinstance(payload, dict):
+        raise InputError(f"{name} must be an object, got {payload!r}")
+    return payload
+
+
+def _section(name: str, payload, cls):
+    _check_keys(name, _object(name, payload), cls)
+    types = typing.get_type_hints(cls)
+    for key, value in payload.items():
+        _check_type(f"{name}.{key}", value, types[key])
     return cls(**payload)
 
 
@@ -259,6 +296,7 @@ def run_repetition(config: ExperimentConfig, r: int,
         "denoise": {
             "iterations": result.iterations_run,
             "converged": result.converged,
+            "kkt_residual": result.kkt_residual,
             "final_objective": float(result.objective_trace[-1]),
         },
         "accuracy": accuracies,

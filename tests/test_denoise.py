@@ -1,5 +1,6 @@
-"""Stage 1 solver: distances, coefficients, gradient oracle, descent, KKT."""
+"""Stage 1 solver: distances, coefficients, gradient oracle, ADMM, KKT."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from graphclean.denoise import (
     DenoiseConfig,
     DenoiseDivergence,
     _degrees,
+    _w_step_degrees,
     denoise,
     features_are_binary,
     gradient,
@@ -60,9 +62,10 @@ def dense_gradient(w, c, alpha):
 
 
 def dense_denoise(phi_n, d_p, config, w0=None):
-    """Oracle: the projected-gradient loop with an n x n matrix per iteration,
-    started from the weights read off ``phi_n = L(w_p)``, with the same step
-    and stopping rule as ``denoise``."""
+    """Oracle: projected gradient descent with an n x n matrix per iteration,
+    started from the weights read off ``phi_n = L(w_p)``.  The step is
+    1 / (4 alpha n), the inverse Lipschitz constant, so the objective never
+    rises; it stops once the relative decrease is at most ``config.tol``."""
     n = phi_n.shape[0]
     rows, cols = np.triu_indices(n, 1)
     w = np.maximum(-phi_n[rows, cols], 0.0) if w0 is None else np.maximum(w0, 0.0)
@@ -79,6 +82,25 @@ def dense_denoise(phi_n, d_p, config, w0=None):
             break
         f_prev = f
     return w, np.asarray(trace)
+
+
+def dense_kkt(w, w_p, d_p, alpha, beta):
+    """Oracle: the KKT residual of w >= 0 through n x n matrices, relative to
+    1 + max|c|: |grad f| on the support of w, max(0, -grad f) off it."""
+    phi_n = laplacian_from_weights(w_p)
+    c = 2.0 * alpha * adjoint_of(phi_n) - beta * d_p
+    g = dense_gradient(w, c, alpha)
+    violation = np.where(w > 0.0, np.abs(g), np.maximum(-g, 0.0))
+    return float(violation.max(initial=0.0)) / (1.0 + float(np.max(np.abs(c))))
+
+
+def incidence(n):
+    """Oracle: the n x m matrix S with S w = deg, one column per pair."""
+    rows, cols = np.triu_indices(n, 1)
+    S = np.zeros((n, rows.size))
+    S[rows, np.arange(rows.size)] = 1.0
+    S[cols, np.arange(rows.size)] = 1.0
+    return S
 
 
 def assert_close_to(actual, expected):
@@ -329,8 +351,9 @@ class TestDenoise:
         assert caught.value.iteration == 0
 
     def test_holds_at_most_six_pair_vectors(self):
-        # the loop holds w, spare, scratch, c and the two index arrays; the
-        # copy WeightVector makes of w comes after the others are freed
+        # the loop holds z, the other iterate buffer, u and the two index
+        # arrays; the copy WeightVector makes of z comes after the others are
+        # freed
         n = 613  # an n no other test uses, so nothing is cached
         ds = generate_sbm(SbmParams(nodes_per_block=n, blocks=1, p_in=0.02), seed=5)
         d_p = pairwise_p_distances(ds.features, 2.0)
@@ -347,7 +370,8 @@ class TestDenoise:
         w_p = WeightVector(n=3, values=[1.0, 0.0, 1.0])
         result = denoise(w_p, np.zeros((3, 2)), DenoiseConfig(max_iters=5))
         payload = result.to_json_dict()
-        assert set(payload) == {"iterations", "converged", "objective_trace", "config"}
+        assert set(payload) == {"iterations", "converged", "kkt_residual",
+                                "objective_trace", "config"}
         assert isinstance(payload["objective_trace"], list)
 
 
@@ -386,16 +410,41 @@ class TestPairSpaceMatchesDenseOracle:
         {"max_iters": 5000, "tol": 1e-10},
     ])
     def test_loop(self, options):
+        # the loop's trace, weights and KKT residual against the n x n forms
         rng = SplitMix64(59)
         for _ in range(6):
             n = 2 + rng.bounded(49)
             w_p, d_p, alpha, beta = random_problem(rng, n)
             config = DenoiseConfig(alpha=alpha, beta=beta, **options)
             result = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p)
-            w, trace = dense_denoise(laplacian_from_weights(w_p), d_p, config)
-            assert result.objective_trace.size == trace.size
-            np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12)
-            assert_close_to(result.weights.values, w)
+            phi_n = laplacian_from_weights(w_p)
+            w = result.weights.values
+            trace = result.objective_trace
+            assert trace.size == result.iterations_run + 1
+            assert result.iterations_run <= config.max_iters
+            np.testing.assert_allclose(
+                trace[[0, -1]], [dense_objective(w_p.values, phi_n, d_p, alpha, beta),
+                                 dense_objective(w, phi_n, d_p, alpha, beta)], rtol=1e-12)
+            assert np.all(np.diff(trace) <= 1e-10)
+            kkt = dense_kkt(w, w_p, d_p, alpha, beta)
+            assert abs(result.kkt_residual - kkt) <= 1e-12
+            assert result.converged == (kkt <= config.tol)
+            if not result.converged:
+                assert result.iterations_run == config.max_iters
+
+    def test_objective_matches_a_long_pgd_run(self):
+        rng = SplitMix64(61)
+        for _ in range(4):
+            n = 5 + rng.bounded(26)
+            w_p, d_p, alpha, beta = random_problem(rng, n)
+            config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=1000, tol=1e-10)
+            result = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p)
+            assert result.converged
+            pgd = DenoiseConfig(alpha=alpha, beta=beta, max_iters=50 * n * n, tol=1e-16)
+            w, trace = dense_denoise(laplacian_from_weights(w_p), d_p, pgd)
+            assert dense_kkt(w, w_p, d_p, alpha, beta) <= 1e-8
+            np.testing.assert_allclose(result.objective_trace[-1], trace[-1], rtol=1e-10)
+            np.testing.assert_allclose(result.weights.values, w, atol=1e-6)
 
     def test_seeded_sbm_protocol_run(self):
         params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
@@ -405,10 +454,108 @@ class TestPairSpaceMatchesDenseOracle:
         d_p = pairwise_p_distances(dataset.features, 2.0)
         config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=200)
         result = denoise(poisoned, dataset.features, config, d_p=d_p)
-        w, trace = dense_denoise(laplacian_from_weights(poisoned), d_p, config)
-        assert result.iterations_run == 200
-        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12)
-        assert_close_to(result.weights.values, w)
+        # the default tol of 1e-6 is met well before the cap, at a check
+        assert result.converged and result.iterations_run <= 100
+        assert result.iterations_run % 10 == 0
+        w = result.weights.values
+        assert dense_kkt(w, poisoned, d_p, 1.0, 1.0) <= config.tol
+        assert np.all(np.diff(result.objective_trace) <= 1e-10)
+        tight = denoise(poisoned, dataset.features,
+                        DenoiseConfig(alpha=1.0, beta=1.0, max_iters=1000, tol=1e-11), d_p=d_p)
+        np.testing.assert_allclose(result.objective_trace[-1], tight.objective_trace[-1],
+                                   rtol=1e-9)
+
+
+class TestAdmm:
+    """The pieces of the ADMM loop that no other test isolates."""
+
+    @pytest.mark.parametrize("rho", [1.0, 16.0, 64.0])
+    def test_woodbury_w_step(self, rho):
+        rng = SplitMix64(71)
+        alpha = 0.7
+        a, b = 4.0 * alpha + rho * alpha, 2.0 * alpha
+        for n in range(2, 41):
+            S = incidence(n)
+            rows, cols = np.triu_indices(n, 1)
+            r = 2.0 * rng.uniforms(rows.size) - 1.0
+            expected = np.linalg.solve(a * np.eye(rows.size) + b * S.T @ S, r)
+            y, s_w = _w_step_degrees(S @ r, n, a, b)
+            w = (r - b * (y[rows] + y[cols])) / a
+            assert_close_to(w, expected)
+            assert_close_to(s_w, S @ expected)
+
+    def test_kkt_within_tol_whenever_converged(self):
+        rng = SplitMix64(73)
+        for _ in range(8):
+            n = 3 + rng.bounded(40)
+            w_p, d_p, alpha, beta = random_problem(rng, n)
+            for tol in (1e-2, 1e-4, 1e-6, 1e-9):
+                for max_iters in (15, 100000):
+                    result = denoise(w_p, np.zeros((n, 2)),
+                                     DenoiseConfig(alpha=alpha, beta=beta,
+                                                   max_iters=max_iters, tol=tol), d_p=d_p)
+                    if result.converged:
+                        assert dense_kkt(result.weights.values, w_p, d_p, alpha, beta) <= tol
+                    else:
+                        assert result.iterations_run == max_iters < 100000
+
+    def test_tol_zero_runs_all_iterations(self):
+        rng = SplitMix64(79)
+        w_p, d_p, alpha, beta = random_problem(rng, 12)
+        config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=437, tol=0.0)
+        result = denoise(w_p, np.zeros((12, 2)), config, d_p=d_p)
+        assert result.iterations_run == 437
+        assert result.kkt_residual < 1e-12
+
+    def test_trace_is_monotone_where_the_raw_objective_rises(self, monkeypatch):
+        module = importlib.import_module("graphclean.denoise")
+        rng = SplitMix64(59)
+        for _ in range(2):  # the second instance: n = 19, its raw f(z) rises once
+            w_p, d_p, alpha, beta = random_problem(rng, 2 + rng.bounded(49))
+        n = w_p.n
+        config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=60, tol=0.0)
+        with monkeypatch.context() as patch:
+            # with no safeguard every z is accepted, so the trace is f(z)
+            patch.setattr(module, "_SLACK", np.inf)
+            raw = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p).objective_trace
+        assert np.max(np.diff(raw)) > 1e-3
+        result = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p)
+        assert np.all(np.diff(result.objective_trace) <= 1e-10)
+        assert result.objective_trace[-1] <= raw.min() + 1e-10
+        assert result.objective_trace[-1] == objective(result.weights, w_p, d_p, alpha, beta)
+
+    def test_first_iteration_is_a_projected_gradient_step(self, monkeypatch):
+        # the warm dual u = -grad f(z) / rho makes the first w-step return z
+        module = importlib.import_module("graphclean.denoise")
+        monkeypatch.setattr(module, "_SLACK", np.inf)
+        rng = SplitMix64(83)
+        for _ in range(5):
+            n = 3 + rng.bounded(30)
+            w_p, d_p, alpha, beta = random_problem(rng, n)
+            result = denoise(w_p, np.zeros((n, 2)),
+                             DenoiseConfig(alpha=alpha, beta=beta, max_iters=1), d_p=d_p)
+            c = linear_coefficient(w_p, d_p, alpha, beta)
+            step = w_p.values - gradient(w_p, c, alpha) / (module._RHO * alpha)
+            assert_close_to(result.weights.values, np.maximum(step, 0.0))
+
+    def test_one_degree_pass_per_iteration(self, monkeypatch):
+        module = importlib.import_module("graphclean.denoise")
+        calls = []
+
+        def spy(values, n, cols):
+            calls.append(values.size)
+            return _degrees(values, n, cols)
+
+        monkeypatch.setattr(module, "_degrees", spy)
+        rng = SplitMix64(89)
+        w_p, d_p, alpha, beta = random_problem(rng, 20)
+        for max_iters in (1, 10, 37):
+            calls.clear()
+            result = denoise(w_p, np.zeros((20, 2)),
+                             DenoiseConfig(alpha=alpha, beta=beta, max_iters=max_iters,
+                                           tol=0.0), d_p=d_p)
+            # deg_p and S d_p before the loop, then one per iteration
+            assert len(calls) == 2 + result.iterations_run == 2 + max_iters
 
 
 class TestDenoiseConfig:

@@ -52,6 +52,18 @@ REFUSALS = {
         {k: v for k, v in REPORT.items() if k != "train"}),
     "from-dict-unknown-section-key": lambda ds: ExperimentConfig.from_dict(
         {**REPORT, "attack": {"strength": 1.0}}),
+    "from-dict-section-not-object": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "train": 5}),
+    "from-dict-fractions-not-list": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "fractions": 3}),
+    "from-dict-string-epochs": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "train": {"epochs": "ten"}}),
+    "from-dict-string-repetitions": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "repetitions": "two"}),
+    "from-dict-string-tol": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "denoise": {"tol": "x"}}),
+    "from-dict-fractional-max-iters": lambda ds: ExperimentConfig.from_dict(
+        {**REPORT, "denoise": {"max_iters": 2.5}}),
     "check-finite": lambda ds: check_finite(x=-math.inf),
     "check-fractions": lambda ds: check_fractions((0.5, 0.6, 0.1)),
     "check-weight-threshold": lambda ds: check_weight_threshold(-1.0),
@@ -77,10 +89,22 @@ def test_refusal_is_an_input_error_and_a_value_error(small_dataset, refusal):
     ("from-dict-unknown-key", "^config: unknown key 'extra'$"),
     ("from-dict-missing-section", "^config: missing key 'train'$"),
     ("from-dict-unknown-section-key", "^attack: unknown key 'strength'$"),
+    ("from-dict-section-not-object", "^train must be an object, got 5$"),
+    ("from-dict-fractions-not-list", "^fractions must be a list of numbers, got 3$"),
+    ("from-dict-string-epochs", "^train.epochs must be an integer, got 'ten'$"),
+    ("from-dict-string-repetitions", "^repetitions must be an integer, got 'two'$"),
+    ("from-dict-string-tol", "^denoise.tol must be a number, got 'x'$"),
+    ("from-dict-fractional-max-iters", "^denoise.max_iters must be an integer, got 2.5$"),
 ])
 def test_from_dict_names_the_section_and_the_key(small_dataset, refusal, message):
     with pytest.raises(InputError, match=message):
         REFUSALS[refusal](small_dataset)
+
+
+def test_from_dict_keeps_an_old_zero_tol():
+    # tol = 0.0, the old default, now runs all max_iters
+    config = ExperimentConfig.from_dict({**REPORT, "denoise": {"tol": 0.0, "max_iters": 7}})
+    assert (config.denoise.tol, config.denoise.max_iters) == (0.0, 7)
 
 
 def test_bundle_format_error_is_an_input_error():

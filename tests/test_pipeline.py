@@ -59,7 +59,7 @@ CONFIG_ECHO = """{
     "beta": 1.0,
     "p": 2.0,
     "max_iters": 100,
-    "tol": 0.0
+    "tol": 1e-06
   },
   "train": {
     "hidden": 8,

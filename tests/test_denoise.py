@@ -538,6 +538,38 @@ class TestAdmm:
             step = w_p.values - gradient(w_p, c, alpha) / (module._RHO * alpha)
             assert_close_to(result.weights.values, np.maximum(step, 0.0))
 
+    def test_a_short_run_descends_where_the_iterates_rise(self, monkeypatch):
+        # on this poisoned n = 300 SBM the first z, a projected gradient step
+        # of length 1 / rho, overshoots, and the next three z stay above f(w_p)
+        module = importlib.import_module("graphclean.denoise")
+        params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
+                           feature_dim=8, feature_signal=1.0, feature_noise=0.5)
+        dataset = generate_sbm(params, 61)
+        w_p = heterophilic_add(dataset, dataset.graph.edge_count // 4, 62)
+        d_p = pairwise_p_distances(dataset.features, 2.0)
+        config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=4, tol=0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_GAIN", np.inf)  # no segment search
+            held = denoise(w_p, dataset.features, config, d_p=d_p).objective_trace
+        assert np.all(held == held[0])
+        _, pgd = dense_denoise(laplacian_from_weights(w_p), d_p, config)
+        assert pgd[-1] < pgd[0]
+        runs = {k: denoise(w_p, dataset.features,
+                           DenoiseConfig(alpha=1.0, beta=1.0, max_iters=k, tol=0.0), d_p=d_p)
+                for k in (1, 4)}
+        for result in runs.values():
+            assert result.objective_trace[-1] < 0.99 * result.objective_trace[0]
+        # one iteration lands on the minimum of f on the segment from w_p to z
+        c = linear_coefficient(w_p, d_p, 1.0, 1.0)
+        z = np.maximum(w_p.values - gradient(w_p, c, 1.0) / module._RHO, 0.0)
+        f = [objective(w_p.values + t * (z - w_p.values), w_p, d_p, 1.0, 1.0)
+             for t in (0.0, 0.5, 1.0)]
+        quad = 2.0 * (f[0] - 2.0 * f[1] + f[2])
+        theta = (f[0] - f[2] + quad) / (2.0 * quad)
+        assert 0.0 < theta < 0.5
+        expected = w_p.values + theta * (z - w_p.values)
+        np.testing.assert_allclose(runs[1].weights.values, expected, rtol=0.0, atol=1e-9)
+
     def test_one_degree_pass_per_iteration(self, monkeypatch):
         module = importlib.import_module("graphclean.denoise")
         calls = []

@@ -41,9 +41,8 @@ from .pipeline import (
     SWEEPABLE,
     PipelineStageError,
     apply_attack,
-    run_configs,
     run_pipeline,
-    sweep_configs,
+    sweep,
     write_report_csv,
     write_report_json,
 )
@@ -301,7 +300,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_sweep(args) -> int:
     parameter, values = _require(args, "sweep_param"), _require(args, "values")
-    reports = run_configs(sweep_configs(_experiment_config(args), parameter, values))
+    reports = sweep(_experiment_config(args), parameter, values)
     if args.out:
         write_report_json(reports, args.out)
     if args.csv:

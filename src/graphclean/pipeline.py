@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -78,7 +77,8 @@ class AttackSpec:
 
     ``random`` adds floor(rate * |E|) edges.  ``heterophilic`` adds ``budget``
     cross-label edges, or floor(rate * |E|) of them when budget == 0, so
-    intensity can be stated relative to the clean edge count.
+    intensity can be stated relative to the clean edge count.  A rate or a
+    budget that the kind ignores is refused.
     """
 
     kind: str = "none"
@@ -96,6 +96,10 @@ class AttackSpec:
         if self.budget and self.kind != "heterophilic":
             raise InputError(f"budget applies to the heterophilic attack only, "
                              f"got budget {self.budget} with kind {self.kind!r}")
+        if self.rate and (self.kind == "none" or self.budget):
+            raise InputError(f"rate applies to the random attack and to the heterophilic "
+                             f"attack without a budget, got rate {self.rate} with kind "
+                             f"{self.kind!r} and budget {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -117,91 +121,6 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise InputError(f"repetitions must be >= 1, got {self.repetitions}")
         check_fractions(self.fractions)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        """Rebuild a config from a report echo, so runs are reproducible.
-
-        An unknown key, in the echo or in one of its sections, a missing
-        required key, or a value whose JSON type does not fit its field (a
-        section that is not an object, ``fractions`` that is not a list of
-        numbers, an integer field holding a string or 2.5) is refused, naming
-        ``section.key``.  Older reports carry keys the denoiser has since lost
-        in their ``denoise`` block.  ``seed`` and ``step_size`` are dropped,
-        as are ``restrict_support = false`` and ``step_mode = "lipschitz"``;
-        other values of those two are refused, since the run they describe
-        can no longer be made.  An old report's ``tol = 0.0`` is accepted and
-        now means "run all ``max_iters``"; the solver has changed since, so
-        such a report reproduces its clean and poisoned arms but not its
-        denoised arm.
-        """
-        _check_keys("config", _object("config", payload), cls,
-                    required=("attack", "denoise", "train", "fractions", "repetitions", "seed"))
-        sbm = payload.get("sbm")
-        denoise_fields = dict(_object("denoise", payload["denoise"]))
-        for key in ("seed", "step_size"):
-            denoise_fields.pop(key, None)
-        for key, kept in (("restrict_support", False), ("step_mode", "lipschitz")):
-            value = denoise_fields.pop(key, kept)
-            if value != kept:
-                raise InputError(f"denoise.{key} = {value!r} is no longer supported")
-        fractions = payload["fractions"]
-        if not isinstance(fractions, (list, tuple)):
-            raise InputError(f"fractions must be a list of numbers, got {fractions!r}")
-        for i, value in enumerate(fractions):
-            _check_type(f"fractions[{i}]", value, float)
-        for key in ("repetitions", "seed"):
-            _check_type(key, payload[key], int)
-        bundle = payload.get("bundle")
-        if bundle is not None:
-            _check_type("bundle", bundle, str)
-        return cls(
-            bundle=bundle,
-            sbm=None if sbm is None else _section("sbm", sbm, SbmParams),
-            attack=_section("attack", payload["attack"], AttackSpec),
-            denoise=_section("denoise", denoise_fields, DenoiseConfig),
-            train=_section("train", payload["train"], TrainConfig),
-            fractions=tuple(fractions),
-            repetitions=payload["repetitions"],
-            seed=payload["seed"],
-        )
-
-
-def _check_keys(name: str, payload: dict, cls, required=()) -> None:
-    """Refuse a key of ``payload`` that is not a field of ``cls``, and a
-    missing ``required`` one."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    for key in payload:
-        if key not in fields:
-            raise InputError(f"{name}: unknown key {key!r}")
-    for key in required:
-        if key not in payload:
-            raise InputError(f"{name}: missing key {key!r}")
-
-
-# the JSON values a field of each type takes; bool, a subclass of int, is none
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string")}
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    accepted, expected = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise InputError(f"{name} must be {expected}, got {value!r}")
-
-
-def _object(name: str, payload):
-    if not isinstance(payload, dict):
-        raise InputError(f"{name} must be an object, got {payload!r}")
-    return payload
-
-
-def _section(name: str, payload, cls):
-    _check_keys(name, _object(name, payload), cls)
-    types = typing.get_type_hints(cls)
-    for key, value in payload.items():
-        _check_type(f"{name}.{key}", value, types[key])
-    return cls(**payload)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,8 @@ class TestBadInput:
          "budget applies to the heterophilic attack only, got budget 5 with kind 'random'"),
         (["pipeline", "--budget", "5"] + SMALL_RUN, (pipeline, "run_repetition"),
          "got budget 5 with kind 'none'"),
+        (["pipeline", "--rate", "0.5"] + SMALL_RUN, (pipeline, "run_repetition"),
+         "got rate 0.5 with kind 'none' and budget 0"),
         (["denoise", "--bundle", "{bundle}", "--threshold", "-1", "--out", "{tmp}/out"],
          (cli, "load_bundle"), "weight threshold must be finite and >= 0, got -1.0"),
         (["denoise", "--bundle", "{bundle}", "--threshold", "nan", "--out", "{tmp}/out"],
@@ -332,7 +334,7 @@ class TestBadInput:
          (cli, "load_bundle"), "weight threshold must be finite and >= 0, got inf"),
         (["train", "--bundle", "{bundle}", "--epochs", "0"], (cli, "load_bundle"),
          "epochs must be >= 1, got 0"),
-    ], ids=["sweep-beta", "sweep-p", "attack-p", "random-budget", "none-budget",
+    ], ids=["sweep-beta", "sweep-p", "attack-p", "random-budget", "none-budget", "none-rate",
             "negative-threshold", "nan-threshold", "inf-threshold", "train-epochs"])
     def test_flag_value_refused_before_work(self, tmp_path, bundle_dir, capsys, monkeypatch,
                                             argv, target, message):

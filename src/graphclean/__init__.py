@@ -1,7 +1,7 @@
 """graphclean: p-Laplacian graph denoising plus a two-layer GCN, end to end.
 
 Stage 1 recovers non-negative edge weights from a poisoned graph's pair
-weights by ADMM on a fidelity + p-Dirichlet objective;
+weights by dual semismooth Newton on a fidelity + p-Dirichlet objective;
 Stage 2 trains a from-scratch GCN on the recovered graph.  See the README for the
 CLI and the experiment harness.
 """

@@ -269,7 +269,7 @@ def cmd_train(args) -> int:
     if split is None:
         split = split_nodes(dataset.n, args.fractions, args.seed)
     a_hat = normalize_adjacency(dataset.graph)
-    _, report = train(dataset, a_hat, split, config)
+    _, report = train(dataset, a_hat, split, config, args.seed)
     if args.out:
         write_report_json(report, args.out)
     print(f"test accuracy {report.test_accuracy:.4f} "

@@ -15,38 +15,42 @@ S w = deg the weighted node degrees and (i, j) the nodes of pair k,
     [L*(L w)]_k            = 2 w_k + deg[i] + deg[j]
     ||L(w) - L(w_p)||_F^2  = ||deg - deg_p||^2 + 2 ||w - w_p||^2
 
-so H = 2 alpha (2 I + S^T S), whose condition number is about n.  The solver
-is scaled-form ADMM on the split w = z, z >= 0 (Boyd et al., FnT ML 2011,
-sections 4.2 and 5), with penalty rho:
+so H = 2 alpha (2 I + S^T S), whose condition number is about n.  Only the
+degrees couple the pairs, so the solver runs semismooth Newton-CG on the
+n-dimensional dual of the split e = S w (Qi & Sun, Math. Prog. 1993; Li, Sun &
+Toh, SIAM J. Optim. 2018 treat the Lasso so).  At a dual point lambda the
+Lagrangian's minimiser over w >= 0 is found pair by pair,
 
-    w <- (H + rho I)^-1 (c + rho (z - u)),   z <- max(0, w + u),   u <- u + w - z.
+    w(lambda)_k = max(0, w_p[k] - (beta d_p[k] + lambda[i] + lambda[j]) / 4 alpha),
 
-The w-step has a closed form, since S S^T = (n - 2) I + J.  With r the
-right-hand side, a = 4 alpha + rho, b = 2 alpha, gamma = a + b (n - 2) and
-s = S r, the Woodbury identity gives
+the concave dual is g(lambda) = f(w(lambda)) - alpha ||grad g||^2 with
+grad g = S w(lambda) - deg_p - lambda / 2 alpha, and its generalized Hessian
+-(S D S^T / 4 alpha + I / 2 alpha), D selecting the pairs where w(lambda) > 0,
+is always definite.  CG preconditioned with its diagonal gives each Newton
+direction.  The line search halves the step from 1 until g rises by Armijo's
+share of the predicted ascent, or still rises along the direction (near the
+optimum g's value loses precision, its slope does not).
 
-    y = (s - b sum(s) / (gamma + b n)) / gamma,   w_k = (r_k - b (y[i] + y[j])) / a,
+An iteration is one pass over blocks of pairs that evaluates w(lambda) at one
+trial point, O(n^2 / 2) with no n x n matrix; w(lambda) is kept as sparse
+per-block lists.  On its support the gradient of f is 2 alpha (grad_i g +
+grad_j g) and off it at least that, so 4 alpha ||grad g||_inf bounds its KKT
+residual.  Once that bound meets ``tol``, one pass computes the exact residual
+of the returned point, and the loop stops if that meets it too.
 
-and S r, S w are O(n) updates of the degrees, so an iteration costs one
-degree pass on the new z and one fused, blocked pass over the pair vectors:
-O(n^2 / 2), with no n x n matrix.  The dual starts at u = -grad f(z_0) / rho,
-which makes the first iteration a projected gradient step of length 1 / rho.
-
-ADMM's f(z) is not monotone, so the loop keeps the best point seen (as
-monotone FISTA does, Beck & Teboulle 2009): a new z is accepted when its
-objective is at most ``_SLACK`` above the best.  A z that is not accepted is
-searched toward: f is quadratic, so its minimum on the segment from the best
-point to z is exact, and the best point moves there when that lowers f.  The
-first z is a projected gradient step from the start, and its direction
-descends unless the start is a solution.  So one iteration lowers f even when
-that step overshoots: its length is 1 / rho, while only 1 / (4 alpha n) is
-safe for every input, and the next few z can stay above the start.  The trace
-records the best objective, and the best point is returned.  The loop stops
-once its KKT residual, relative to 1 + max|c|, is at most ``tol``.
+The points w(lambda) do not descend, so the loop keeps the best point seen (as
+monotone FISTA does, Beck & Teboulle 2009), which w(lambda) replaces when its
+objective is at most ``_SLACK`` above the best.  Otherwise, if the line search
+accepted lambda, the best point moves to the minimum of f on the segment
+toward w(lambda), which is exact since f is quadratic.  Rejected trial points
+are not searched toward, as their support can be far larger than the
+solution's.  The trace records the best objective, and the best point is
+returned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -80,10 +84,12 @@ class DenoiseDivergence(RuntimeError):
 class DenoiseConfig:
     """Hyper-parameters of the noise-removal problem and its solver.
 
+    ``max_iters`` caps the solver's iterations, each one pass over the pairs
+    that evaluates w(lambda) at one trial point of the dual Newton method.
     ``tol`` bounds the KKT residual of the returned weights, relative to
-    1 + max|c| with c the gradient's constant part: the solver checks it
-    every 10 iterations and at ``max_iters``, and stops once it is met (0
-    runs all ``max_iters``).
+    1 + max|c| with c the gradient's constant part: the solver stops once the
+    O(n) bound on that residual and then the exact residual meet it (0 runs
+    all ``max_iters``).
     """
 
     alpha: float = 1.0
@@ -231,8 +237,8 @@ def _degrees(values: np.ndarray, n: int, cols: np.ndarray) -> np.ndarray:
     return deg
 
 
-def _objective(values, deg, w_p, deg_p, d_p, alpha, beta, scratch=None) -> float:
-    r = np.subtract(values, w_p, out=scratch)
+def _objective(values, deg, w_p, deg_p, d_p, alpha, beta) -> float:
+    r = values - w_p
     return _value(deg, r @ r, values @ d_p, deg_p, alpha, beta)
 
 
@@ -276,17 +282,16 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     return _gradient(values, _degrees(values, n, index[1]), c, alpha, index)
 
 
-# ADMM penalty rho as a multiple of alpha; 4 and 64 took 1.6 to 2.4 times as
-# many iterations to KKT 1e-6 on poisoned SBMs with n = 300 and n = 1000
-_RHO = 16.0
-# iterations between KKT checks
-_CHECK_EVERY = 10
-# a new z is kept when f(z) <= f_best + _SLACK; with no slack the best z
-# stalled at KKT 4e-12 to 3e-10 on 3 of the gate's 20 instances (tol 1e-12)
+# a w(lambda) replaces the best point when f <= f_best + _SLACK; with no slack
+# 6 of the gate's 20 instances stalled at KKT 5e-12 to 3e-9 (tol 1e-12)
 _SLACK = 1e-11
-# a rejected z is searched toward only when the predicted gain exceeds this
-# share of 1 + f_best, far above the rounding of f, so f falls wherever it moves
+# an accepted w(lambda) is searched toward only when the predicted gain exceeds
+# this share of 1 + f_best, far above the rounding of f, so f falls wherever it moves
 _GAIN = 1e-9
+# Armijo's share of the predicted ascent that a step of the dual line search must reach
+_ARMIJO = 1e-4
+# CG steps per Newton direction, at most
+_CG_STEPS = 200
 # pairs per block of the element-wise passes, which keeps their scratch in cache
 _BLOCK = 8192
 
@@ -298,17 +303,17 @@ def _blocks(m: int):
 
 def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             d_p: np.ndarray | None = None, w0: np.ndarray | None = None) -> DenoiseResult:
-    """Safeguarded ADMM on the noise-removal objective.
+    """Semismooth Newton on the n-dimensional dual of the noise-removal objective.
 
-    ``w_p`` holds the poisoned graph's pair weights; the solver starts from
-    it unless ``w0`` is given.  ``d_p`` may be passed in to reuse a
-    precomputed distance vector (it is recomputed from ``X`` otherwise;
-    skipped entirely when beta == 0).
+    ``w_p`` holds the poisoned graph's pair weights, and the dual starts at
+    lambda = 0.  ``w0`` (default ``w_p``) is the first best point.  ``d_p``
+    may be passed in to reuse a precomputed distance vector (it is recomputed
+    from ``X`` otherwise; skipped entirely when beta == 0).
 
     The returned trace has the initial objective at index 0 and the best
-    objective after each iteration; it is non-increasing up to 1e-11 slack
-    per step.  The weights are the best point, and ``kkt_residual`` is its
-    KKT residual relative to 1 + max|c|.
+    objective after each pass; it is non-increasing up to 1e-11 slack per
+    pass.  The weights are the best point, and ``kkt_residual`` is its KKT
+    residual relative to 1 + max|c|.
     """
     n = w_p.n
     X = np.asarray(X, dtype=np.float64)
@@ -322,159 +327,178 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     else:
         d_p = np.asarray(d_p, dtype=np.float64)
     target = w_p.values
-    z = np.maximum(target if w0 is None else np.asarray(w0, dtype=np.float64), 0.0)
-    _check_pair_shapes(n, d_p, z)
+    best = np.maximum(target if w0 is None else np.asarray(w0, dtype=np.float64), 0.0)
+    _check_pair_shapes(n, d_p, best)
     alpha, beta = config.alpha, config.beta
-    rho = _RHO * alpha
-    a, b = 4.0 * alpha + rho, 2.0 * alpha
-    steps = (4.0 * alpha / a, rho / a, beta / a)
 
+    m = pair_count(n)
     index = np.triu_indices(n, 1)
-    cols = index[1]
-    # bincount copies a read-only weight vector, so both degree vectors are
-    # built before the loop's buffers exist
-    deg_p = _degrees(target, n, cols)
-    deg_d = _degrees(d_p, n, cols)
-    deg_z = deg_p if w0 is None else _degrees(z, n, cols)
-    # the loop allocates no pair vector.  z, the other iterate buffer and u
-    # are allocated each on its own: one block of all three is past glibc's
-    # 32 MB mmap ceiling at n = 2485, so it never reuses freed heap memory
-    u, other = np.empty_like(z), np.empty_like(z)
-    buffers = [np.empty(min(_BLOCK, z.size)) for _ in range(3)]
+    deg_p = _degrees(target, n, index[1])
+    deg_best = deg_p if w0 is None else _degrees(best, n, index[1])
+    buffers = [np.empty(min(_BLOCK, m)) for _ in range(3)]
     problem = (target, deg_p, d_p, alpha, beta, index, buffers)
-
-    # warm dual u = -grad f(z) / rho, and the KKT scale 1 + max|c|
-    c_max = 0.0
-    for blk, c, g in _gradient_blocks(z, deg_z, *problem):
-        c_max = max(c_max, float(np.abs(c, out=c).max()))
-        np.multiply(g, -1.0 / rho, out=u[blk])
-    scale = 1.0 + c_max
-    f_best = _objective(z, deg_z, target, deg_p, d_p, alpha, beta, other)
+    f_best = _objective(best, deg_best, target, deg_p, d_p, alpha, beta)
     if not np.isfinite(f_best):
         raise DenoiseDivergence(0)
-    # S c and S u = -S grad f(z) / rho in O(n), from S S^T = (n - 2) I + J
-    s_c = 2.0 * alpha * (n * deg_p + deg_p.sum()) - beta * deg_d
-    deg_u = (s_c - 2.0 * alpha * (n * deg_z + deg_z.sum())) / rho
+    target_sq = float(target @ target)
 
-    best, deg_best = z, deg_z
     trace = [f_best]
-    kkt = np.inf
-    iterations = 0
+    # the zero step makes the first pass evaluate lambda = 0 and accept it
+    lam, g_lam = np.zeros(n), 0.0
+    step, size, slope = np.zeros(n), 1.0, 0.0
+    converged, kkt_at = False, 0
     for t in range(1, config.max_iters + 1):
-        s = s_c + rho * (deg_z - deg_u)
-        y, s_w = _w_step_degrees(s, n, a, b)
-        # r = c + rho (z - u) with c = 4 alpha w_p - beta d_p + b S^T deg_p;
-        # the S^T term folds into y, so w_k = (r'_k - b (y'[i] + y'[j])) / a
-        # with r' = r - b S^T deg_p and y' = y - deg_p.  Each block of z is
-        # read before the new z is written over it, so a rejected z is
-        # overwritten in place and an accepted one is kept
-        nxt = other if z is best else z
-        sq, zd = _admm_pass(z, u, nxt, (y - deg_p) * (b / a), steps, target, d_p,
-                            index, buffers)
-        if nxt is other:
-            other = z
-        z = nxt
-        deg_z = _degrees(z, n, cols)
-        deg_u += s_w - deg_z
-        f = _value(deg_z, sq, zd, deg_p, alpha, beta)
+        trial = lam + size * step
+        blocks = None  # the last w(lambda) is freed before the pass builds the next
+        blocks, deg, sq, wd, c_max = _primal_point(trial, *problem, with_c_max=t == 1)
+        if t == 1:
+            scale = 1.0 + c_max
+        sq += target_sq
+        f = _value(deg, sq, wd, deg_p, alpha, beta)
         if not np.isfinite(f):
             raise DenoiseDivergence(t)
+        # g(lambda) = f(w(lambda)) - alpha ||grad g||^2 is the dual's value
+        grad = deg - deg_p - trial / (2.0 * alpha)
+        g = f - alpha * float(grad @ grad)
+        accepted = g >= g_lam + _ARMIJO * size * slope or float(grad @ step) >= 0.0
         if f <= f_best + _SLACK:
-            best, deg_best, f_best = z, deg_z, f
-        else:
-            # f(best + theta (z - best)) = f_best + lin theta + quad theta^2
-            sd = deg_z - deg_best
-            quad = alpha * (sd @ sd + 2.0 * _squared_distance(z, best, buffers))
+            for blk, (on, w) in zip(_blocks(m), blocks):
+                best[blk] = 0.0
+                best[blk][on] = w
+            deg_best, f_best = deg, f
+        elif accepted:
+            # f(best + theta (w - best)) = f_best + lin theta + quad theta^2
+            sd = deg - deg_best
+            e_sq = sum(float(e @ e) for _, e in _toward(best, blocks, buffers))
+            quad = alpha * (sd @ sd + 2.0 * e_sq)
             lin = f - f_best - quad
             if lin < 0.0 and lin * lin > 4.0 * quad * _GAIN * (1.0 + f_best):
                 theta = -lin / (2.0 * quad)
-                sq, zd = _move_toward(best, z, theta, target, d_p, buffers)
+                sq, wd = _move_toward(best, blocks, theta, target, d_p, buffers)
                 deg_best = deg_best + theta * sd
-                f_best = _value(deg_best, sq, zd, deg_p, alpha, beta)
+                f_best = _value(deg_best, sq, wd, deg_p, alpha, beta)
         trace.append(f_best)
-        iterations = t
-        if t == config.max_iters or (config.tol > 0.0 and t % _CHECK_EVERY == 0):
-            kkt = _kkt_residual(best, deg_best, *problem) / scale
+        if not accepted:
+            size *= 0.5
+            continue
+        lam, g_lam = trial, g
+        # 4 alpha |grad g|_inf bounds the KKT residual of w(lambda)
+        if config.tol > 0.0 and 4.0 * alpha * np.abs(grad).max() <= config.tol * scale:
+            kkt, kkt_at = _kkt_residual(best, deg_best, *problem) / scale, t
             if kkt <= config.tol:
+                converged = True
                 break
+        if t < config.max_iters:
+            active = np.concatenate([on + blk.start
+                                     for blk, (on, _) in zip(_blocks(m), blocks)])
+            step = _newton_direction(grad, index[0][active], index[1][active], alpha)
+            slope, size = float(grad @ step), 1.0
+    if kkt_at != t:
+        kkt = _kkt_residual(best, deg_best, *problem) / scale
 
     # WeightVector copies the best point: free the loop's other pair vectors first
-    del problem, index, cols, u, other, z, nxt, d_p
+    del problem, index, blocks, d_p
     return DenoiseResult(
         weights=WeightVector(n=n, values=best),
         objective_trace=np.asarray(trace),
-        iterations_run=iterations,
-        converged=bool(kkt <= config.tol),
+        iterations_run=t,
+        converged=converged,
         kkt_residual=float(kkt),
         config=config,
     )
 
 
-def _admm_pass(z, u, out, yb, steps, target, d_p, index, buffers):
-    """The w-, z- and u-steps, fused into one pass over blocks of pairs.
+def _primal_point(lam, target, deg_p, d_p, alpha, beta, index, buffers, with_c_max=False):
+    """w(lambda)_k = max(0, w_p,k - (beta d_k + lambda_i + lambda_j) / 4 alpha),
+    the minimiser of the Lagrangian over w >= 0, in one pass over blocks of pairs.
 
-    With ``yb`` = b y' / a and ``steps`` = (4 alpha, rho, beta) / a, v = w + u
-    is (rho z + 4 alpha (u + w_p) - beta d_p) / a - yb[i] - yb[j], since
-    1 - rho / a = 4 alpha / a.  Writes z = max(0, v) into ``out`` (which may
-    be ``z``) and u = v - z = min(0, v) over ``u``; returns ||z - w_p||^2 and
-    <z, d_p> for the objective.
+    w(lambda) is returned sparse, as one (indices in the block, values) pair
+    per block, with its degrees, ||w - w_p||^2 - ||w_p||^2, <w, d_p> and, with
+    ``with_c_max``, max|c| (0 otherwise).
     """
-    t1, t2, _ = buffers
+    t1, t2, t3 = buffers
     rows, cols = index
-    sq = zd = 0.0
-    for blk in _blocks(z.size):
+    n = lam.size
+    mu = lam / (4.0 * alpha)
+    deg = np.zeros(n)
+    blocks, sq, wd, c_max = [], 0.0, 0.0, 0.0
+    for blk in _blocks(target.size):
         k = blk.stop - blk.start
-        zb, ub, pb, db = z[blk], u[blk], target[blk], d_p[blk]
-        v = np.add(ub, pb, out=t1[:k])
-        v *= steps[0]
-        v += np.multiply(zb, steps[1], out=t2[:k])
-        v -= np.multiply(db, steps[2], out=t2[:k])
-        v -= yb.take(rows[blk], out=t2[:k], mode="clip")
-        v -= yb.take(cols[blk], out=t2[:k], mode="clip")
-        zb = np.maximum(v, 0.0, out=out[blk])
-        np.minimum(v, 0.0, out=ub)
-        e = np.subtract(zb, pb, out=t2[:k])
-        sq += float(e @ e)
-        zd += float(zb @ db)
-    return sq, zd
+        r, c, pb, db = rows[blk], cols[blk], target[blk], d_p[blk]
+        if with_c_max:
+            cb = _gradient(pb, deg_p, np.multiply(db, beta, out=t1[:k]), alpha, (r, c),
+                           t2[:k], t3[:k])
+            c_max = max(c_max, float(np.abs(cb, out=cb).max()))
+        v = mu.take(r, out=t1[:k], mode="clip")
+        v += mu.take(c, out=t2[:k], mode="clip")
+        v += np.multiply(db, beta / (4.0 * alpha), out=t2[:k])
+        v = np.subtract(pb, v, out=v)
+        on = np.flatnonzero(v > 0.0)
+        w = v[on]
+        sq += float(w @ (w - 2.0 * pb[on]))
+        wd += float(w @ db[on])
+        deg += np.bincount(r[on], w, n)
+        deg += np.bincount(c[on], w, n)
+        # block-local indices fit in 32 bits and halve the list's index memory
+        blocks.append((on.astype(np.int32), w))
+    return blocks, deg, sq, wd, c_max
 
 
-def _squared_distance(x, y, buffers) -> float:
-    """||x - y||^2, a block at a time."""
-    t1, _, _ = buffers
-    total = 0.0
-    for blk in _blocks(x.size):
-        e = np.subtract(x[blk], y[blk], out=t1[:blk.stop - blk.start])
-        total += float(e @ e)
-    return total
+def _dual_hessian(x, r, c, alpha):
+    """(S D S^T / 4 alpha + I / 2 alpha) x, the negated generalized Hessian of
+    the dual, where D selects the active pairs, whose nodes are ``r`` and ``c``."""
+    n = x.size
+    y = x.take(r)
+    y += x.take(c)
+    return (np.bincount(r, y, n) + np.bincount(c, y, n) + 2.0 * x) / (4.0 * alpha)
 
 
-def _move_toward(best, z, theta, target, d_p, buffers):
-    """best += theta (z - best), in place and a block at a time; returns
+def _newton_direction(grad, r, c, alpha):
+    """The Newton direction (S D S^T / 4 alpha + I / 2 alpha)^-1 grad, by CG
+    with the Hessian's diagonal as preconditioner, to a relative residual of
+    min(1e-2, ||grad||)."""
+    n = grad.size
+    inv_diag = 4.0 * alpha / (np.bincount(r, minlength=n) + np.bincount(c, minlength=n) + 2.0)
+    norm = math.sqrt(grad @ grad)
+    stop = min(1e-2, norm) * norm
+    x, res = np.zeros(n), grad.copy()
+    z = inv_diag * res
+    p, rz = z, res @ z
+    for _ in range(_CG_STEPS):
+        if math.sqrt(res @ res) <= stop:
+            break
+        hp = _dual_hessian(p, r, c, alpha)
+        a = rz / (p @ hp)
+        x += a * p
+        res -= a * hp
+        z = inv_diag * res
+        rz, rz_old = res @ z, rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
+def _toward(best, blocks, buffers):
+    """Yield, for each block of pairs, its slice and w - best for a w given as
+    per-block lists; the difference is built in the first block buffer."""
+    t1 = buffers[0]
+    for blk, (on, w) in zip(_blocks(best.size), blocks):
+        e = np.negative(best[blk], out=t1[:blk.stop - blk.start])
+        e[on] += w
+        yield blk, e
+
+
+def _move_toward(best, blocks, theta, target, d_p, buffers):
+    """best += theta (w - best), in place and a block at a time; returns
     ||best - w_p||^2 and <best, d_p> for the objective."""
-    t1, _, _ = buffers
-    sq = zd = 0.0
-    for blk in _blocks(z.size):
-        k = blk.stop - blk.start
+    sq = wd = 0.0
+    for blk, e in _toward(best, blocks, buffers):
         bb = best[blk]
-        e = np.subtract(z[blk], bb, out=t1[:k])
         e *= theta
         bb += e
-        e = np.subtract(bb, target[blk], out=t1[:k])
+        e = np.subtract(bb, target[blk], out=e)
         sq += float(e @ e)
-        zd += float(bb @ d_p[blk])
-    return sq, zd
-
-
-def _w_step_degrees(s: np.ndarray, n: int, a: float, b: float):
-    """The O(n) part of w = (a I + b S^T S)^-1 r, given s = S r.
-
-    Returns y = (a I + b S S^T)^-1 s, so that w_k = (r_k - b (y[i] + y[j])) / a
-    (Woodbury), and S w = (s - b S S^T y) / a; both use S S^T = (n - 2) I + J.
-    """
-    gamma = a + b * (n - 2)
-    y = (s - b * s.sum() / (gamma + b * n)) / gamma
-    return y, (s - b * ((n - 2) * y + y.sum())) / a
+        wd += float(bb @ d_p[blk])
+    return sq, wd
 
 
 def _gradient_blocks(w, deg, target, deg_p, d_p, alpha, beta, index, buffers):

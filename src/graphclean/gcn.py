@@ -71,7 +71,6 @@ class TrainConfig:
     epochs: int = 250
     learning_rate: float = 1e-2
     weight_decay: float = 5e-4
-    seed: int = 0
 
     def __post_init__(self):
         check_finite(learning_rate=self.learning_rate, weight_decay=self.weight_decay)
@@ -289,11 +288,12 @@ def loss_and_gradients(params: GcnParams, A_hat, X: np.ndarray,
                                labels, mask, weight_decay)
 
 
-def train(dataset: Dataset, A_hat, split: Split,
-          config: TrainConfig) -> tuple[GcnParams, TrainReport]:
+def train(dataset: Dataset, A_hat, split: Split, config: TrainConfig,
+          seed: int) -> tuple[GcnParams, TrainReport]:
     """Full-batch gradient descent on the train mask, model selection on val.
 
-    ``A_hat`` comes from :func:`normalize_adjacency`.
+    ``A_hat`` comes from :func:`normalize_adjacency`, and ``seed`` seeds the
+    initial weights (:func:`xavier_params`).
 
     Each epoch records the pre-update training loss and the post-update
     validation accuracy; the returned parameters are the snapshot from the
@@ -305,7 +305,7 @@ def train(dataset: Dataset, A_hat, split: Split,
             raise InputError(f"{name} split must be non-empty")
 
     params = xavier_params(dataset.feature_dim, config.hidden,
-                           dataset.num_classes, config.seed)
+                           dataset.num_classes, seed)
     y = dataset.labels
     train_mask = _check_mask(split.train, dataset.n)
     # A_hat @ X is fixed during training, and the forward pass that scores an

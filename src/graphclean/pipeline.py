@@ -194,12 +194,13 @@ def run_repetition(config: ExperimentConfig, r: int,
     result = _stage("denoise", r, denoise, poisoned, dataset.features,
                     config.denoise, d_p=d_p)
 
-    train_cfg = dataclasses.replace(config.train, seed=derive_seed(rep_seed, _TRAIN))
+    train_seed = derive_seed(rep_seed, _TRAIN)
     accuracies = {}
     for arm, weights in (("clean", dataset.graph), ("poisoned", poisoned),
                          ("denoised", result.weights)):
         a_hat = normalize_adjacency(weights)
-        _, report = _stage(f"train[{arm}]", r, train, dataset, a_hat, split, train_cfg)
+        _, report = _stage(f"train[{arm}]", r, train, dataset, a_hat, split,
+                           config.train, train_seed)
         accuracies[arm] = report.test_accuracy
 
     clean_edges = dataset.graph.edge_count

@@ -63,6 +63,21 @@ class TestSynthAttackDenoiseTrain:
         assert ds.graph.edge_count > 0
         run(["train", "--bundle", str(recovered), "--epochs", "5"])
 
+    def test_train_seed_reaches_train(self, tmp_path, monkeypatch):
+        bundle = tmp_path / "clean"
+        run(["synth", "--sbm-size", "10", "--seed", "1", "--out", str(bundle)])
+        seeds = []
+        real = cli.train
+
+        def spy(dataset, a_hat, split, config, seed):
+            seeds.append(seed)
+            return real(dataset, a_hat, split, config, seed)
+
+        monkeypatch.setattr(cli, "train", spy)
+        run(["train", "--bundle", str(bundle), "--epochs", "2", "--seed", "9"])
+        run(["train", "--bundle", str(bundle), "--epochs", "2"])
+        assert seeds == [9, 0]
+
     def test_random_attack_rate(self, tmp_path):
         bundle = tmp_path / "clean"
         run(["synth", "--sbm-size", "20", "--sbm-p-in", "0.4", "--seed", "4",

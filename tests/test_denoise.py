@@ -1,6 +1,7 @@
-"""Stage 1 solver: distances, coefficients, gradient oracle, ADMM, KKT."""
+"""Stage 1 solver: distances, coefficients, gradient oracle, dual Newton, KKT."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 from graphclean.attacks import heterophilic_add
 from graphclean.datasets import SbmParams, generate_sbm
 from graphclean.denoise import (
+    _BLOCK,
     DenoiseConfig,
     DenoiseDivergence,
     _degrees,
-    _w_step_degrees,
+    _dual_hessian,
+    _newton_direction,
+    _primal_point,
     denoise,
     features_are_binary,
     gradient,
@@ -133,6 +137,41 @@ def random_problem(rng, n, beta_max=1.5):
     alpha = 0.5 + rng.uniform()
     beta = beta_max * rng.uniform()
     return w_p, d_p, alpha, beta
+
+
+def dense(blocks, m):
+    """The pair vector of a w(lambda) given as per-block (indices, values) lists."""
+    w = np.zeros(m)
+    for k0, (on, values) in zip(range(0, m, _BLOCK), blocks):
+        w[k0 + on] = values
+    return w
+
+
+def primal_point(lam, w_p, d_p, alpha, beta):
+    """w(lambda) from the solver's pair pass, as a dense pair vector, with the
+    pass's degrees, ||w - w_p||^2 - ||w_p||^2 and <w, d_p>."""
+    n = w_p.n
+    index = np.triu_indices(n, 1)
+    deg_p = _degrees(w_p.values, n, index[1])
+    buffers = [np.empty(_BLOCK) for _ in range(3)]
+    blocks, deg, sq, wd, _ = _primal_point(lam, w_p.values, deg_p, d_p, alpha, beta,
+                                           index, buffers)
+    return dense(blocks, pair_count(n)), deg, sq, wd
+
+
+def random_dual(rng, n, alpha):
+    """lambda with (lambda_i + lambda_j) / 4 alpha in [-2, 2], so that some
+    pairs of a random_problem are active and some are not."""
+    return 4.0 * alpha * (2.0 * rng.uniforms(n) - 1.0)
+
+
+def poisoned_sbm():
+    """A heterophilic-poisoned n = 300 SBM: its dataset, its weights and d_2."""
+    params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
+                       feature_dim=8, feature_signal=1.0, feature_noise=0.5)
+    dataset = generate_sbm(params, 61)
+    w_p = heterophilic_add(dataset, dataset.graph.edge_count // 4, 62)
+    return dataset, w_p, pairwise_p_distances(dataset.features, 2.0)
 
 
 class TestPairwisePDistances:
@@ -351,9 +390,9 @@ class TestDenoise:
         assert caught.value.iteration == 0
 
     def test_holds_at_most_six_pair_vectors(self):
-        # the loop holds z, the other iterate buffer, u and the two index
-        # arrays; the copy WeightVector makes of z comes after the others are
-        # freed
+        # the loop holds the best point, the two index arrays and w(lambda)
+        # as sparse lists; the copy WeightVector makes of the best point comes
+        # after the others are freed
         n = 613  # an n no other test uses, so nothing is cached
         ds = generate_sbm(SbmParams(nodes_per_block=n, blocks=1, p_in=0.02), seed=5)
         d_p = pairwise_p_distances(ds.features, 2.0)
@@ -447,16 +486,11 @@ class TestPairSpaceMatchesDenseOracle:
             np.testing.assert_allclose(result.weights.values, w, atol=1e-6)
 
     def test_seeded_sbm_protocol_run(self):
-        params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
-                           feature_dim=8, feature_signal=1.0, feature_noise=0.5)
-        dataset = generate_sbm(params, 61)
-        poisoned = heterophilic_add(dataset, dataset.graph.edge_count // 4, 62)
-        d_p = pairwise_p_distances(dataset.features, 2.0)
+        dataset, poisoned, d_p = poisoned_sbm()
         config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=200)
         result = denoise(poisoned, dataset.features, config, d_p=d_p)
-        # the default tol of 1e-6 is met well before the cap, at a check
+        # the default tol of 1e-6 is met well before the cap
         assert result.converged and result.iterations_run <= 100
-        assert result.iterations_run % 10 == 0
         w = result.weights.values
         assert dense_kkt(w, poisoned, d_p, 1.0, 1.0) <= config.tol
         assert np.all(np.diff(result.objective_trace) <= 1e-10)
@@ -466,23 +500,79 @@ class TestPairSpaceMatchesDenseOracle:
                                    rtol=1e-9)
 
 
-class TestAdmm:
-    """The pieces of the ADMM loop that no other test isolates."""
+class TestDualNewton:
+    """The pieces of the dual Newton loop that no other test isolates."""
 
-    @pytest.mark.parametrize("rho", [1.0, 16.0, 64.0])
-    def test_woodbury_w_step(self, rho):
+    def test_primal_point_minimises_each_pair(self):
+        # w(lambda)_k minimises 2 alpha (x - w_p,k)^2 + (beta d_k + lambda_i + lambda_j) x
+        # over x >= 0; the oracle is a golden-section search on every pair at once
         rng = SplitMix64(71)
-        alpha = 0.7
-        a, b = 4.0 * alpha + rho * alpha, 2.0 * alpha
-        for n in range(2, 41):
-            S = incidence(n)
+        for _ in range(6):
+            n = 3 + rng.bounded(40)
+            w_p, d_p, alpha, beta = random_problem(rng, n)
+            lam = random_dual(rng, n, alpha)
+            w, deg, sq, wd = primal_point(lam, w_p, d_p, alpha, beta)
             rows, cols = np.triu_indices(n, 1)
-            r = 2.0 * rng.uniforms(rows.size) - 1.0
-            expected = np.linalg.solve(a * np.eye(rows.size) + b * S.T @ S, r)
-            y, s_w = _w_step_degrees(S @ r, n, a, b)
-            w = (r - b * (y[rows] + y[cols])) / a
-            assert_close_to(w, expected)
-            assert_close_to(s_w, S @ expected)
+            b = beta * d_p + lam[rows] + lam[cols]
+
+            def phi(x):
+                return 2.0 * alpha * (x - w_p.values) ** 2 + b * x
+
+            lo, hi = np.zeros_like(w), w_p.values + np.abs(b) / (4.0 * alpha) + 1.0
+            ratio = (math.sqrt(5.0) - 1.0) / 2.0
+            for _ in range(200):
+                x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+                left = phi(x1) <= phi(x2)
+                hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+            # comparing values pins the minimiser down to about sqrt(eps) only
+            brute = (lo + hi) / 2.0
+            np.testing.assert_allclose(w, brute, rtol=0.0, atol=1e-7)
+            assert np.all(phi(w) <= phi(brute) + 1e-14 * (1.0 + np.abs(phi(brute))))
+            assert 0 < np.count_nonzero(w) < w.size
+            assert_close_to(deg, incidence(n) @ w)
+            np.testing.assert_allclose(sq, (w - w_p.values) @ (w - w_p.values)
+                                       - w_p.values @ w_p.values, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(wd, w @ d_p, rtol=1e-12)
+
+    def test_certificate_bounds_the_kkt_residual(self):
+        # on the support of w(lambda) grad f = 2 alpha (grad_i g + grad_j g), off
+        # it grad f is at least that, so KKT(w(lambda)) <= 4 alpha |grad g|_inf
+        rng = SplitMix64(73)
+        for _ in range(8):
+            n = 3 + rng.bounded(40)
+            w_p, d_p, alpha, beta = random_problem(rng, n)
+            lam = random_dual(rng, n, alpha)
+            w, deg, _, _ = primal_point(lam, w_p, d_p, alpha, beta)
+            grad_g = incidence(n) @ w - incidence(n) @ w_p.values - lam / (2.0 * alpha)
+            c = linear_coefficient(w_p, d_p, alpha, beta)
+            g = dense_gradient(w, c, alpha)
+            rows, cols = np.triu_indices(n, 1)
+            bound = 2.0 * alpha * (grad_g[rows] + grad_g[cols])
+            on = w > 0.0
+            assert_close_to(g[on], bound[on])
+            assert np.all(g[~on] >= bound[~on] - 1e-12 * (1.0 + np.max(np.abs(c))))
+            scale = 1.0 + float(np.max(np.abs(c)))
+            certificate = 4.0 * alpha * float(np.max(np.abs(grad_g)))
+            assert dense_kkt(w, w_p, d_p, alpha, beta) * scale <= certificate + 1e-12 * scale
+
+    def test_hessian_product_and_newton_direction(self):
+        rng = SplitMix64(79)
+        for n in range(2, 31):
+            alpha = 0.5 + rng.uniform()
+            rows, cols = np.triu_indices(n, 1)
+            active = rng.uniforms(rows.size) < 0.3
+            S = incidence(n)
+            hessian = (S * active) @ S.T / (4.0 * alpha) + np.eye(n) / (2.0 * alpha)
+            x = 2.0 * rng.uniforms(n) - 1.0
+            r, c = rows[active], cols[active]
+            assert_close_to(_dual_hessian(x, r, c, alpha), hessian @ x)
+            # CG stops at a relative residual of min(1e-2, ||grad||)
+            for size in (1.0, 1e-4):
+                grad = size * x
+                step = _newton_direction(grad, r, c, alpha)
+                norm = np.linalg.norm(grad)
+                assert np.linalg.norm(hessian @ step - grad) <= min(1e-2, norm) * norm
+                assert grad @ step > 0.0
 
     def test_kkt_within_tol_whenever_converged(self):
         rng = SplitMix64(73)
@@ -490,7 +580,7 @@ class TestAdmm:
             n = 3 + rng.bounded(40)
             w_p, d_p, alpha, beta = random_problem(rng, n)
             for tol in (1e-2, 1e-4, 1e-6, 1e-9):
-                for max_iters in (15, 100000):
+                for max_iters in (3, 100000):
                     result = denoise(w_p, np.zeros((n, 2)),
                                      DenoiseConfig(alpha=alpha, beta=beta,
                                                    max_iters=max_iters, tol=tol), d_p=d_p)
@@ -499,23 +589,29 @@ class TestAdmm:
                     else:
                         assert result.iterations_run == max_iters < 100000
 
-    def test_tol_zero_runs_all_iterations(self):
+    def test_tol_zero_runs_all_passes(self):
+        # Newton reaches KKT 1e-12 within a few passes; with tol 0 the other
+        # passes start from a converged lambda, where the gradient can vanish
         rng = SplitMix64(79)
         w_p, d_p, alpha, beta = random_problem(rng, 12)
+        tight = denoise(w_p, np.zeros((12, 2)),
+                        DenoiseConfig(alpha=alpha, beta=beta, max_iters=437, tol=1e-12),
+                        d_p=d_p)
+        assert tight.converged and tight.iterations_run <= 20
         config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=437, tol=0.0)
-        result = denoise(w_p, np.zeros((12, 2)), config, d_p=d_p)
-        assert result.iterations_run == 437
+        with np.errstate(divide="raise", invalid="raise"):
+            result = denoise(w_p, np.zeros((12, 2)), config, d_p=d_p)
+        assert result.iterations_run == 437 and not result.converged
         assert result.kkt_residual < 1e-12
 
     def test_trace_is_monotone_where_the_raw_objective_rises(self, monkeypatch):
         module = importlib.import_module("graphclean.denoise")
         rng = SplitMix64(59)
-        for _ in range(2):  # the second instance: n = 19, its raw f(z) rises once
-            w_p, d_p, alpha, beta = random_problem(rng, 2 + rng.bounded(49))
+        w_p, d_p, alpha, beta = random_problem(rng, 2 + rng.bounded(49))
         n = w_p.n
-        config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=60, tol=0.0)
+        config = DenoiseConfig(alpha=alpha, beta=beta, max_iters=8, tol=0.0)
         with monkeypatch.context() as patch:
-            # with no safeguard every z is accepted, so the trace is f(z)
+            # with no safeguard every w(lambda) is taken, so the trace is f(w(lambda))
             patch.setattr(module, "_SLACK", np.inf)
             raw = denoise(w_p, np.zeros((n, 2)), config, d_p=d_p).objective_trace
         assert np.max(np.diff(raw)) > 1e-3
@@ -524,61 +620,53 @@ class TestAdmm:
         assert result.objective_trace[-1] <= raw.min() + 1e-10
         assert result.objective_trace[-1] == objective(result.weights, w_p, d_p, alpha, beta)
 
-    def test_first_iteration_is_a_projected_gradient_step(self, monkeypatch):
-        # the warm dual u = -grad f(z) / rho makes the first w-step return z
+    def test_a_short_run_descends_inside_its_accepted_supports(self, monkeypatch):
+        # on this poisoned n = 300 SBM the first w(lambda) lies above f(w_p), and
+        # so does the first trial point of the first Newton step, which the line
+        # search rejects
         module = importlib.import_module("graphclean.denoise")
-        monkeypatch.setattr(module, "_SLACK", np.inf)
-        rng = SplitMix64(83)
-        for _ in range(5):
-            n = 3 + rng.bounded(30)
-            w_p, d_p, alpha, beta = random_problem(rng, n)
-            result = denoise(w_p, np.zeros((n, 2)),
-                             DenoiseConfig(alpha=alpha, beta=beta, max_iters=1), d_p=d_p)
-            c = linear_coefficient(w_p, d_p, alpha, beta)
-            step = w_p.values - gradient(w_p, c, alpha) / (module._RHO * alpha)
-            assert_close_to(result.weights.values, np.maximum(step, 0.0))
+        dataset, w_p, d_p = poisoned_sbm()
+        events = []
 
-    def test_a_short_run_descends_where_the_iterates_rise(self, monkeypatch):
-        # on this poisoned n = 300 SBM the first z, a projected gradient step
-        # of length 1 / rho, overshoots, and the next three z stay above f(w_p)
-        module = importlib.import_module("graphclean.denoise")
-        params = SbmParams(nodes_per_block=150, blocks=2, p_in=0.13, p_out=0.003,
-                           feature_dim=8, feature_signal=1.0, feature_noise=0.5)
-        dataset = generate_sbm(params, 61)
-        w_p = heterophilic_add(dataset, dataset.graph.edge_count // 4, 62)
-        d_p = pairwise_p_distances(dataset.features, 2.0)
-        config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=4, tol=0.0)
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "_GAIN", np.inf)  # no segment search
-            held = denoise(w_p, dataset.features, config, d_p=d_p).objective_trace
-        assert np.all(held == held[0])
-        _, pgd = dense_denoise(laplacian_from_weights(w_p), d_p, config)
-        assert pgd[-1] < pgd[0]
-        runs = {k: denoise(w_p, dataset.features,
-                           DenoiseConfig(alpha=1.0, beta=1.0, max_iters=k, tol=0.0), d_p=d_p)
-                for k in (1, 4)}
-        for result in runs.values():
-            assert result.objective_trace[-1] < 0.99 * result.objective_trace[0]
-        # one iteration lands on the minimum of f on the segment from w_p to z
-        c = linear_coefficient(w_p, d_p, 1.0, 1.0)
-        z = np.maximum(w_p.values - gradient(w_p, c, 1.0) / module._RHO, 0.0)
-        f = [objective(w_p.values + t * (z - w_p.values), w_p, d_p, 1.0, 1.0)
-             for t in (0.0, 0.5, 1.0)]
-        quad = 2.0 * (f[0] - 2.0 * f[1] + f[2])
-        theta = (f[0] - f[2] + quad) / (2.0 * quad)
-        assert 0.0 < theta < 0.5
-        expected = w_p.values + theta * (z - w_p.values)
-        np.testing.assert_allclose(runs[1].weights.values, expected, rtol=0.0, atol=1e-9)
+        def point(lam, *args, **kwargs):
+            out = _primal_point(lam, *args, **kwargs)
+            w = dense(out[0], pair_count(w_p.n))
+            events.append([w > 0.0, objective(w, w_p, d_p, 1.0, 1.0), False])
+            return out
 
-    def test_one_degree_pass_per_iteration(self, monkeypatch):
+        def direction(*args):
+            events[-1][2] = True  # a direction is taken only from an accepted point
+            return _newton_direction(*args)
+
+        monkeypatch.setattr(module, "_primal_point", point)
+        monkeypatch.setattr(module, "_newton_direction", direction)
+        # five passes tell whether the fourth was accepted; the first four are
+        # those of a four-pass run
+        denoise(w_p, dataset.features,
+                DenoiseConfig(alpha=1.0, beta=1.0, max_iters=5, tol=0.0), d_p=d_p)
+        events = events[:4]
+        result = denoise(w_p, dataset.features,
+                         DenoiseConfig(alpha=1.0, beta=1.0, max_iters=4, tol=0.0), d_p=d_p)
+        trace = result.objective_trace
+        assert trace.size == 5 and np.all(np.diff(trace) <= 1e-10)
+        assert trace[-1] < 0.99 * trace[0]
+        assert all(f > trace[0] for _, f, _ in events[:2])
+        assert events[0][2] and not events[1][2]
+        union = w_p.values > 0.0
+        for support, _, accepted in events:
+            if accepted:
+                union |= support
+        assert np.all(union[result.weights.values > 0.0])
+
+    def test_one_pair_pass_per_iteration(self, monkeypatch):
         module = importlib.import_module("graphclean.denoise")
         calls = []
 
-        def spy(values, n, cols):
-            calls.append(values.size)
-            return _degrees(values, n, cols)
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return _primal_point(*args, **kwargs)
 
-        monkeypatch.setattr(module, "_degrees", spy)
+        monkeypatch.setattr(module, "_primal_point", spy)
         rng = SplitMix64(89)
         w_p, d_p, alpha, beta = random_problem(rng, 20)
         for max_iters in (1, 10, 37):
@@ -586,8 +674,7 @@ class TestAdmm:
             result = denoise(w_p, np.zeros((20, 2)),
                              DenoiseConfig(alpha=alpha, beta=beta, max_iters=max_iters,
                                            tol=0.0), d_p=d_p)
-            # deg_p and S d_p before the loop, then one per iteration
-            assert len(calls) == 2 + result.iterations_run == 2 + max_iters
+            assert len(calls) == result.iterations_run == max_iters
 
 
 class TestDenoiseConfig:

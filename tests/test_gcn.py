@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphclean import gcn
-from graphclean.datasets import SbmParams, Split, generate_sbm, split_nodes
+from graphclean.datasets import Dataset, SbmParams, Split, generate_sbm, split_nodes
 from graphclean.gcn import (
     GcnParams,
     SparseAdjacency,
@@ -76,7 +76,7 @@ def fd_parameter_gradient(params, A_hat, X, labels, mask, weight_decay):
     return grads
 
 
-def reference_train(dataset, A_hat, split, config, class_width=True):
+def reference_train(dataset, A_hat, split, config, seed, class_width=True):
     """Oracle: the training loop with A_hat @ X recomputed in every product
     and a separate forward pass for validation.
 
@@ -85,7 +85,7 @@ def reference_train(dataset, A_hat, split, config, class_width=True):
     take the hidden-width operands relu(A_hat X W1) and d_logits @ W2.T.
     """
     params = xavier_params(dataset.feature_dim, config.hidden,
-                           dataset.num_classes, config.seed)
+                           dataset.num_classes, seed)
     X, y = dataset.features, dataset.labels
 
     def logits_of(p):
@@ -310,9 +310,9 @@ class TestSparseAdjacency:
         split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=76)
         A_hat = normalize_adjacency(ds.graph)
         assert isinstance(A_hat, SparseAdjacency)
-        config = TrainConfig(hidden=16, epochs=60, learning_rate=0.05, seed=77)
-        _, sparse = train(ds, A_hat, split, config)
-        _, dense = train(ds, dense_a_hat(ds.graph), split, config)
+        config = TrainConfig(hidden=16, epochs=60, learning_rate=0.05)
+        _, sparse = train(ds, A_hat, split, config, 77)
+        _, dense = train(ds, dense_a_hat(ds.graph), split, config, 77)
         np.testing.assert_allclose(sparse.loss_trace, dense.loss_trace, rtol=1e-12)
         assert sparse.val_accuracy_trace == dense.val_accuracy_trace
         assert sparse.best_val_epoch == dense.best_val_epoch
@@ -444,12 +444,13 @@ LOOP_INSTANCES = [
 
 
 def loop_instance(size, blocks, dim, epochs):
-    """Dataset, A_hat, split and config of one reference-loop comparison."""
+    """Dataset, A_hat, split and config of one reference-loop comparison;
+    training takes the seed 15."""
     ds = generate_sbm(SbmParams(nodes_per_block=size, blocks=blocks, p_in=0.2,
                                 p_out=0.02, feature_dim=dim, feature_signal=1.0,
                                 feature_noise=0.8), 13)
     split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
-    config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05, seed=15)
+    config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05)
     return ds, normalize_adjacency(ds.graph), split, config
 
 
@@ -458,8 +459,8 @@ class TestTrain:
         ds = separable_dataset()
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
         A_hat = normalize_adjacency(ds.graph)
-        config = TrainConfig(hidden=8, epochs=10, learning_rate=0.0, seed=2)
-        params, report = train(ds, A_hat, split, config)
+        config = TrainConfig(hidden=8, epochs=10, learning_rate=0.0)
+        params, report = train(ds, A_hat, split, config, 2)
         init = xavier_params(ds.feature_dim, 8, ds.num_classes, seed=2)
         np.testing.assert_array_equal(params.W1, init.W1)
         assert len(set(report.loss_trace)) == 1
@@ -468,17 +469,17 @@ class TestTrain:
         ds = separable_dataset(seed=3)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=4)
         A_hat = normalize_adjacency(ds.graph)
-        config = TrainConfig(hidden=16, epochs=250, learning_rate=1e-2, seed=5)
-        _, report = train(ds, A_hat, split, config)
+        config = TrainConfig(hidden=16, epochs=250, learning_rate=1e-2)
+        _, report = train(ds, A_hat, split, config, 5)
         assert report.test_accuracy > 0.9
 
     def test_deterministic_reports(self):
         ds = separable_dataset(seed=6)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=7)
         A_hat = normalize_adjacency(ds.graph)
-        config = TrainConfig(hidden=8, epochs=30, learning_rate=1e-2, seed=8)
-        _, a = train(ds, A_hat, split, config)
-        _, b = train(ds, A_hat, split, config)
+        config = TrainConfig(hidden=8, epochs=30, learning_rate=1e-2)
+        _, a = train(ds, A_hat, split, config, 8)
+        _, b = train(ds, A_hat, split, config, 8)
         assert a.loss_trace == b.loss_trace
         assert a.val_accuracy_trace == b.val_accuracy_trace
         assert a.test_accuracy == b.test_accuracy
@@ -487,8 +488,8 @@ class TestTrain:
         ds = separable_dataset(seed=9)
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=10)
         A_hat = normalize_adjacency(ds.graph)
-        config = TrainConfig(hidden=8, epochs=40, learning_rate=1e-2, seed=11)
-        _, report = train(ds, A_hat, split, config)
+        config = TrainConfig(hidden=8, epochs=40, learning_rate=1e-2)
+        _, report = train(ds, A_hat, split, config, 11)
         best = report.best_val_epoch
         peak = max(report.val_accuracy_trace)
         assert report.val_accuracy_trace[best] == peak
@@ -497,9 +498,9 @@ class TestTrain:
     @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
     def test_bit_identical_to_reference_loop(self, size, blocks, dim, epochs):
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
-        params, report = train(ds, A_hat, split, config)
+        params, report = train(ds, A_hat, split, config, 15)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
-            ds, A_hat, split, config)
+            ds, A_hat, split, config, 15)
         np.testing.assert_array_equal(params.W1, ref_params.W1)
         np.testing.assert_array_equal(params.W2, ref_params.W2)
         np.testing.assert_array_equal(report.loss_trace, loss_trace)
@@ -511,9 +512,9 @@ class TestTrain:
     def test_hidden_width_order_agrees(self, size, blocks, dim, epochs):
         """A_hat @ (H W2) and (A_hat @ H) W2 differ only in rounding."""
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
-        params, report = train(ds, A_hat, split, config)
+        params, report = train(ds, A_hat, split, config, 15)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
-            ds, A_hat, split, config, class_width=False)
+            ds, A_hat, split, config, 15, class_width=False)
         np.testing.assert_allclose(params.W1, ref_params.W1, rtol=1e-12)
         np.testing.assert_allclose(params.W2, ref_params.W2, rtol=1e-12)
         np.testing.assert_allclose(report.loss_trace, loss_trace, rtol=1e-12)
@@ -531,15 +532,34 @@ class TestTrain:
         A_hat = normalize_adjacency(ds.graph)
         assert isinstance(A_hat, SparseAdjacency)
         spy = SpyAdjacency(A_hat if sparse else dense_a_hat(ds.graph))
-        config = TrainConfig(hidden=16, epochs=20, seed=18)
+        config = TrainConfig(hidden=16, epochs=20)
         assert ds.feature_dim != ds.num_classes != config.hidden
-        train(ds, spy, split, config)
+        train(ds, spy, split, config, 18)
         assert sorted(spy.widths) == sorted(
             [ds.feature_dim] + [ds.num_classes] * (2 * config.epochs + 1))
+
+    def test_overflowing_loss_raises_train_divergence(self):
+        # with weight decay 1 and learning rate 1e50 a step scales the weights
+        # by about -1e50, so ||W||^2 is about 1e300 at epoch 3 and overflows at
+        # epoch 4; features of 1e-100 keep the logits finite until then
+        ds = separable_dataset()
+        tiny = Dataset(features=ds.features * 1e-100, labels=ds.labels, graph=ds.graph,
+                       num_classes=ds.num_classes)
+        split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
+        A_hat = normalize_adjacency(ds.graph)
+        with np.errstate(over="ignore"):
+            _, report = train(tiny, A_hat, split,
+                              TrainConfig(hidden=4, epochs=4, learning_rate=1e50,
+                                          weight_decay=1.0), 2)
+            assert len(report.loss_trace) == 4 and np.all(np.isfinite(report.loss_trace))
+            with pytest.raises(gcn.TrainDivergence, match="at epoch 4$") as caught:
+                train(tiny, A_hat, split,
+                      TrainConfig(hidden=4, epochs=5, learning_rate=1e50, weight_decay=1.0), 2)
+        assert caught.value.epoch == 4
 
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)
         split = Split(train=np.arange(70), val=np.array([70]), test=np.array([]))
         A_hat = normalize_adjacency(ds.graph)
         with pytest.raises(ValueError, match="test split"):
-            train(ds, A_hat, split, TrainConfig(epochs=1))
+            train(ds, A_hat, split, TrainConfig(epochs=1), 0)

@@ -28,7 +28,7 @@ SBM = dict(nodes_per_block=5, blocks=2, p_in=0.5, p_out=0.1, feature_dim=4,
 
 def _train_on_empty_test_split(dataset):
     split = Split(train=[0, 1, 3, 4], val=[2, 5], test=[])
-    train(dataset, normalize_adjacency(dataset.graph), split, TrainConfig(epochs=1))
+    train(dataset, normalize_adjacency(dataset.graph), split, TrainConfig(epochs=1), 0)
 
 
 # each takes the 6-node dataset of conftest

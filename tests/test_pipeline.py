@@ -29,7 +29,7 @@ def small_config(**overrides):
                       feature_dim=6, feature_signal=2.0, feature_noise=0.5),
         attack=AttackSpec(kind="heterophilic", rate=0.25),
         denoise=DenoiseConfig(alpha=1.0, beta=1.0, p=2.0, max_iters=100),
-        train=TrainConfig(hidden=8, epochs=60, learning_rate=1e-2, seed=0),
+        train=TrainConfig(hidden=8, epochs=60, learning_rate=1e-2),
         repetitions=3,
         seed=11,
     )
@@ -65,8 +65,7 @@ CONFIG_ECHO = """{
     "hidden": 8,
     "epochs": 60,
     "learning_rate": 0.01,
-    "weight_decay": 0.0005,
-    "seed": 0
+    "weight_decay": 0.0005
   },
   "fractions": [
     0.8,

@@ -34,7 +34,7 @@ from .datasets import (
     split_nodes,
 )
 from .denoise import DenoiseConfig, denoise, pairwise_p_distances
-from .gcn import TrainConfig, normalize_adjacency, train
+from .gcn import TrainConfig, TrainDivergence, normalize_adjacency, train
 from .pipeline import (
     AttackSpec,
     ExperimentConfig,
@@ -209,7 +209,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _fail(error) -> None:
-    """Report bad input the way argparse does: one line, exit status 2."""
+    """Report bad input, or a run that diverged, the way argparse reports bad
+    input: one line, exit status 2."""
     print(f"graphclean: error: {error}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -326,10 +327,10 @@ def main(argv=None) -> int:
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, TrainDivergence) as exc:
         _fail(exc)
     except PipelineStageError as exc:
-        if isinstance(exc.__cause__, InputError):
+        if isinstance(exc.__cause__, (InputError, TrainDivergence)):
             _fail(exc)
         raise
 

@@ -2,11 +2,13 @@
 
 logits = A_hat @ (relu(A_hat X @ W1) @ W2) with the symmetric self-loop
 normalization A_hat = D^{-1/2} (W + I) D^{-1/2}, built from the graph's pair
-weights.  A_hat X is formed once; every other product with A_hat has one
-column per class (Kipf & Welling, ICLR 2017).  A_hat is a
-:class:`SparseAdjacency` in CSR rows; every function here accepts any
-symmetric matrix that supports ``@``, a dense array included.  Training is
-plain full-batch gradient descent on masked cross-entropy plus an L2 penalty
+weights.  The first layer either forms A_hat X once, or propagates X W1, the
+hidden width, in each of its products, whichever sends fewer columns through
+A_hat (:func:`_features`); every other product with A_hat has one column per
+class (Kipf & Welling, ICLR 2017).  A_hat is a :class:`SparseAdjacency` in
+CSR rows; every function here accepts any symmetric matrix that supports
+``@``, a dense array included.  Training is plain full-batch gradient descent
+on masked cross-entropy plus an L2 penalty
 0.5 * weight_decay * (||W1||^2 + ||W2||^2); gradients are written out by hand
 so they can be checked against finite differences.
 """
@@ -39,8 +41,10 @@ __all__ = [
 
 
 class TrainDivergence(RuntimeError):
+    """The training loss or the logits scoring an update are non-finite."""
+
     def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
+        super().__init__(f"training diverged: non-finite loss or logits at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -185,8 +189,41 @@ def normalize_adjacency(weights) -> SparseAdjacency:
     return SparseAdjacency(indptr=indptr, indices=indices, data=data)
 
 
-def _propagate(params: GcnParams, A_hat, AX: np.ndarray):
-    """Forward pass from the propagated features AX = A_hat @ X.
+@dataclass(frozen=True, eq=False)
+class _FeaturesFirst:
+    """A_hat X without forming it: ``@ W`` is A_hat @ (X @ W) and ``.T @ G``
+    is X^T (A_hat @ G), so only the width of W or G passes through A_hat."""
+
+    A_hat: object
+    X: np.ndarray
+    transposed: bool = False
+
+    @property
+    def T(self) -> "_FeaturesFirst":
+        return _FeaturesFirst(self.A_hat, self.X, not self.transposed)
+
+    def __matmul__(self, M: np.ndarray) -> np.ndarray:
+        if self.transposed:
+            return self.X.T @ (self.A_hat @ M)
+        return self.A_hat @ (self.X @ M)
+
+
+def _features(A_hat, X: np.ndarray, hidden: int, products: int):
+    """A_hat X for ``products`` first-layer products with ``hidden`` columns.
+
+    Both orders run the same n x d x hidden GEMMs; they differ only in the
+    columns that go through A_hat: d once for the array A_hat @ X, or
+    ``hidden`` in each product for :class:`_FeaturesFirst`.  The order that
+    sends fewer columns is taken.
+    """
+    if products * hidden < X.shape[1]:
+        return _FeaturesFirst(A_hat, X)
+    return A_hat @ X
+
+
+def _propagate(params: GcnParams, A_hat, AX):
+    """Forward pass from the propagated features AX = A_hat X, an array or
+    a :class:`_FeaturesFirst`.
 
     Returns XW = AX @ W1, the hidden layer relu(XW) and the logits
     A_hat @ (hidden @ W2); :func:`_loss_and_gradients` needs all three.
@@ -209,7 +246,8 @@ def forward(params: GcnParams, A_hat, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: A_hat {A_hat.shape}, X {X.shape}, W1 {params.W1.shape}"
         )
-    return _finite(_propagate(params, A_hat, A_hat @ X)[2])
+    AX = _features(A_hat, X, params.W1.shape[1], 1)
+    return _finite(_propagate(params, A_hat, AX)[2])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -252,7 +290,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     return float(np.mean(predicted == labels[mask]))
 
 
-def _loss_and_gradients(params: GcnParams, A_hat, AX: np.ndarray,
+def _loss_and_gradients(params: GcnParams, A_hat, AX,
                         state, labels: np.ndarray, mask: np.ndarray,
                         weight_decay: float):
     """Loss and gradients at ``params``, whose :func:`_propagate` is ``state``."""
@@ -283,7 +321,8 @@ def loss_and_gradients(params: GcnParams, A_hat, X: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = _check_mask(mask, X.shape[0])
-    AX = A_hat @ X
+    # one forward product and one backward product in the first layer
+    AX = _features(A_hat, X, params.W1.shape[1], 2)
     return _loss_and_gradients(params, A_hat, AX, _propagate(params, A_hat, AX),
                                labels, mask, weight_decay)
 
@@ -308,33 +347,37 @@ def train(dataset: Dataset, A_hat, split: Split, config: TrainConfig,
                            dataset.num_classes, seed)
     y = dataset.labels
     train_mask = _check_mask(split.train, dataset.n)
-    # A_hat @ X is fixed during training, and the forward pass that scores an
-    # epoch's update is the next epoch's forward pass
-    AX = A_hat @ dataset.features
-    state = _propagate(params, A_hat, AX)
+    # the forward pass that scores an epoch's update is the next epoch's
+    # forward pass, so the first layer makes 2 * epochs + 1 products
+    AX = _features(A_hat, dataset.features, config.hidden, 2 * config.epochs + 1)
 
     loss_trace: list[float] = []
     val_trace: list[float] = []
     best_acc = -1.0
     best_epoch = 0
     best_params = params.copy()
-    best_logits = state[2]
-    for epoch in range(config.epochs):
-        loss, g1, g2 = _loss_and_gradients(params, A_hat, AX, state, y, train_mask,
-                                           config.weight_decay)
-        if not np.isfinite(loss):
-            raise TrainDivergence(epoch)
-        loss_trace.append(loss)
-        params.W1 = params.W1 - config.learning_rate * g1
-        params.W2 = params.W2 - config.learning_rate * g2
+    # a diverging run overflows; the checks below report it as TrainDivergence
+    with np.errstate(over="ignore", invalid="ignore"):
         state = _propagate(params, A_hat, AX)
-        val_acc = accuracy(_finite(state[2]), y, split.val)
-        val_trace.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_params = params.copy()
-            best_logits = state[2]
+        best_logits = state[2]
+        for epoch in range(config.epochs):
+            loss, g1, g2 = _loss_and_gradients(params, A_hat, AX, state, y, train_mask,
+                                               config.weight_decay)
+            if not np.isfinite(loss):
+                raise TrainDivergence(epoch)
+            loss_trace.append(loss)
+            params.W1 = params.W1 - config.learning_rate * g1
+            params.W2 = params.W2 - config.learning_rate * g2
+            state = _propagate(params, A_hat, AX)
+            if not np.isfinite(state[2]).all():
+                raise TrainDivergence(epoch)
+            val_acc = accuracy(state[2], y, split.val)
+            val_trace.append(val_acc)
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_epoch = epoch
+                best_params = params.copy()
+                best_logits = state[2]
 
     test_acc = accuracy(best_logits, y, split.test)
     report = TrainReport(

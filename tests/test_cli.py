@@ -260,7 +260,8 @@ SMALL_RUN = ["--sbm-size", "10", "--reps", "1"]
 
 
 class TestBadInput:
-    """Bad input ends a command with one error line and exit status 2."""
+    """Bad input, or a run it makes diverge, ends a command with one error
+    line and exit status 2."""
 
     @pytest.mark.parametrize("argv,config,edit,message", [
         (["train", "--bundle", "/nonexistent"], None, None,
@@ -299,12 +300,17 @@ class TestBadInput:
          "bad.cfg: split: could not convert string to float: 'x'"),
         (["pipeline"], "split = nan,0,0\n", None,
          "bad.cfg: split: fractions must be non-negative and finite, got [nan, 0.0, 0.0]"),
+        (["train", "--bundle", "{bundle}", "--split", "0.5,0.25,0.25", "--lr-gnn", "1e20"],
+         None, None, "training diverged: non-finite loss or logits at epoch "),
+        (["pipeline", "--lr-gnn", "1e20"] + SMALL_RUN, None, None,
+         "repetition 0, stage train[clean]: training diverged: non-finite loss or logits"),
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
             "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
             "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config",
             "train-empty-split", "pipeline-empty-split", "config-bad-int",
-            "config-bad-split", "config-nan-split"])
+            "config-bad-split", "config-nan-split", "train-divergence",
+            "pipeline-divergence"])
     def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
         if edit is not None:
             name, row, content = edit

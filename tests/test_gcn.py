@@ -76,27 +76,40 @@ def fd_parameter_gradient(params, A_hat, X, labels, mask, weight_decay):
     return grads
 
 
-def reference_train(dataset, A_hat, split, config, seed, class_width=True):
+def features_first_in_train(dataset, config):
+    """The order :func:`train` takes: A_hat @ (X @ W1) when the hidden width
+    in its 2 * epochs + 1 first-layer products is fewer columns than X's."""
+    return (2 * config.epochs + 1) * config.hidden < dataset.feature_dim
+
+
+def reference_train(dataset, A_hat, split, config, seed, class_width=True,
+                    features_first=False):
     """Oracle: the training loop with A_hat @ X recomputed in every product
     and a separate forward pass for validation.
 
     With ``class_width`` the other products with A_hat take the class-width
     operands hidden @ W2 and d_logits, as :func:`train` does; without it they
     take the hidden-width operands relu(A_hat X W1) and d_logits @ W2.T.
+    With ``features_first`` the first layer is A_hat @ (X @ W1) and its
+    gradient X.T @ (A_hat @ d_hidden); without it, (A_hat @ X) @ W1 and
+    (A_hat @ X).T @ d_hidden.
     """
     params = xavier_params(dataset.feature_dim, config.hidden,
                            dataset.num_classes, seed)
     X, y = dataset.features, dataset.labels
 
+    def first_layer(p):
+        return A_hat @ (X @ p.W1) if features_first else A_hat @ X @ p.W1
+
     def logits_of(p):
-        hidden = np.maximum(A_hat @ X @ p.W1, 0.0)
+        hidden = np.maximum(first_layer(p), 0.0)
         return A_hat @ (hidden @ p.W2) if class_width else (A_hat @ hidden) @ p.W2
 
     loss_trace, val_trace = [], []
     best_acc, best_epoch, best_params = -1.0, 0, params.copy()
     mask = split.train
     for epoch in range(config.epochs):
-        XW = A_hat @ X @ params.W1
+        XW = first_layer(params)
         hidden = np.maximum(XW, 0.0)
         logits = logits_of(params)
         probs = softmax(logits)
@@ -114,7 +127,8 @@ def reference_train(dataset, A_hat, split, config, seed, class_width=True):
             g2 = (A_hat @ hidden).T @ d_logits
             d_hidden = (A_hat @ (d_logits @ params.W2.T)) * (XW > 0.0)
         g2 = g2 + config.weight_decay * params.W2
-        g1 = (A_hat @ X).T @ d_hidden + config.weight_decay * params.W1
+        g1 = X.T @ (A_hat @ d_hidden) if features_first else (A_hat @ X).T @ d_hidden
+        g1 = g1 + config.weight_decay * params.W1
         loss_trace.append(loss)
         params.W1 = params.W1 - config.learning_rate * g1
         params.W2 = params.W2 - config.learning_rate * g2
@@ -131,6 +145,7 @@ class SpyAdjacency:
 
     def __init__(self, A_hat):
         self.A_hat = A_hat
+        self.shape = A_hat.shape
         self.widths = []
 
     def __matmul__(self, H):
@@ -397,25 +412,37 @@ class TestAccuracy:
         assert accuracy(logits, np.ones(4, dtype=int), [0, 1, 2, 3]) == 0.0
 
 
+def check_finite_differences(A_hat, n, d, h, C):
+    rng = SplitMix64(79)
+    X = rng.uniforms(n * d).reshape(n, d) - 0.5
+    labels = np.array([rng.bounded(C) for _ in range(n)], dtype=np.int64)
+    params = xavier_params(d, h, C, seed=80)
+    mask = np.arange(0, n, 2)
+    loss, g1, g2 = loss_and_gradients(params, A_hat, X, labels, mask, 0.05)
+    fd1, fd2 = fd_parameter_gradient(params, A_hat, X, labels, mask, 0.05)
+    assert g1.shape == (d, h) and g2.shape == (h, C)
+    assert np.max(np.abs(g1 - fd1)) <= 1e-4 * (1.0 + np.max(np.abs(fd1)))
+    assert np.max(np.abs(g2 - fd2)) <= 1e-4 * (1.0 + np.max(np.abs(fd2)))
+    assert abs(loss - training_loss(params, A_hat, X, labels, mask, 0.05)) < 1e-12
+
+
 class TestGradients:
     @pytest.mark.parametrize("sparse", [True, False])
     def test_finite_differences_with_distinct_widths(self, sparse):
         """h = 4 and C = 3, so a W2 / W2.T mix-up cannot pass."""
-        n, d, h, C = 80, 3, 4, 3
+        n = 80
         w = sparse_weights(78, n, 20)
         A_hat = normalize_adjacency(w) if sparse else dense_a_hat(w)
         assert isinstance(A_hat, SparseAdjacency) == sparse
-        rng = SplitMix64(79)
-        X = rng.uniforms(n * d).reshape(n, d) - 0.5
-        labels = np.array([rng.bounded(C) for _ in range(n)], dtype=np.int64)
-        params = xavier_params(d, h, C, seed=80)
-        mask = np.arange(0, n, 2)
-        loss, g1, g2 = loss_and_gradients(params, A_hat, X, labels, mask, 0.05)
-        fd1, fd2 = fd_parameter_gradient(params, A_hat, X, labels, mask, 0.05)
-        assert g1.shape == (d, h) and g2.shape == (h, C)
-        assert np.max(np.abs(g1 - fd1)) <= 1e-4 * (1.0 + np.max(np.abs(fd1)))
-        assert np.max(np.abs(g2 - fd2)) <= 1e-4 * (1.0 + np.max(np.abs(fd2)))
-        assert abs(loss - training_loss(params, A_hat, X, labels, mask, 0.05)) < 1e-12
+        check_finite_differences(A_hat, n, d=3, h=4, C=3)
+
+    def test_finite_differences_with_wide_features(self):
+        """d = 12 > 2h, so the two first-layer products take A_hat @ (X @ W1)
+        and X.T @ (A_hat @ d_hidden), and A_hat never sees X."""
+        n, d, h, C = 80, 12, 4, 3
+        spy = SpyAdjacency(normalize_adjacency(sparse_weights(78, n, 20)))
+        check_finite_differences(spy, n, d, h, C)
+        assert spy.widths and d not in spy.widths
 
     def test_matches_finite_differences(self):
         for seed in range(20):
@@ -452,6 +479,19 @@ def loop_instance(size, blocks, dim, epochs):
     split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
     config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05)
     return ds, normalize_adjacency(ds.graph), split, config
+
+
+def assert_agrees_with(trained, reference):
+    """``train``'s result agrees with a :func:`reference_train` that takes
+    another order of products: to rounding, and in every accuracy."""
+    params, report = trained
+    ref_params, loss_trace, val_trace, best_epoch, test_acc = reference
+    np.testing.assert_allclose(params.W1, ref_params.W1, rtol=1e-12)
+    np.testing.assert_allclose(params.W2, ref_params.W2, rtol=1e-12)
+    np.testing.assert_allclose(report.loss_trace, loss_trace, rtol=1e-12)
+    assert report.val_accuracy_trace == val_trace
+    assert report.best_val_epoch == best_epoch
+    assert report.test_accuracy == test_acc
 
 
 class TestTrain:
@@ -500,7 +540,7 @@ class TestTrain:
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
         params, report = train(ds, A_hat, split, config, 15)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
-            ds, A_hat, split, config, 15)
+            ds, A_hat, split, config, 15, features_first=features_first_in_train(ds, config))
         np.testing.assert_array_equal(params.W1, ref_params.W1)
         np.testing.assert_array_equal(params.W2, ref_params.W2)
         np.testing.assert_array_equal(report.loss_trace, loss_trace)
@@ -512,15 +552,18 @@ class TestTrain:
     def test_hidden_width_order_agrees(self, size, blocks, dim, epochs):
         """A_hat @ (H W2) and (A_hat @ H) W2 differ only in rounding."""
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
-        params, report = train(ds, A_hat, split, config, 15)
-        ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
-            ds, A_hat, split, config, 15, class_width=False)
-        np.testing.assert_allclose(params.W1, ref_params.W1, rtol=1e-12)
-        np.testing.assert_allclose(params.W2, ref_params.W2, rtol=1e-12)
-        np.testing.assert_allclose(report.loss_trace, loss_trace, rtol=1e-12)
-        assert report.val_accuracy_trace == val_trace
-        assert report.best_val_epoch == best_epoch
-        assert report.test_accuracy == test_acc
+        assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
+            ds, A_hat, split, config, 15, class_width=False,
+            features_first=features_first_in_train(ds, config)))
+
+    @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
+    def test_feature_order_agrees(self, size, blocks, dim, epochs):
+        """(A_hat @ X) @ W1 and A_hat @ (X @ W1) differ only in rounding, so
+        the order train does not take agrees with it."""
+        ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
+        assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
+            ds, A_hat, split, config, 15,
+            features_first=not features_first_in_train(ds, config)))
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_epoch_products_have_class_width(self, sparse):
@@ -537,6 +580,36 @@ class TestTrain:
         train(ds, spy, split, config, 18)
         assert sorted(spy.widths) == sorted(
             [ds.feature_dim] + [ds.num_classes] * (2 * config.epochs + 1))
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_wide_features_never_reach_a_hat(self, sparse):
+        """With d = 200 > (2E + 1) h = 84, A_hat multiplies the hidden width
+        and the class width once each to score the start and twice each per
+        epoch, and never X."""
+        ds = generate_sbm(SbmParams(nodes_per_block=50, blocks=3, p_in=0.04,
+                                    p_out=0.002, feature_dim=200), 16)
+        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=17)
+        A_hat = normalize_adjacency(ds.graph) if sparse else dense_a_hat(ds.graph)
+        spy = SpyAdjacency(A_hat)
+        config = TrainConfig(hidden=4, epochs=10)
+        assert features_first_in_train(ds, config)
+        train(ds, spy, split, config, 18)
+        products = 2 * config.epochs + 1
+        assert sorted(spy.widths) == sorted(
+            [config.hidden] * products + [ds.num_classes] * products)
+
+    def test_overflowing_logits_raise_train_divergence(self):
+        """At learning rate 1e20 the logits that score epoch 8's update
+        overflow, while every loss up to epoch 8 is finite."""
+        ds = separable_dataset()
+        split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
+        A_hat = normalize_adjacency(ds.graph)
+        _, report = train(ds, A_hat, split,
+                          TrainConfig(hidden=4, epochs=8, learning_rate=1e20), 2)
+        assert np.all(np.isfinite(report.loss_trace))
+        with pytest.raises(gcn.TrainDivergence, match="at epoch 8$") as caught:
+            train(ds, A_hat, split, TrainConfig(hidden=4, epochs=9, learning_rate=1e20), 2)
+        assert caught.value.epoch == 8
 
     def test_overflowing_loss_raises_train_divergence(self):
         # with weight decay 1 and learning rate 1e50 a step scales the weights

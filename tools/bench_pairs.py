@@ -1,6 +1,6 @@
 """Write a BENCH_<label>.json: the benchmark run in alternating pairs on two checkouts.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --label pr22_features \\
+    python3 tools/bench_pairs.py --parent ../parent --change . --label my_change \\
         --workloads cora-shape,protocol-n1000,denoise-kkt --seeds 301-310 --seconds 36 \\
         --change-text "what the change does"
 

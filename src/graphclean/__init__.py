@@ -34,8 +34,6 @@ from .gcn import (
     TrainConfig,
     TrainReport,
     accuracy,
-    cross_entropy,
-    forward,
     normalize_adjacency,
     train,
     xavier_params,

@@ -5,10 +5,11 @@ Subcommands: ``synth`` (write an SBM bundle), ``attack``, ``denoise``,
 class (``_FLAGS``) takes its type and default from that field.  Every flag can
 also come from a flat ``key = value`` config file passed with --config: its
 values, converted by each flag's own type, become the subcommand's argparse
-defaults, so explicit flags win over them.  Bad input, an :class:`InputError` or
-a pipeline stage failure that one caused, ends the command with one
-``graphclean: error: ...`` line on stderr and exit status 2, as argparse does;
-any other exception keeps its traceback.
+defaults, so explicit flags win over them.  Bad input (an :class:`InputError`),
+a diverged denoiser or training run, or a pipeline stage failure that one of
+these caused, ends the command with one ``graphclean: error: ...`` line on
+stderr and exit status 2, as argparse does; any other exception keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .datasets import (
     save_bundle,
     split_nodes,
 )
-from .denoise import DenoiseConfig, denoise, pairwise_p_distances
+from .denoise import DenoiseConfig, DenoiseDivergence, denoise, pairwise_p_distances
 from .gcn import TrainConfig, TrainDivergence, normalize_adjacency, train
 from .pipeline import (
     AttackSpec,
@@ -322,15 +323,18 @@ _COMMANDS = {
 }
 
 
+_ONE_LINE = (InputError, DenoiseDivergence, TrainDivergence)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (InputError, TrainDivergence) as exc:
+    except _ONE_LINE as exc:
         _fail(exc)
     except PipelineStageError as exc:
-        if isinstance(exc.__cause__, (InputError, TrainDivergence)):
+        if isinstance(exc.__cause__, _ONE_LINE):
             _fail(exc)
         raise
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .datasets import InputError, check_finite
 from .operators import (WeightVector, _row_starts, _weight_array, node_count_for_pairs,
-                        pair_count)
+                        pair_count, pair_nodes)
 
 __all__ = [
     "DenoiseConfig",
@@ -134,6 +134,7 @@ class DenoiseResult:
 _GRAM_ROWS = 256
 
 
+@np.errstate(over="ignore")
 def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     """d_p[k] = sum_m |X[i,m] - X[j,m]|^p for the pair (i, j) of index k.
 
@@ -146,7 +147,8 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     a time, so no n x n matrix is held.
 
     Any other input goes through a loop over rows, which keeps only O(n d)
-    scratch live at a time.
+    scratch live at a time; a distance that overflows float64 raises
+    :class:`InputError` with its node pair.
     """
     check_finite(p=p)
     if p < 1:
@@ -161,14 +163,17 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     pos = 0
     for r in range(n - 1):
         block = np.abs(X[r + 1:] - X[r])
-        if p == 1.0:
-            vals = block.sum(axis=1)
-        elif p == 2.0:
+        if p == 2.0:
             vals = np.einsum("ij,ij->i", block, block)
         else:
             vals = (block**p).sum(axis=1)
         out[pos:pos + n - 1 - r] = vals
         pos += n - 1 - r
+    finite = np.isfinite(out)
+    if not finite.all():
+        i, j = pair_nodes(np.argmin(finite), n)
+        raise InputError(f"d_p is not finite at p = {p} for the node pair ({i}, {j}); "
+                         "use a smaller p or rescale the features")
     return out
 
 
@@ -301,6 +306,8 @@ def _blocks(m: int):
         yield slice(k0, min(k0 + _BLOCK, m))
 
 
+# a diverging solve overflows; the checks on f report it as DenoiseDivergence
+@np.errstate(over="ignore", invalid="ignore")
 def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             d_p: np.ndarray | None = None, w0: np.ndarray | None = None) -> DenoiseResult:
     """Semismooth Newton on the n-dimensional dual of the noise-removal objective.

@@ -31,9 +31,6 @@ __all__ = [
     "SparseAdjacency",
     "xavier_params",
     "normalize_adjacency",
-    "forward",
-    "softmax",
-    "cross_entropy",
     "accuracy",
     "loss_and_gradients",
     "train",
@@ -233,30 +230,6 @@ def _propagate(params: GcnParams, A_hat, AX):
     return XW, hidden, A_hat @ (hidden @ params.W2)
 
 
-def _finite(logits: np.ndarray) -> np.ndarray:
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits in forward pass")
-    return logits
-
-
-def forward(params: GcnParams, A_hat, X: np.ndarray) -> np.ndarray:
-    """logits = A_hat @ (relu(A_hat @ X @ W1) @ W2)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != params.W1.shape[0] or A_hat.shape[1] != X.shape[0]:
-        raise ValueError(
-            f"shape mismatch: A_hat {A_hat.shape}, X {X.shape}, W1 {params.W1.shape}"
-        )
-    AX = _features(A_hat, X, params.W1.shape[1], 1)
-    return _finite(_propagate(params, A_hat, AX)[2])
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-shift stabilization."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_mask(mask, n: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
@@ -264,18 +237,6 @@ def _check_mask(mask, n: int) -> np.ndarray:
     if mask.min() < 0 or mask.max() >= n:
         raise ValueError(f"mask references nodes outside [0, {n})")
     return mask
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
-    """Mean of -log softmax(logits_i)[y_i] over the masked nodes."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = _check_mask(mask, logits.shape[0])
-    sub = logits[mask]
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(mask.size), labels[mask]]
-    return float(np.mean(log_norm - picked))
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
@@ -295,8 +256,12 @@ def _loss_and_gradients(params: GcnParams, A_hat, AX,
                         weight_decay: float):
     """Loss and gradients at ``params``, whose :func:`_propagate` is ``state``."""
     XW, hidden, logits = state
-    probs = softmax(logits)
-    loss = cross_entropy(logits, labels, mask)
+    # one max-shifted exp gives both the softmax and the masked cross-entropy
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=1, keepdims=True)
+    probs = e / norm
+    loss = float(np.mean(np.log(norm[mask, 0]) - shifted[mask, labels[mask]]))
     loss += 0.5 * weight_decay * (
         float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2))
     )

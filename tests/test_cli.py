@@ -304,13 +304,23 @@ class TestBadInput:
          None, None, "training diverged: non-finite loss or logits at epoch "),
         (["pipeline", "--lr-gnn", "1e20"] + SMALL_RUN, None, None,
          "repetition 0, stage train[clean]: training diverged: non-finite loss or logits"),
+        # the first edge of the bundle gets a weight whose square overflows
+        (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
+         ("edges.csv", 1, b"0,1,1e200"), "non-finite objective at iteration "),
+        (["pipeline", "--bundle", "{bundle}", "--split", "0.5,0.25,0.25", "--reps", "1"], None,
+         ("edges.csv", 1, b"0,1,1e200"),
+         "repetition 0, stage denoise: non-finite objective at iteration "),
+        (["pipeline", "--sbm-size", "5", "--reps", "1", "--epochs", "2", "--p", "400",
+          "--sbm-noise", "3"], None, None,
+         "repetition 0, stage distances: d_p is not finite at p = 400.0 for the node pair ("),
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
             "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
             "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config",
             "train-empty-split", "pipeline-empty-split", "config-bad-int",
             "config-bad-split", "config-nan-split", "train-divergence",
-            "pipeline-divergence"])
+            "pipeline-divergence", "denoise-divergence", "pipeline-denoise-divergence",
+            "pipeline-p-overflow"])
     def test_one_error_line(self, tmp_path, bundle_dir, capsys, argv, config, edit, message):
         if edit is not None:
             name, row, content = edit

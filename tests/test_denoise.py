@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphclean.attacks import heterophilic_add
-from graphclean.datasets import SbmParams, generate_sbm
+from graphclean.datasets import InputError, SbmParams, generate_sbm
 from graphclean.denoise import (
     _BLOCK,
     DenoiseConfig,
@@ -201,6 +201,13 @@ class TestPairwisePDistances:
         with pytest.raises(ValueError):
             pairwise_p_distances(self.X, 0.9)
 
+    @pytest.mark.parametrize("p, far", [(2.0, 1e160), (400.0, 8.0)])
+    def test_overflow_names_p_and_the_pair(self, p, far):
+        """|0 - far|^p overflows float64 at the pair (0, 2); 0.5^p does not."""
+        X = np.array([[0.0], [0.5], [far]])
+        with pytest.raises(InputError, match=rf"at p = {p} for the node pair \(0, 2\);"):
+            pairwise_p_distances(X, p)
+
 
 def random_features(seed, n, d, scale=1.0, ones=None):
     """Uniform features in [-scale, scale); with ``ones`` a fraction, 0/1
@@ -232,6 +239,12 @@ class TestGramDistancesMatchLoop:
         else:
             X[7, 3] = {"near-binary": 2.0, "nan": np.nan, "inf": np.inf}[case]
         assert not features_are_binary(X)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_manhattan_is_the_general_power(self, scale):
+        """x ** 1.0 is exact, so p = 1 gives the bits of a plain sum."""
+        X = random_features(9, 80, 10, scale=scale)
+        np.testing.assert_array_equal(pairwise_p_distances(X, 1.0), loop_distances(X, 1.0))
 
     def test_tiny_inputs(self):
         for X in (np.zeros((1, 3)), np.ones((4, 0))):

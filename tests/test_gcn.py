@@ -13,11 +13,8 @@ from graphclean.gcn import (
     SparseAdjacency,
     TrainConfig,
     accuracy,
-    cross_entropy,
-    forward,
     loss_and_gradients,
     normalize_adjacency,
-    softmax,
     train,
     xavier_params,
 )
@@ -39,6 +36,36 @@ def forward_oracle(params, A_hat, X):
     hidden = matmul(matmul(A_hat, X), params.W1)
     hidden[hidden < 0] = 0.0
     return matmul(matmul(A_hat, hidden), params.W2)
+
+
+def forward(params, A_hat, X):
+    """Oracle: logits = A_hat @ (relu(A_hat @ (X @ W1)) @ W2), so A_hat sees
+    only the hidden and class widths."""
+    hidden = np.maximum(A_hat @ (X @ params.W1), 0.0)
+    return A_hat @ (hidden @ params.W2)
+
+
+def softmax(logits):
+    """Oracle: row-wise softmax with max-shift stabilization."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def cross_entropy(logits, labels, mask):
+    """Oracle: mean of -log softmax(logits_i)[y_i] over the masked nodes."""
+    mask = np.asarray(mask, dtype=np.int64)
+    sub = logits[mask]
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(mask.size), labels[mask]]
+    return float(np.mean(log_norm - picked))
+
+
+def program_logits(params, A_hat, X):
+    """The logits stage 2 computes, in the first-layer order of one product."""
+    AX = gcn._features(A_hat, X, params.W1.shape[1], 1)
+    return gcn._propagate(params, A_hat, AX)[2]
 
 
 def normalize_oracle(W):
@@ -336,63 +363,96 @@ class TestSparseAdjacency:
 
 class TestForward:
     def test_dead_first_layer(self):
-        params, A_hat, X, _, _ = random_gcn_instance(seed=1)
+        """W1 = 0 gives zero logits: every masked row scores log C, and no
+        gradient flows."""
+        params, A_hat, X, labels, mask = random_gcn_instance(seed=1)
         params.W1 = np.zeros_like(params.W1)
-        np.testing.assert_array_equal(forward(params, A_hat, X),
-                                      np.zeros((X.shape[0], params.W2.shape[1])))
+        loss, g1, g2 = loss_and_gradients(params, A_hat, X, labels, mask, 0.0)
+        assert abs(loss - math.log(params.W2.shape[1])) < 1e-12
+        np.testing.assert_array_equal(g1, np.zeros_like(g1))
+        np.testing.assert_array_equal(g2, np.zeros_like(g2))
 
     def test_identity_propagation_is_mlp(self):
         params = xavier_params(3, 4, 2, seed=2)
-        X = np.array([[0.3, -0.2, 0.9]])
-        logits = forward(params, np.eye(1), X)
-        expected = np.maximum(X @ params.W1, 0.0) @ params.W2
-        np.testing.assert_allclose(logits, expected, rtol=1e-12)
+        X = np.array([[0.3, -0.2, 0.9], [-0.5, 0.4, 0.1], [0.8, 0.7, -0.6]])
+        labels = np.array([1, 0, 1])
+        loss, _, _ = loss_and_gradients(params, np.eye(3), X, labels, [0, 1, 2], 0.0)
+        mlp = np.maximum(X @ params.W1, 0.0) @ params.W2
+        assert abs(loss - cross_entropy(mlp, labels, [0, 1, 2])) <= 1e-12
 
     def test_matches_loop_oracle(self):
         for seed in (3, 4, 5):
             params, A_hat, X, _, _ = random_gcn_instance(seed)
             dense = random_gcn_instance(seed, adjacency=dense_a_hat)[1]
-            np.testing.assert_allclose(forward(params, A_hat, X),
+            np.testing.assert_allclose(program_logits(params, A_hat, X),
                                        forward_oracle(params, dense, X), atol=1e-10)
 
     def test_shape_mismatch(self):
         params = xavier_params(3, 4, 2, seed=6)
         with pytest.raises(ValueError):
-            forward(params, np.eye(2), np.zeros((2, 5)))
+            loss_and_gradients(params, np.eye(2), np.zeros((2, 5)),
+                               np.zeros(2, dtype=np.int64), [0, 1], 0.0)
+
+
+def logits_instance(logits):
+    """Params, A_hat, X whose logits are ``logits``, which must be
+    non-negative: X = logits, A_hat = I, W1 = I and W2 = I."""
+    n, C = logits.shape
+    return GcnParams(W1=np.eye(C), W2=np.eye(C)), np.eye(n), logits
 
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        logits = np.zeros((3, 4))
-        labels = np.array([0, 1, 2])
-        assert abs(cross_entropy(logits, labels, [0, 1, 2]) - math.log(4)) < 1e-12
+        params, A_hat, X = logits_instance(np.zeros((3, 4)))
+        loss, _, _ = loss_and_gradients(params, A_hat, X, np.array([0, 1, 2]), [0, 1, 2], 0.0)
+        assert abs(loss - math.log(4)) < 1e-12
 
     def test_saturated_softmax(self):
+        """exp(1000) overflows, so only the max shift keeps the loss finite."""
         logits = np.zeros((2, 3))
-        logits[0, 1] = 50.0
-        logits[1, 2] = 50.0
-        assert cross_entropy(logits, np.array([1, 2]), [0, 1]) < 1e-9
+        logits[0, 1] = 1000.0
+        logits[1, 2] = 1000.0
+        params, A_hat, X = logits_instance(logits)
+        with np.errstate(over="raise", invalid="raise"):
+            right = loss_and_gradients(params, A_hat, X, np.array([1, 2]), [0, 1], 0.0)
+            wrong = loss_and_gradients(params, A_hat, X, np.array([0, 0]), [0, 1], 0.0)
+        assert right[0] < 1e-9
+        assert abs(wrong[0] - 1000.0) < 1e-9
+        for g in right[1:] + wrong[1:]:
+            assert np.all(np.isfinite(g))
 
     def test_shift_invariance(self):
+        """A last feature c routed through one hidden unit to every class adds
+        s c_i to each logit of row i."""
         rng = SplitMix64(57)
-        logits = np.array([[rng.uniform() for _ in range(4)] for _ in range(5)])
+        base = np.array([[rng.uniform() for _ in range(4)] for _ in range(5)])
         labels = np.array([rng.bounded(4) for _ in range(5)], dtype=np.int64)
         mask = [0, 2, 4]
-        shifted = logits + np.array([[7.5], [-3.0], [0.0], [100.0], [-50.0]])
-        a = cross_entropy(logits, labels, mask)
-        b = cross_entropy(shifted, labels, mask)
-        assert abs(a - b) <= 1e-12
+        c = np.array([[7.5], [3.0], [0.0], [100.0], [50.0]])
+        X = np.hstack([base, c])
+
+        def loss_at(s):
+            params = GcnParams(W1=np.eye(5), W2=np.vstack([np.eye(4), np.full((1, 4), s)]))
+            return loss_and_gradients(params, np.eye(5), X, labels, mask, 0.0)[0]
+
+        a = loss_at(0.0)
+        assert abs(a - cross_entropy(base, labels, mask)) <= 1e-12
+        for s in (1.0, -1.0):
+            assert abs(loss_at(s) - a) <= 1e-12
 
     def test_softmax_rows_sum_to_one(self):
-        rng = SplitMix64(59)
-        logits = np.array([[10.0 * (rng.uniform() - 0.5) for _ in range(6)]
-                           for _ in range(8)])
-        np.testing.assert_allclose(softmax(logits).sum(axis=1), np.ones(8),
-                                   atol=1e-12)
+        """g2 = H^T A_hat (P - Y) / m, so each row of g2 sums to 0 when
+        each softmax row of P sums to 1."""
+        params, A_hat, X, labels, mask = random_gcn_instance(59, n=8, C=6)
+        params.W2 = 10.0 * params.W2
+        _, _, g2 = loss_and_gradients(params, A_hat, X, labels, mask, 0.0)
+        assert np.max(np.abs(g2)) > 1e-3
+        np.testing.assert_allclose(g2.sum(axis=1), np.zeros(g2.shape[0]), atol=1e-12)
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros((2, 2)), np.zeros(2, dtype=int), [])
+        params, A_hat, X = logits_instance(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="mask must be non-empty"):
+            loss_and_gradients(params, A_hat, X, np.zeros(2, dtype=int), [], 0.0)
 
 
 class TestAccuracy:

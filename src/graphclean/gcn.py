@@ -4,10 +4,12 @@ logits = A_hat @ (relu(A_hat X @ W1) @ W2) with the symmetric self-loop
 normalization A_hat = D^{-1/2} (W + I) D^{-1/2}, built from the graph's pair
 weights.  The first layer either forms A_hat X once, or propagates X W1, the
 hidden width, in each of its products, whichever sends fewer columns through
-A_hat (:func:`_features`); every other product with A_hat has one column per
-class (Kipf & Welling, ICLR 2017).  A_hat is a :class:`SparseAdjacency` in
-CSR rows; every function here accepts any symmetric matrix that supports
-``@``, a dense array included.  Training is plain full-batch gradient descent
+A_hat (:func:`_features`); in the second order a sparse X, such as 0/1
+bag-of-words features, is multiplied in CSR rows.  Every other product with
+A_hat has one column per class (Kipf & Welling, ICLR 2017).  A_hat and a
+sparse X are each a :class:`CsrMatrix`, whose products run one kernel; every
+function here accepts any symmetric A_hat that supports ``@``, a dense array
+included.  Training is plain full-batch gradient descent
 on masked cross-entropy plus an L2 penalty
 0.5 * weight_decay * (||W1||^2 + ||W2||^2); gradients are written out by hand
 so they can be checked against finite differences.
@@ -15,7 +17,7 @@ so they can be checked against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +30,7 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainDivergence",
-    "SparseAdjacency",
+    "CsrMatrix",
     "xavier_params",
     "normalize_adjacency",
     "accuracy",
@@ -110,54 +112,100 @@ def xavier_params(feature_dim: int, hidden: int, num_classes: int,
     return GcnParams(W1=layer(feature_dim, hidden), W2=layer(hidden, num_classes))
 
 
-# SparseAdjacency @ H takes max(1, _PASS_VALUES // nnz) columns of H per pass,
-# so a pass's scratch (the gathered products, and the transposed block of H,
-# as nnz >= n) holds at most 2^18 values, 2 MB, whatever the width of H or the
-# density of the graph, unless one column alone has more.  That is half of one
-# of the denoiser's pair vectors at n = 1000, so a product does not set a run's
-# peak memory.  On one core, passes of 2^16 to 2^19 values took about the same
-# time at the benchmark's sizes.
+# CsrMatrix @ H takes max(1, _PASS_VALUES // max(nnz, k)) columns of the
+# (k, w) operand H per pass, so each of a pass's two scratch arrays, the
+# transposed block of H and the gathered products, holds at most 2^18 values,
+# 2 MB, whatever the width of H or the density of the matrix, unless one
+# column alone has more.  2 MB is half of one of the denoiser's pair vectors
+# at n = 1000, so a product does not set a run's peak memory.  For A_hat,
+# nnz >= n = k, so the block is the smaller array.  On one core, passes of
+# 2^16 to 2^19 values took about the same time at the benchmark's sizes.
 _PASS_VALUES = 1 << 18
+
+# Wide features are held in CSR rows (:func:`_features`) when at most one
+# entry in _ENTRIES_PER_NONZERO is nonzero.  At n = 2485, d = 1433, width 16
+# and one BLAS thread, best of 15: X @ W took 6-10 ms dense and 2-3 ms in CSR
+# at 1.25% density, about 6 ms both ways at 5%; X.T @ G took 10-17 ms against
+# 1.5-2.5 ms, and 10 against 6-7 ms at 5%.  A dense X is 20-30x slower in CSR.
+# Cora's 0/1 features are about 1.3% nonzero, Citeseer's about 0.9%.
+_ENTRIES_PER_NONZERO = 32
+
+
+def _row_pointers(rows: np.ndarray, m: int) -> np.ndarray:
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return indptr
 
 
 @dataclass(frozen=True, eq=False)
-class SparseAdjacency:
-    """A symmetric n x n matrix in CSR rows whose every row holds its diagonal.
+class CsrMatrix:
+    """An m x k matrix in CSR rows: A_hat, or wide sparse features.
 
     Row i keeps ``data[indptr[i]:indptr[i+1]]`` at the columns
-    ``indices[indptr[i]:indptr[i+1]]``, sorted.  ``A @ H`` multiplies by a
-    dense (n, k) array a few columns at a time, so its scratch is bounded by
-    ``_PASS_VALUES`` values, not by k.
+    ``indices[indptr[i]:indptr[i+1]]``, sorted; a row may be empty.  ``M @ H``
+    multiplies by a dense (k, w) array a few columns at a time, so its scratch
+    is bounded by ``_PASS_VALUES`` values, not by w.  ``columns`` is k;
+    ``transposed`` holds M^T in CSR rows, or None for a symmetric matrix,
+    whose ``.T`` is itself.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    columns: int
+    transposed: "CsrMatrix | None" = field(default=None, repr=False)
+    # the rows that hold entries, or None when every row does, as in A_hat
+    _filled: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        counts = np.diff(self.indptr)
+        object.__setattr__(self, "_filled", None if counts.all() else np.flatnonzero(counts))
+
+    @classmethod
+    def from_dense(cls, X: np.ndarray) -> "CsrMatrix":
+        """The nonzeros of X, with X^T in CSR rows built once for ``.T``."""
+        m, k = X.shape
+        # row-major flat positions: faster than np.nonzero on a float array
+        rows, cols = np.divmod(np.flatnonzero(X != 0), k)
+        data = X[rows, cols]
+        order = np.argsort(cols, kind="stable")
+        XT = cls(_row_pointers(cols, k), rows[order], data[order], columns=m)
+        M = cls(_row_pointers(rows, m), cols, data, columns=k, transposed=XT)
+        object.__setattr__(XT, "transposed", M)
+        return M
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.indptr.size - 1
-        return n, n
+        return self.indptr.size - 1, self.columns
+
+    @property
+    def T(self) -> "CsrMatrix":
+        return self if self.transposed is None else self.transposed
 
     def __matmul__(self, H) -> np.ndarray:
         H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[0] != self.shape[1]:
-            raise ValueError(f"shape mismatch: A_hat {self.shape}, operand {H.shape}")
-        out = np.empty(H.shape)
-        # no row is empty, so every reduceat segment is the row's own entries
-        starts = self.indptr[:-1]
-        step = max(1, _PASS_VALUES // self.data.size)
+            raise ValueError(f"shape mismatch: CSR {self.shape}, operand {H.shape}")
+        if self._filled is None:
+            # no row is empty, so every reduceat segment is the row's own entries
+            out = np.empty((self.shape[0], H.shape[1]))
+            rows, starts = slice(None), self.indptr[:-1]
+        else:
+            # reduceat over the rows that hold entries; the others stay zero
+            out = np.zeros((self.shape[0], H.shape[1]))
+            rows, starts = self._filled, self.indptr[self._filled]
+        step = max(1, _PASS_VALUES // max(self.data.size, H.shape[0]))
         for c0 in range(0, H.shape[1], step):
             block = np.ascontiguousarray(H[:, c0:c0 + step].T)
             prod = block.take(self.indices, axis=1)
             prod *= self.data
-            out[:, c0:c0 + step] = np.add.reduceat(prod, starts, axis=1).T
+            out[rows, c0:c0 + step] = np.add.reduceat(prod, starts, axis=1).T
             # freed before the next pass's take, so one pass's scratch is live
             del prod
         return out
 
 
-def normalize_adjacency(weights) -> SparseAdjacency:
+def normalize_adjacency(weights) -> CsrMatrix:
     """D^{-1/2} (W + I) D^{-1/2} in CSR rows for the graph with pair weights
     ``weights``, D the degree matrix of W + I.
 
@@ -178,12 +226,11 @@ def normalize_adjacency(weights) -> SparseAdjacency:
     order = np.lexsort((dst, src))
     src, indices = src[order], dst[order]
     data = np.concatenate([v, v, np.ones(n)])[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indptr = _row_pointers(src, n)
     inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(data, indptr[:-1]))
     data *= inv_sqrt[src]
     data *= inv_sqrt[indices]
-    return SparseAdjacency(indptr=indptr, indices=indices, data=data)
+    return CsrMatrix(indptr=indptr, indices=indices, data=data, columns=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +255,16 @@ class _FeaturesFirst:
 def _features(A_hat, X: np.ndarray, hidden: int, products: int):
     """A_hat X for ``products`` first-layer products with ``hidden`` columns.
 
-    Both orders run the same n x d x hidden GEMMs; they differ only in the
-    columns that go through A_hat: d once for the array A_hat @ X, or
+    Both orders make the same n x d x hidden products with X; they differ in
+    the columns that go through A_hat: d once for the array A_hat @ X, or
     ``hidden`` in each product for :class:`_FeaturesFirst`.  The order that
-    sends fewer columns is taken.
+    sends fewer columns is taken.  In the second, each product walks X, so a
+    sparse X (``_ENTRIES_PER_NONZERO``) is held as a :class:`CsrMatrix`, built
+    once here, whose products read only its nonzeros.
     """
     if products * hidden < X.shape[1]:
+        if _ENTRIES_PER_NONZERO * np.count_nonzero(X) <= X.size:
+            X = CsrMatrix.from_dense(X)
         return _FeaturesFirst(A_hat, X)
     return A_hat @ X
 

@@ -1,6 +1,8 @@
 """The summary code of tools/bench_pairs.py on fixed numbers; no benchmark runs."""
 
 import importlib.util
+import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,42 @@ def test_workload_keeps_every_run_and_flags_failures():
                                          ("5,9,7", [5, 9, 7]), ("8", [8])])
 def test_parse_seeds(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def refuse_runs(monkeypatch):
+    def run_benchmark(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+
+
+def git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def argv(parent, change, tmp_path):
+    return ["--parent", str(parent), "--change", str(change), "--label", "t",
+            "--workloads", "cora-shape", "--seeds", "1-2", "--seconds", "0",
+            "--out", str(tmp_path / "BENCH_t.json")]
+
+
+def test_refuses_a_checkout_without_a_commit(tmp_path, monkeypatch):
+    refuse_runs(monkeypatch)
+    copy = tmp_path / "archive_copy"
+    copy.mkdir()
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{copy.resolve()}: not the top of a git working tree")):
+        bench_pairs.main(argv(copy, copy, tmp_path))
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_refuses_a_directory_inside_a_checkout(tmp_path, monkeypatch):
+    """A copy inside another working tree would read that tree's commit."""
+    refuse_runs(monkeypatch)
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "commit", "-q", "--allow-empty", "-m", "empty")
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    assert len(bench_pairs.commit_of(tmp_path)) >= 4
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{inner.resolve()}: not the top")):
+        bench_pairs.main(argv(tmp_path, inner, tmp_path))

@@ -9,8 +9,8 @@ import pytest
 from graphclean import gcn
 from graphclean.datasets import Dataset, SbmParams, Split, generate_sbm, split_nodes
 from graphclean.gcn import (
+    CsrMatrix,
     GcnParams,
-    SparseAdjacency,
     TrainConfig,
     accuracy,
     loss_and_gradients,
@@ -165,6 +165,20 @@ def reference_train(dataset, A_hat, split, config, seed, class_width=True,
             best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
     return best_params, loss_trace, val_trace, best_epoch, accuracy(
         logits_of(best_params), y, split.test)
+
+
+def spy_feature_products(monkeypatch):
+    """The type of X in every first-layer product that takes the
+    features-first order (gcn._FeaturesFirst), in call order."""
+    held = []
+    matmul = gcn._FeaturesFirst.__matmul__
+
+    def spy(self, M):
+        held.append(type(self.X))
+        return matmul(self, M)
+
+    monkeypatch.setattr(gcn._FeaturesFirst, "__matmul__", spy)
+    return held
 
 
 class SpyAdjacency:
@@ -351,7 +365,7 @@ class TestSparseAdjacency:
                                     feature_noise=0.8), 75)
         split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=76)
         A_hat = normalize_adjacency(ds.graph)
-        assert isinstance(A_hat, SparseAdjacency)
+        assert isinstance(A_hat, CsrMatrix)
         config = TrainConfig(hidden=16, epochs=60, learning_rate=0.05)
         _, sparse = train(ds, A_hat, split, config, 77)
         _, dense = train(ds, dense_a_hat(ds.graph), split, config, 77)
@@ -359,6 +373,91 @@ class TestSparseAdjacency:
         assert sparse.val_accuracy_trace == dense.val_accuracy_trace
         assert sparse.best_val_epoch == dense.best_val_epoch
         assert sparse.test_accuracy == dense.test_accuracy
+
+
+def sparse_features(seed, n, d, density, binary=True):
+    """An (n, d) matrix with about ``density * n * d`` nonzeros, 0/1 or real
+    of either sign."""
+    rng = SplitMix64(seed)
+    X = (rng.uniforms(n * d).reshape(n, d) < density).astype(np.float64)
+    if not binary:
+        X *= rng.uniforms(n * d).reshape(n, d) * 6.0 - 3.0
+    return X
+
+
+def assert_csr_products_match(X, width, seed):
+    """X in CSR rows against its dense products X @ W and X.T @ G."""
+    n, d = X.shape
+    M = CsrMatrix.from_dense(X)
+    rng = SplitMix64(seed)
+    W = rng.uniforms(d * width).reshape(d, width) - 0.5
+    G = rng.uniforms(n * width).reshape(n, width) - 0.5
+    assert M.shape == (n, d) and M.T.shape == (d, n) and M.T.T is M
+    np.testing.assert_allclose(M @ W, X @ W, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(M.T @ G, X.T @ G, rtol=1e-12, atol=1e-15)
+
+
+class TestCsrMatrix:
+    """A rectangular CsrMatrix, as wide sparse features are held, against
+    dense products; A_hat's own products are checked in TestSparseAdjacency."""
+
+    def test_empty_rows_and_columns(self):
+        X = sparse_features(83, 120, 90, 0.05)
+        X[::7] = 0.0
+        X[:, ::5] = 0.0
+        X[:, -1] = 0.0
+        M = CsrMatrix.from_dense(X)
+        assert np.any(np.diff(M.indptr) == 0) and np.any(np.diff(M.T.indptr) == 0)
+        assert_csr_products_match(X, 16, 84)
+
+    def test_all_zero(self):
+        X = np.zeros((40, 70))
+        assert CsrMatrix.from_dense(X).data.size == 0
+        assert_csr_products_match(X, 5, 85)
+
+    def test_real_values(self):
+        X = sparse_features(86, 150, 300, 0.03, binary=False)
+        assert len(np.unique(X)) > 100 and X.min() < 0.0
+        assert_csr_products_match(X, 16, 87)
+
+    @pytest.mark.parametrize("pass_values", [1, 2000, 5000])
+    def test_several_passes(self, monkeypatch, pass_values):
+        """One column per pass, or a few with a partial last pass: X has 263
+        nonzeros, so a pass takes _PASS_VALUES // 300 columns of W (300 rows)
+        and _PASS_VALUES // 263 of G (100 rows)."""
+        monkeypatch.setattr(gcn, "_PASS_VALUES", pass_values)
+        X = sparse_features(88, 100, 300, 0.008, binary=False)
+        assert np.count_nonzero(X) == 263
+        assert_csr_products_match(X, 16, 89)
+
+    def test_product_scratch_is_bounded(self):
+        """Each of a pass's two arrays holds at most _PASS_VALUES values.  X
+        has 3611 nonzeros and 6000 columns, so the operand's rows set the
+        pass of X @ W; the nonzeros set that of X.T @ G."""
+        X = sparse_features(90, 600, 6000, 0.001)
+        M = CsrMatrix.from_dense(X)
+        assert M.data.size == 3611
+        for product, rows in ((M, 6000), (M.T, 600)):
+            for width in (2, 64, 150):
+                H = np.ones((rows, width))
+                tracemalloc.start()
+                try:
+                    out = product @ H
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= out.nbytes + 2.25 * gcn._PASS_VALUES * 8, (rows, width)
+
+    def test_symmetric_transpose_is_itself(self):
+        A_hat = normalize_adjacency(sparse_weights(91, 50, 60))
+        assert A_hat.T is A_hat and A_hat.shape == (50, 50)
+
+    def test_shape_mismatch(self):
+        M = CsrMatrix.from_dense(sparse_features(92, 30, 40, 0.1))
+        with pytest.raises(ValueError):
+            M @ np.zeros((30, 2))
+        with pytest.raises(ValueError):
+            M.T @ np.zeros((40, 2))
 
 
 class TestForward:
@@ -472,9 +571,10 @@ class TestAccuracy:
         assert accuracy(logits, np.ones(4, dtype=int), [0, 1, 2, 3]) == 0.0
 
 
-def check_finite_differences(A_hat, n, d, h, C):
+def check_finite_differences(A_hat, n, d, h, C, X=None):
     rng = SplitMix64(79)
-    X = rng.uniforms(n * d).reshape(n, d) - 0.5
+    if X is None:
+        X = rng.uniforms(n * d).reshape(n, d) - 0.5
     labels = np.array([rng.bounded(C) for _ in range(n)], dtype=np.int64)
     params = xavier_params(d, h, C, seed=80)
     mask = np.arange(0, n, 2)
@@ -493,7 +593,7 @@ class TestGradients:
         n = 80
         w = sparse_weights(78, n, 20)
         A_hat = normalize_adjacency(w) if sparse else dense_a_hat(w)
-        assert isinstance(A_hat, SparseAdjacency) == sparse
+        assert isinstance(A_hat, CsrMatrix) == sparse
         check_finite_differences(A_hat, n, d=3, h=4, C=3)
 
     def test_finite_differences_with_wide_features(self):
@@ -503,6 +603,17 @@ class TestGradients:
         spy = SpyAdjacency(normalize_adjacency(sparse_weights(78, n, 20)))
         check_finite_differences(spy, n, d, h, C)
         assert spy.widths and d not in spy.widths
+
+    def test_finite_differences_with_sparse_wide_features(self, monkeypatch):
+        """d = 40 > 2h with 71 nonzeros of 3200, so X is held in CSR rows,
+        several of them empty."""
+        n, d, h, C = 80, 40, 2, 3
+        X = sparse_features(93, n, d, 0.02, binary=False)
+        assert 0 < gcn._ENTRIES_PER_NONZERO * np.count_nonzero(X) <= X.size
+        held = spy_feature_products(monkeypatch)
+        check_finite_differences(normalize_adjacency(sparse_weights(78, n, 20)),
+                                 n, d, h, C, X=X)
+        assert held == [CsrMatrix] * 2
 
     def test_matches_finite_differences(self):
         for seed in range(20):
@@ -539,6 +650,19 @@ def loop_instance(size, blocks, dim, epochs):
     split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=14)
     config = TrainConfig(hidden=16, epochs=epochs, learning_rate=0.05)
     return ds, normalize_adjacency(ds.graph), split, config
+
+
+def sparse_wide_instance():
+    """LOOP_INSTANCES's first graph with 400 0/1 features, about 2% of them
+    ones: words of a node's own class (one word in three) are drawn at 3.5%,
+    the others at 1.25%."""
+    ds, A_hat, split, config = loop_instance(50, 2, 6, 10)
+    rng = SplitMix64(94)
+    d = 400
+    own = (np.arange(d)[None, :] % 3) == ds.labels[:, None]
+    X = (rng.uniforms(ds.n * d).reshape(ds.n, d) < np.where(own, 0.035, 0.0125)).astype(float)
+    ds = Dataset(features=X, labels=ds.labels, graph=ds.graph, num_classes=ds.num_classes)
+    return ds, A_hat, split, config
 
 
 def assert_agrees_with(trained, reference):
@@ -625,6 +749,36 @@ class TestTrain:
             ds, A_hat, split, config, 15,
             features_first=not features_first_in_train(ds, config)))
 
+    def test_sparse_features_agree_with_dense_products(self):
+        """The CSR products of X reorder only the sums of the dense ones."""
+        ds, A_hat, split, config = sparse_wide_instance()
+        assert features_first_in_train(ds, config)
+        assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
+            ds, A_hat, split, config, 15, features_first=True))
+
+    @pytest.mark.parametrize("instance, held", [
+        (sparse_wide_instance, CsrMatrix),
+        (lambda: loop_instance(*LOOP_INSTANCES[2]), np.ndarray),
+    ], ids=["sparse-400", "dense-1433"])
+    def test_features_held_in_csr_below_the_rule(self, monkeypatch, instance, held):
+        """Every first-layer product, 2 * epochs + 1 of them, multiplies the
+        CSR of a sparse X and the array of a dense one."""
+        ds, A_hat, split, config = instance()
+        assert features_first_in_train(ds, config)
+        spy = spy_feature_products(monkeypatch)
+        train(ds, A_hat, split, config, 15)
+        assert spy == [held] * (2 * config.epochs + 1)
+
+    def test_csr_rule_boundary(self):
+        """X is held in CSR rows up to one nonzero in _ENTRIES_PER_NONZERO."""
+        A_hat = normalize_adjacency(sparse_weights(95, 40, 30))
+        X = np.zeros((40, 64))
+        at_rule = 40 * 64 // gcn._ENTRIES_PER_NONZERO
+        X.flat[:at_rule] = 1.0
+        assert isinstance(gcn._features(A_hat, X, 1, 1).X, CsrMatrix)
+        X.flat[at_rule] = 1.0
+        assert isinstance(gcn._features(A_hat, X, 1, 1).X, np.ndarray)
+
     @pytest.mark.parametrize("sparse", [True, False])
     def test_epoch_products_have_class_width(self, sparse):
         """A_hat multiplies X once and otherwise only operands with one column
@@ -633,7 +787,7 @@ class TestTrain:
                                     p_out=0.002, feature_dim=6), 16)
         split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=17)
         A_hat = normalize_adjacency(ds.graph)
-        assert isinstance(A_hat, SparseAdjacency)
+        assert isinstance(A_hat, CsrMatrix)
         spy = SpyAdjacency(A_hat if sparse else dense_a_hat(ds.graph))
         config = TrainConfig(hidden=16, epochs=20)
         assert ds.feature_dim != ds.num_classes != config.hidden

@@ -12,6 +12,11 @@ the change's ``BENCHMARK.json`` names, the file gives each side's median and
 quartiles, the pairs in which the change read lower, the median change in
 percent, whether that shows a gain, and every run.  The file is rewritten
 after each pair, so a run cut short leaves the pairs it finished.
+
+Each checkout must be the top of a git working tree, so the file can name
+its commit; make the parent with ``git worktree add --detach ../parent
+<commit>``.  A directory git cannot read a commit from, such as a ``git
+archive`` copy, is refused before any run starts.
 """
 
 from __future__ import annotations
@@ -92,9 +97,15 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> d
 
 
 def commit_of(checkout: Path) -> str:
-    done = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
+    """The short commit of the working tree whose top is ``checkout``."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel",
+                           "--short", "HEAD"], capture_output=True, text=True)
+    lines = done.stdout.split()
+    # a directory inside another working tree would read that tree's commit
+    if done.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout:
+        raise SystemExit(f"{checkout}: not the top of a git working tree, so its commit "
+                         "cannot be read; make it with git worktree add --detach")
+    return lines[1]
 
 
 def main(argv=None) -> int:
@@ -110,6 +121,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: commit_of(checkouts[side]) for side in SIDES}
     workloads = args.workloads.split(",")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     out = args.out or Path(f"BENCH_{args.label}.json")
@@ -126,8 +138,8 @@ def main(argv=None) -> int:
         doc = {
             "label": args.label,
             "change": args.change_text,
-            "parent_commit": commit_of(checkouts["parent"]),
-            "change_commit": commit_of(checkouts["change"]),
+            "parent_commit": commits["parent"],
+            "change_commit": commits["change"],
             "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                        f"--seconds {args.seconds:g}",
             "environment": environment,

@@ -18,11 +18,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .operators import WeightVector, pair_count, pair_index, pair_nodes, same_label_pairs
+from .operators import (WeightVector, _row_starts, pair_count, pair_index, pair_nodes,
+                        same_label_pairs)
 from .rng import SplitMix64
 
 __all__ = [
@@ -95,6 +97,15 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def sparse_features(self):
+        """The features as a :class:`graphclean.gcn.CsrMatrix` when they are
+        sparse enough for the GCN to multiply in CSR rows, else None.  Built
+        on first use and kept, so every arm and repetition that trains on this
+        dataset shares one."""
+        from .gcn import _sparse  # gcn imports this module
+        return _sparse(self.features)
 
     @property
     def feature_dim(self) -> int:
@@ -183,20 +194,66 @@ def _parse_int(text: str, where: str) -> int:
         raise BundleFormatError(f"{where}: not an integer: {text!r}") from None
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_bytes(path: Path) -> bytes:
     if not path.is_file():
         raise BundleFormatError(f"missing bundle file: {path}")
+    return path.read_bytes()
+
+
+def _lines(data: bytes, name: str) -> list[str]:
+    """The rows of the bundle file ``name``, whose bytes are ``data``."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the whole file is decoded at once, so exc.start is a file offset
         row = exc.object.count(b"\n", 0, exc.start) + 1
-        raise BundleFormatError(f"{path.name} row {row}: not UTF-8 text") from None
+        raise BundleFormatError(f"{name} row {row}: not UTF-8 text") from None
     # rows end at "\n" or "\r\n"; a lone "\r" stays inside its row
     lines = text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _table(rows: list[str], width: int) -> np.ndarray | None:
+    """The rows of labels.csv or edges.csv after the header as a (rows, width)
+    float64 array, or None unless np.loadtxt reads ``width`` fields in every
+    row, the first two of them through int().
+
+    So the ids take int()'s syntax, as the row loop's do; loadtxt converts
+    the weights as float() does (:func:`_parse_features`).
+    """
+    if not rows:
+        return np.empty((0, width))
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+                           converters={0: int, 1: int})
+    except (ValueError, OverflowError):
+        return None
+    # loadtxt skips blank rows
+    return table if table.shape == (len(rows), width) else None
+
+
+def _binary_features(data: bytes) -> np.ndarray | None:
+    """features.csv read straight from its bytes, or None unless every field
+    is one digit 0 or 1, fields are separated by ",", every row ends in "\n"
+    and has the first row's width, and there are at least 2 rows.
+
+    Such a file holds 2d bytes per row of d features, so it is an (n, 2d)
+    byte matrix whose even columns are the digits and whose odd columns are
+    "," but for the last, "\n".  Any other file, CRLF, ``1.0`` or a missing
+    final newline included, returns None and takes :func:`_parse_features`.
+    """
+    width = data.find(b"\n") + 1
+    if width < 2 or width % 2 or len(data) % width or len(data) < 2 * width:
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    digits = rows[:, 0::2] - ord("0")  # uint8, so any byte below "0" wraps past 1
+    ends = rows[:, 1::2]
+    if ((digits > 1).any() or (ends[:, :-1] != ord(",")).any()
+            or (ends[:, -1] != ord("\n")).any()):
+        return None
+    return digits.astype(np.float64)
 
 
 def _parse_features(lines: list[str]) -> np.ndarray:
@@ -233,32 +290,22 @@ def _parse_features(lines: list[str]) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def load_bundle(path) -> Dataset:
-    """Load a bundle directory into a :class:`Dataset`.
+def _parse_labels(rows: list[str], n: int) -> np.ndarray:
+    """labels.csv's rows after the header as the label of each of n nodes,
+    -1 where a node has none.
 
-    The node count comes from features.csv, so isolated nodes are fine.
-    Raises :class:`BundleFormatError` with file and 1-based row number on any
-    malformed row, non-finite feature, out-of-range endpoint, duplicate edge
-    or self-loop.
+    :func:`_table` parses the rows and they are checked as arrays.  A file
+    either refuses goes through the row loop, which names the first bad row.
     """
-    root = Path(path)
-
-    feat_lines = _read_lines(root / "features.csv")
-    n = len(feat_lines)
-    if n < 2:
-        raise BundleFormatError(f"features.csv: need at least 2 nodes, got {n}")
-    features = _parse_features(feat_lines)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
-    # read-only and owning its data, so the Dataset keeps it without a copy
-    features.flags.writeable = False
-
-    label_lines = _read_lines(root / "labels.csv")
-    if not label_lines or label_lines[0] != "node,label":
-        raise BundleFormatError('labels.csv row 1: header must be "node,label"')
     labels = np.full(n, -1, dtype=np.int64)
-    for ln, line in enumerate(label_lines[1:], start=2):
+    table = _table(rows, 2)
+    # a label >= n would mean more classes than nodes
+    if table is not None and ((0 <= table) & (table < n)).all():
+        nodes, values = table.T.astype(np.int64)
+        if np.bincount(nodes, minlength=n).max() <= 1:
+            labels[nodes] = values
+            return labels
+    for ln, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != 2:
             raise BundleFormatError(f"labels.csv row {ln}: expected 2 fields")
@@ -268,21 +315,32 @@ def load_bundle(path) -> Dataset:
             raise BundleFormatError(f"labels.csv row {ln}: node {node} out of range")
         if labels[node] != -1:
             raise BundleFormatError(f"labels.csv row {ln}: node {node} labeled twice")
-        # a label >= n would mean more classes than nodes
         if not 0 <= label < n:
             raise BundleFormatError(
                 f"labels.csv row {ln}: label {label} outside [0, {n}) for {n} nodes")
         labels[node] = label
-    unlabeled = np.flatnonzero(labels == -1)
-    if unlabeled.size:
-        raise BundleFormatError(f"labels.csv: node {int(unlabeled[0])} has no label")
-    num_classes = int(labels.max()) + 1
+    return labels
 
-    edge_lines = _read_lines(root / "edges.csv")
-    if not edge_lines or edge_lines[0] != "src,dst,weight":
-        raise BundleFormatError('edges.csv row 1: header must be "src,dst,weight"')
+
+def _parse_edges(rows: list[str], n: int) -> np.ndarray:
+    """edges.csv's rows after the header as the pair vector of n nodes.
+
+    :func:`_table` parses the rows and they are checked as arrays.  A file
+    either refuses goes through the row loop, which names the first bad row.
+    """
     weights = np.zeros(pair_count(n), dtype=np.float64)
-    for ln, line in enumerate(edge_lines[1:], start=2):
+    table = _table(rows, 3)
+    if table is not None:
+        u, v, w = table.T
+        if ((0 <= u) & (u < v) & (v < n) & (w > 0) & np.isfinite(w)).all():
+            u, v = u.astype(np.int64), v.astype(np.int64)
+            # the pair (u, v), u < v, sits at v - u - 1 in row u's block
+            k = _row_starts(n)[u] + (v - u - 1)
+            ordered = np.sort(k)
+            if (ordered[1:] != ordered[:-1]).all():
+                weights[k] = w
+                return weights
+    for ln, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise BundleFormatError(f"edges.csv row {ln}: expected 3 fields")
@@ -301,6 +359,47 @@ def load_bundle(path) -> Dataset:
         if weights[k - 1] != 0.0:
             raise BundleFormatError(f"edges.csv row {ln}: duplicate edge {u},{v}")
         weights[k - 1] = wgt
+    return weights
+
+
+def load_bundle(path) -> Dataset:
+    """Load a bundle directory into a :class:`Dataset`.
+
+    The node count comes from features.csv, so isolated nodes are fine.
+    Raises :class:`BundleFormatError` with file and 1-based row number on any
+    malformed row, non-finite feature, out-of-range endpoint, duplicate edge
+    or self-loop.
+    """
+    root = Path(path)
+
+    data = _read_bytes(root / "features.csv")
+    features = _binary_features(data)
+    if features is None:
+        feat_lines = _lines(data, "features.csv")
+        if len(feat_lines) < 2:
+            raise BundleFormatError(
+                f"features.csv: need at least 2 nodes, got {len(feat_lines)}")
+        features = _parse_features(feat_lines)
+        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+        if bad.size:
+            raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
+    # read-only and owning its data, so the Dataset keeps it without a copy
+    features.flags.writeable = False
+    n = features.shape[0]
+
+    label_lines = _lines(_read_bytes(root / "labels.csv"), "labels.csv")
+    if not label_lines or label_lines[0] != "node,label":
+        raise BundleFormatError('labels.csv row 1: header must be "node,label"')
+    labels = _parse_labels(label_lines[1:], n)
+    unlabeled = np.flatnonzero(labels == -1)
+    if unlabeled.size:
+        raise BundleFormatError(f"labels.csv: node {int(unlabeled[0])} has no label")
+    num_classes = int(labels.max()) + 1
+
+    edge_lines = _lines(_read_bytes(root / "edges.csv"), "edges.csv")
+    if not edge_lines or edge_lines[0] != "src,dst,weight":
+        raise BundleFormatError('edges.csv row 1: header must be "src,dst,weight"')
+    weights = _parse_edges(edge_lines[1:], n)
 
     return Dataset(
         features=features,

@@ -141,10 +141,13 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     When every feature is 0 or 1, the answer comes from the Gram matrix
     G = X X^T as d_p[k] = s_i + s_j - 2 G_ij with s = diag G.  For any p,
     |x_i - x_j|^p is then (x_i - x_j)^2, so d_p is the Hamming distance for
-    every p and a change of p changes nothing.  Every product and partial sum
-    is an integer that float64 holds exactly, so the summation order of the
-    row loop and of BLAS cannot change a bit.  G is built a block of rows at
-    a time, so no n x n matrix is held.
+    every p and a change of p changes nothing.  Sparse features, such as
+    bag-of-words, give G from their nonzeros: each pair of nodes that share a
+    feature is counted (GCN-Jaccard, Wu et al., IJCAI 2019, overlaps binary
+    features so).  Denser ones take G from BLAS a block of rows at a time, so
+    no n x n matrix is held.  Every product and partial sum is an integer that
+    float64 holds exactly, so the summation order of the row loop, of the
+    counts and of BLAS cannot change a bit.
 
     Any other input goes through a loop over rows, which keeps only O(n d)
     scratch live at a time; a distance that overflows float64 raises
@@ -184,6 +187,50 @@ def features_are_binary(X: np.ndarray) -> bool:
 
 
 def _gram_distances(X: np.ndarray) -> np.ndarray:
+    """d_k = s_i + s_j - 2 G_ij for 0/1 features, with s the row counts and
+    G_ij the number of features rows i and j share.
+
+    Each feature w held by c_w nodes is shared by C(c_w, 2) node pairs.  When
+    those number at most the pair count m, the pairs are listed from each
+    feature's nodes and counted with bincount; then the scratch is at most
+    three int64 arrays of sum C(c_w, 2) <= m values, no more than three pair
+    vectors, and on sparse features far less.  Denser features, where that
+    list would be longer than m, take the Gram matrix from BLAS instead.
+    """
+    n = X.shape[0]
+    m = pair_count(n)
+    # (feature, node) of every nonzero, by feature and then by node
+    features, nodes = np.divmod(np.flatnonzero(X.T != 0), n)
+    counts = np.bincount(features, minlength=X.shape[1])
+    if (counts * (counts - 1) // 2).sum() > m:
+        return _blas_gram_distances(X)
+    # nonzero e pairs with the ``later[e]`` nonzeros after it in its feature,
+    # e + 1 .. e + later[e]; its pairs start at ``first[e]`` in the pair list
+    later = np.cumsum(counts)[features] - np.arange(nodes.size) - 1
+    first = np.cumsum(later) - later
+    i = np.repeat(nodes, later)
+    j = np.repeat(np.arange(1, nodes.size + 1) - first, later)
+    j += np.arange(j.size)
+    j = nodes[j]
+    # the pair (i, j), i < j, sits at j - i - 1 in row i's block
+    j -= i + 1
+    j += _row_starts(n)[i]
+    del i
+    # bincount of no values gives int64 zeros even with weights
+    out = np.bincount(j, np.full(j.size, -2.0), m).astype(np.float64, copy=False)
+    del j
+    s = np.bincount(nodes, minlength=n).astype(np.float64)
+    pos = 0
+    for r in range(n - 1):
+        row = out[pos:pos + n - 1 - r]
+        row += s[r + 1:]
+        row += s[r]
+        pos += n - 1 - r
+    return out
+
+
+def _blas_gram_distances(X: np.ndarray) -> np.ndarray:
+    """d_k = s_i + s_j - 2 G_ij with G = X X^T built a block of rows at a time."""
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
     out = np.empty(pair_count(n), dtype=np.float64)

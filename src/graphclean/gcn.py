@@ -252,20 +252,28 @@ class _FeaturesFirst:
         return self.A_hat @ (self.X @ M)
 
 
-def _features(A_hat, X: np.ndarray, hidden: int, products: int):
+def _sparse(X: np.ndarray) -> CsrMatrix | None:
+    """X in CSR rows when at most one entry in ``_ENTRIES_PER_NONZERO`` is
+    nonzero, else None."""
+    if _ENTRIES_PER_NONZERO * np.count_nonzero(X != 0) > X.size:
+        return None
+    return CsrMatrix.from_dense(X)
+
+
+def _features(A_hat, X: np.ndarray, hidden: int, products: int, sparse=_sparse):
     """A_hat X for ``products`` first-layer products with ``hidden`` columns.
 
     Both orders make the same n x d x hidden products with X; they differ in
     the columns that go through A_hat: d once for the array A_hat @ X, or
     ``hidden`` in each product for :class:`_FeaturesFirst`.  The order that
     sends fewer columns is taken.  In the second, each product walks X, so a
-    sparse X (``_ENTRIES_PER_NONZERO``) is held as a :class:`CsrMatrix`, built
-    once here, whose products read only its nonzeros.
+    sparse X is held as the :class:`CsrMatrix` that ``sparse(X)`` gives
+    (:func:`_sparse`; :func:`train` passes the one its dataset keeps), whose
+    products read only its nonzeros.
     """
     if products * hidden < X.shape[1]:
-        if _ENTRIES_PER_NONZERO * np.count_nonzero(X) <= X.size:
-            X = CsrMatrix.from_dense(X)
-        return _FeaturesFirst(A_hat, X)
+        csr = sparse(X)
+        return _FeaturesFirst(A_hat, X if csr is None else csr)
     return A_hat @ X
 
 
@@ -365,7 +373,8 @@ def train(dataset: Dataset, A_hat, split: Split, config: TrainConfig,
     train_mask = _check_mask(split.train, dataset.n)
     # the forward pass that scores an epoch's update is the next epoch's
     # forward pass, so the first layer makes 2 * epochs + 1 products
-    AX = _features(A_hat, dataset.features, config.hidden, 2 * config.epochs + 1)
+    AX = _features(A_hat, dataset.features, config.hidden, 2 * config.epochs + 1,
+                   lambda X: dataset.sparse_features)
 
     loss_trace: list[float] = []
     val_trace: list[float] = []

@@ -119,6 +119,12 @@ class TestLoadBundle:
         with pytest.raises(BundleFormatError, match="no label"):
             load_bundle(bundle_dir)
 
+    def test_label_twice_reports_row(self, bundle_dir):
+        (bundle_dir / "labels.csv").write_text(
+            "node,label\n0,0\n1,0\n2,0\n1,1\n4,1\n5,1\n", encoding="utf-8")
+        with pytest.raises(BundleFormatError, match="^labels.csv row 5: node 1 labeled twice$"):
+            load_bundle(bundle_dir)
+
     def test_ragged_features(self, bundle_dir):
         (bundle_dir / "features.csv").write_text(
             "1.0,2.0\n3.0\n" + "0.0,0.0\n" * 4, encoding="utf-8")
@@ -153,7 +159,14 @@ class TestLoadBundle:
         "0.1\n0.2\n0.30000000000000004",
         "1_0,2\n3,4",  # float() reads 1_0 as 10.0; loadtxt refuses it
         "1,2\n3,\u0664",
-    ], ids=["syntax", "one-column", "underscore", "arabic-indic-digit"])
+        # 0/1 texts that the byte read hands on to loadtxt
+        "0,1\r\n1,0\r\n0,0",
+        "1.0,0\n0,1",
+        " 1,0\n0,1",
+        "01,0\n1,0",
+        "2,0\n1,0",
+    ], ids=["syntax", "one-column", "underscore", "arabic-indic-digit",
+            "binary-crlf", "binary-1.0", "binary-space", "binary-01", "binary-2"])
     def test_accepted_syntax_matches_loop_parse(self, bundle_dir, text):
         (bundle_dir / "features.csv").write_text(text + "\n", encoding="utf-8")
         (bundle_dir / "labels.csv").write_text(
@@ -175,9 +188,15 @@ class TestLoadBundle:
         "1.0,2.0\n3.0,4.0\n" + "0.0,nan\n" * 4,
         "1.0,2.0\n3.0,1e999\n" + "0.0,0.0\n" * 4,
         "1.0,2.0\n0x1p3,4.0\n" + "0.0,0.0\n" * 4,
+        # 0/1 texts that the byte read hands on to loadtxt and the row loop
+        "0,1,\n1,0,\n",
+        "0,1\n\n1,0\n",
+        "0,1\n1,0,1\n",
+        "\ufeff0,1\n1,0\n",
     ], ids=["ragged", "word", "empty-value", "blank-line", "blank-line-one-column",
             "only-blank-lines", "comment", "comment-line", "nan",
-            "overflow", "hex"])
+            "overflow", "hex", "binary-trailing-comma", "binary-blank-line",
+            "binary-ragged", "binary-bom"])
     def test_bad_features_give_the_loop_parse_message(self, bundle_dir, text):
         (bundle_dir / "features.csv").write_text(text, encoding="utf-8")
         lines = text.split("\n")[:-1]
@@ -186,6 +205,132 @@ class TestLoadBundle:
         with pytest.raises(BundleFormatError) as raised:
             load_bundle(bundle_dir)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("data", [
+        b"0,1\r\n1,0\r\n", b"0,1\n1,0", b"0,1,\n1,0,\n", b"1.0,0\n0,1\n",
+        b" 1,0\n0,1\n", b"01,0\n1,0\n", b"2,0\n1,0\n", b"0,1\n\n1,0\n", b"0,1\n",
+        b"1\n", b"0,1\n1,0,1\n", b"0,1\n1\n", b"\xef\xbb\xbf0,1\n1,0\n", b"",
+        b"\n\n", b"0;1\n1;0\n", b"0,1\n1,0\r",
+    ], ids=["crlf", "no-final-newline", "trailing-comma", "1.0", "space", "01", "2",
+            "blank-line", "single-row", "single-row-one-column", "long-row",
+            "short-row", "bom", "empty", "only-blank-lines", "semicolon",
+            "lone-cr"])
+    def test_byte_read_hands_on_any_other_text(self, data):
+        assert datasets._binary_features(data) is None
+
+    @pytest.mark.parametrize("text", ["0,1\n", "1\n", "1"])
+    def test_single_binary_row_needs_two_nodes(self, bundle_dir, text):
+        (bundle_dir / "features.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(BundleFormatError,
+                           match="^features.csv: need at least 2 nodes, got 1$"):
+            load_bundle(bundle_dir)
+
+    def test_binary_text_without_final_newline_matches_loop_parse(self, bundle_dir):
+        text = "0,1,1\n1,0,0\n0,0,1"
+        (bundle_dir / "features.csv").write_text(text, encoding="utf-8")
+        (bundle_dir / "labels.csv").write_text("node,label\n0,0\n1,0\n2,1\n",
+                                               encoding="utf-8")
+        rewrite_edges(bundle_dir, [])
+        loaded = load_bundle(bundle_dir).features
+        assert loaded.tobytes() == loop_features(text.split("\n")).tobytes()
+
+    @pytest.mark.parametrize("n, d, ones", [(2, 1, 0.5), (7, 1, 0.5), (40, 30, 0.1),
+                                            (25, 300, 0.02)])
+    def test_byte_read_matches_loop_parse(self, tmp_path, monkeypatch, n, d, ones):
+        """A bare 0/1 file, as Planetoid exports and the benchmark writes,
+        is read from its bytes and never reaches np.loadtxt."""
+        X = (SplitMix64(n * d).uniforms(n * d).reshape(n, d) < ones).astype(np.float64)
+        text = "".join(",".join("01"[int(x)] for x in row) + "\n" for row in X)
+        assert datasets._binary_features(text.encode()) is not None
+        (tmp_path / "features.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "labels.csv").write_text(
+            "node,label\n" + "".join(f"{i},0\n" for i in range(n)), encoding="utf-8")
+        rewrite_edges(tmp_path, ["0,1,1.0"])
+        loadtxt = np.loadtxt
+        read = []
+
+        def spy(rows, *args, **kwargs):
+            read.append(list(rows))
+            return loadtxt(rows, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        loaded = load_bundle(tmp_path).features
+        assert loaded.tobytes() == loop_features(text.split("\n")[:-1]).tobytes()
+        np.testing.assert_array_equal(loaded, X)
+        # loadtxt reads the labels and edges only
+        assert read == [[f"{i},0" for i in range(n)], ["0,1,1.0"]]
+
+    def test_plain_labels_and_edges_skip_the_row_loop(self, tmp_path, monkeypatch):
+        """loadtxt reads the ids through int() and the weights, and they are
+        checked as arrays; the row loop's parsers are never called."""
+        params = SbmParams(nodes_per_block=30, blocks=3, p_in=0.2, p_out=0.02)
+        expected = generate_sbm(params, 5)
+        save_bundle(expected, tmp_path)
+
+        def refuse(text, where):
+            raise AssertionError(f"row loop reached at {where}")
+        monkeypatch.setattr(datasets, "_parse_int", refuse)
+        monkeypatch.setattr(datasets, "_parse_float", refuse)
+        loaded = load_bundle(tmp_path)
+        np.testing.assert_array_equal(loaded.labels, expected.labels)
+        assert loaded.graph.values.tobytes() == expected.graph.values.tobytes()
+
+    @pytest.mark.parametrize("name, rows, message", [
+        ("labels.csv", ["0,0", "1,0", "2.0,1", "3,1", "4,1", "5,1"],
+         "labels.csv row 4: not an integer: '2.0'"),
+        ("labels.csv", ["0,0", "1,0", "2,1e0", "3,1", "4,1", "5,1"],
+         "labels.csv row 4: not an integer: '1e0'"),
+        ("edges.csv", ["0,1,1.0", "1e0,2,1.0"], "edges.csv row 3: not an integer: '1e0'"),
+        ("edges.csv", ["0,1,1.0", "1,2.,1.0"], "edges.csv row 3: not an integer: '2.'"),
+        ("edges.csv", ["0,1,1.0", "1,2,1.0", "1,2,"], "edges.csv row 4: not a decimal"),
+        ("labels.csv", ["0,0\r1,0", "2,0", "3,1", "4,1", "5,1"],
+         "labels.csv row 2: expected 2 fields"),
+        ("edges.csv", ["0,1,1.0\r2,3,1.0", "1,2,1.0"], "edges.csv row 2: expected 3 fields"),
+        ("labels.csv", ["0,0", "", "1,0", "2,0", "3,1", "4,1", "5,1"],
+         "labels.csv row 3: expected 2 fields"),
+        ("edges.csv", ["0,1,1.0", "", "1,2,1.0"], "edges.csv row 3: expected 3 fields"),
+        ("edges.csv", ["0,1,1.0", "-1,2,1.0"], r"edges.csv row 3: endpoint out of range \(n=6\)"),
+        ("edges.csv", ["0,1,1.0", "1,2,inf"], "edges.csv row 3: weight must be > 0, got inf"),
+        ("edges.csv", ["0,1,nan", "1,2,1.0"], "edges.csv row 2: weight must be > 0, got nan"),
+    ], ids=["label-node-2.0", "label-1e0", "edge-1e0", "edge-2.", "edge-no-weight",
+            "label-lone-cr", "edge-lone-cr", "label-blank-row", "edge-blank-row",
+            "edge-negative-src", "edge-inf-weight", "edge-nan-weight"])
+    def test_rows_the_array_parse_refuses_name_the_row(self, bundle_dir, name, rows, message):
+        """A float reads 2.0 and 1e0 as whole numbers, where int() refuses
+        them; a lone CR stays inside its row."""
+        header = {"labels.csv": "node,label", "edges.csv": "src,dst,weight"}[name]
+        (bundle_dir / name).write_text(
+            header + "\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(BundleFormatError, match=f"^{message}"):
+            load_bundle(bundle_dir)
+
+    @pytest.mark.parametrize("label_rows, edge_rows", [
+        (["0,1", " 1,0", "+2,1", "3 ,0", "4,0_1"], ["0,1,1.0"]),
+        (["0,1", "1,0", "2,1", "3,0", "4,\u0661"], ["0,1,1.0"]),
+        (["0,1", "1,0", "2,1", "3,0", "4,1"], [" 0,1,1.0", "1,+2, 2.5 ", "2,3,1_0"]),
+        (["0,1", "1,0", "2,1", "3,0", "4,1"], ["0,1,1e-3", "0,4,\u0663", "3,4,1\r"]),
+        (["0,1", "1,0", "2,1", "3,0", "4,1"], ["0,1,1.0", "1,2,.5", "000003,4,2."]),
+    ], ids=["label-syntax", "label-digit", "edge-syntax", "weight-syntax", "zeros"])
+    def test_labels_and_edges_accept_what_int_and_float_accept(
+            self, tmp_path, label_rows, edge_rows):
+        """Whatever the array parse hands on, the row loop reads as int() and
+        float() do."""
+        (tmp_path / "features.csv").write_text("0,1\n1,0\n0,0\n1,1\n0,1\n",
+                                               encoding="utf-8")
+        (tmp_path / "labels.csv").write_text(
+            "node,label\n" + "".join(r + "\n" for r in label_rows), encoding="utf-8")
+        rewrite_edges(tmp_path, edge_rows)
+        loaded = load_bundle(tmp_path)
+        expected_labels = np.zeros(5, dtype=np.int64)
+        for row in label_rows:
+            node, label = row.split(",")
+            expected_labels[int(node)] = int(label)
+        expected_weights = np.zeros(pair_count(5))
+        for row in edge_rows:
+            u, v, w = row.split(",")
+            k = datasets.pair_index(int(v) + 1, int(u) + 1, 5)
+            expected_weights[k - 1] = float(w)
+        np.testing.assert_array_equal(loaded.labels, expected_labels)
+        assert loaded.graph.values.tobytes() == expected_weights.tobytes()
 
     def test_splits_json_round_trip(self, bundle_dir, small_dataset):
         split = Split(train=np.array([0, 3]), val=np.array([1, 4]),
@@ -425,6 +570,17 @@ class TestDatasetFeatureCopy:
         assert not np.shares_memory(kept, base)
         base[0, 0] = 5.0
         assert kept[0, 0] == 1.0
+
+    def test_load_bundle_keeps_its_byte_read_features(self, bundle_dir, monkeypatch):
+        (bundle_dir / "features.csv").write_text("0,1\n1,0\n" * 3, encoding="utf-8")
+        binary_features = datasets._binary_features
+        parsed = []
+
+        def parse(data):
+            parsed.append(binary_features(data))
+            return parsed[-1]
+        monkeypatch.setattr(datasets, "_binary_features", parse)
+        assert load_bundle(bundle_dir).features is parsed[0]
 
     def test_load_bundle_keeps_its_parsed_features(self, bundle_dir, monkeypatch):
         parse_features = datasets._parse_features

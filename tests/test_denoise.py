@@ -218,16 +218,90 @@ def random_features(seed, n, d, scale=1.0, ones=None):
     return scale * (2.0 * u - 1.0)
 
 
+def shared_pairs(X):
+    """Sum over features of C(c_w, 2), c_w the number of rows holding feature w:
+    the node pairs the co-occurrence side lists."""
+    counts = np.count_nonzero(X, axis=0)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def spy_blas_gram(monkeypatch):
+    """The shapes of the inputs the BLAS side is called with, as it happens."""
+    calls = []
+    module = importlib.import_module("graphclean.denoise")
+    blas = module._blas_gram_distances
+
+    def spy(X):
+        calls.append(X.shape)
+        return blas(X)
+    monkeypatch.setattr(module, "_blas_gram_distances", spy)
+    return calls
+
+
+def sparse_binary(seed, n, d, ones):
+    """0/1 features at Cora-like density, with an all-zero row 0 and an empty
+    last column."""
+    X = random_features(seed, n, d, ones=ones)
+    X[0] = 0.0
+    X[:, -1] = 0.0
+    return X
+
+
 class TestGramDistancesMatchLoop:
     """The Gram form is taken only for 0/1 features, and then it gives the
-    loop's bits; every other input goes through the loop."""
+    loop's bits; every other input goes through the loop.  Sparse 0/1
+    features take the co-occurrence side, denser ones BLAS
+    (:func:`shared_pairs` against the pair count)."""
 
-    # 300 rows: two row blocks of the Gram form, the second one partial
+    # 300 rows: two row blocks of the Gram form, the second one partial; at
+    # 20% ones, sum C(c_w, 2) is about 70.8k > m = 44.85k: the BLAS side
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_binary_features_any_p(self, p):
         X = random_features(3, 300, 40, ones=0.2)
         assert features_are_binary(X)
+        assert shared_pairs(X) > pair_count(300)
         np.testing.assert_array_equal(pairwise_p_distances(X, p), loop_distances(X, p))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n, d, ones", [(400, 300, 0.01), (250, 120, 0.03),
+                                            (60, 500, 0.02)])
+    def test_sparse_binary_features_take_the_co_occurrence_side(
+            self, monkeypatch, n, d, ones, p):
+        """Cora-like densities, with an all-zero row and an empty column.  A
+        column set in every row is shared by all m pairs, so it takes this
+        side only alone (:meth:`test_side_boundary`)."""
+        X = sparse_binary(n + d, n, d, ones)
+        assert shared_pairs(X) <= pair_count(n)
+        blas = spy_blas_gram(monkeypatch)
+        assert pairwise_p_distances(X, p).tobytes() == loop_distances(X, p).tobytes()
+        assert blas == []
+
+    @pytest.mark.parametrize("X, blas_side", [
+        (np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), False),
+        (np.zeros((2, 4)), False),
+        (np.ones((2, 3)), True),
+        (np.ones((5, 0)), False),
+    ], ids=["n2", "n2-zeros", "n2-ones", "d0"])
+    def test_smallest_inputs(self, monkeypatch, X, blas_side):
+        """n = 2 has m = 1 pair, which each shared feature adds to sum C: one
+        shared feature stays on the co-occurrence side, three take BLAS."""
+        blas = spy_blas_gram(monkeypatch)
+        assert pairwise_p_distances(X, 2.0).tobytes() == loop_distances(X, 2.0).tobytes()
+        assert len(blas) == blas_side == (shared_pairs(X) > pair_count(X.shape[0]))
+
+    @pytest.mark.parametrize("extra, blas_side", [(0, False), (1, True)],
+                             ids=["sum-C-equals-m", "sum-C-is-m-plus-1"])
+    def test_side_boundary(self, monkeypatch, extra, blas_side):
+        """A column set in all 30 rows is shared by all m pairs; one more
+        column with two ones adds one more pair and crosses to BLAS."""
+        X = np.zeros((30, 6))
+        X[:, 0] = 1.0
+        X[[3, 17], 1] = float(extra)
+        X[5, 2] = X[9, 4] = 1.0
+        assert shared_pairs(X) == pair_count(30) + extra
+        blas = spy_blas_gram(monkeypatch)
+        assert pairwise_p_distances(X, 2.0).tobytes() == loop_distances(X, 2.0).tobytes()
+        assert len(blas) == blas_side
 
     @pytest.mark.parametrize("case", ["real", "integer", "near-binary", "nan", "inf"])
     def test_other_features_take_the_loop(self, case):

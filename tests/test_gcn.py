@@ -779,6 +779,46 @@ class TestTrain:
         X.flat[at_rule] = 1.0
         assert isinstance(gcn._features(A_hat, X, 1, 1).X, np.ndarray)
 
+    def test_sparse_features_built_once_per_dataset(self, monkeypatch):
+        """Every train call on one dataset, as a repetition's three arms and
+        a bundle's repetitions make, multiplies the one CSR it keeps."""
+        ds, A_hat, split, config = sparse_wide_instance()
+        from_dense = CsrMatrix.from_dense
+        built = []
+
+        def build(X):
+            built.append(X.shape)
+            return from_dense(X)
+        monkeypatch.setattr(CsrMatrix, "from_dense", build)
+        matmul = gcn._FeaturesFirst.__matmul__
+        held = []
+
+        def spy(self, M):
+            held.append(self.X)
+            return matmul(self, M)
+        monkeypatch.setattr(gcn._FeaturesFirst, "__matmul__", spy)
+        poisoned = normalize_adjacency(np.ones(pair_count(ds.n)))
+        runs = [train(ds, a_hat, split, config, seed)
+                for a_hat, seed in ((A_hat, 15), (poisoned, 15), (A_hat, 16))]
+        assert built == [ds.features.shape]
+        assert isinstance(ds.sparse_features, CsrMatrix)
+        assert len(held) == 3 * (2 * config.epochs + 1)
+        assert all(X is ds.sparse_features for X in held)
+        fresh = Dataset(features=ds.features, labels=ds.labels, graph=ds.graph,
+                        num_classes=ds.num_classes)
+        params, report = train(fresh, A_hat, split, config, 15)
+        assert len(built) == 2
+        np.testing.assert_array_equal(params.W1, runs[0][0].W1)
+        np.testing.assert_array_equal(params.W2, runs[0][0].W2)
+        assert report == runs[0][1]
+
+    def test_narrow_features_build_no_csr(self):
+        """A_hat X is formed once when d is narrow, so X is never counted."""
+        ds, A_hat, split, config = loop_instance(*LOOP_INSTANCES[0])
+        assert not features_first_in_train(ds, config)
+        train(ds, A_hat, split, config, 15)
+        assert "sparse_features" not in vars(ds)
+
     @pytest.mark.parametrize("sparse", [True, False])
     def test_epoch_products_have_class_width(self, sparse):
         """A_hat multiplies X once and otherwise only operands with one column

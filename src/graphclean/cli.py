@@ -85,6 +85,7 @@ _EXTRA = {
     "--sbm-dim": {"help": "feature dimension"},
     "--attack": {"choices": ["none", "random", "heterophilic"]},
     "--p": {"help": "p of the feature distances d_p"},
+    "--epochs": {"help": "training is Adam, with early stop, up to this many epochs"},
     "--split": {"type": _fractions, "help": "train,val,test fractions"},
     "--bundle": {"type": str},
 }
@@ -275,7 +276,7 @@ def cmd_train(args) -> int:
     if args.out:
         write_report_json(report, args.out)
     print(f"test accuracy {report.test_accuracy:.4f} "
-          f"(best val epoch {report.best_val_epoch})")
+          f"(ran {len(report.loss_trace)} epochs, best val epoch {report.best_val_epoch})")
     return 0
 
 

@@ -195,13 +195,15 @@ def run_repetition(config: ExperimentConfig, r: int,
                     config.denoise, d_p=d_p)
 
     train_seed = derive_seed(rep_seed, _TRAIN)
-    accuracies = {}
+    accuracies, training = {}, {}
     for arm, weights in (("clean", dataset.graph), ("poisoned", poisoned),
                          ("denoised", result.weights)):
         a_hat = normalize_adjacency(weights)
         _, report = _stage(f"train[{arm}]", r, train, dataset, a_hat, split,
                            config.train, train_seed)
         accuracies[arm] = report.test_accuracy
+        training[arm] = {"epochs": len(report.loss_trace),
+                         "best_val_epoch": report.best_val_epoch}
 
     clean_edges = dataset.graph.edge_count
     return {
@@ -219,6 +221,7 @@ def run_repetition(config: ExperimentConfig, r: int,
             "kkt_residual": result.kkt_residual,
             "final_objective": float(result.objective_trace[-1]),
         },
+        "train": training,
         "accuracy": accuracies,
     }
 

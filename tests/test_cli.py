@@ -27,7 +27,7 @@ class TestSynthAttackDenoiseTrain:
         assert ds.n == 40
         assert ds.num_classes == 2
 
-    def test_attack_then_denoise_then_train(self, tmp_path):
+    def test_attack_then_denoise_then_train(self, tmp_path, capsys):
         bundle = tmp_path / "clean"
         run(["synth", "--sbm-size", "20", "--seed", "1", "--out", str(bundle)])
         poisoned = tmp_path / "poisoned"
@@ -52,6 +52,8 @@ class TestSynthAttackDenoiseTrain:
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["test_accuracy"] <= 1.0
         assert len(report["loss_trace"]) == 50
+        assert capsys.readouterr().out.endswith(
+            f"(ran 50 epochs, best val epoch {report['best_val_epoch']})\n")
 
     def test_denoise_threshold_zero_round_trips(self, tmp_path):
         bundle = tmp_path / "clean"
@@ -300,10 +302,13 @@ class TestBadInput:
          "bad.cfg: split: could not convert string to float: 'x'"),
         (["pipeline"], "split = nan,0,0\n", None,
          "bad.cfg: split: fractions must be non-negative and finite, got [nan, 0.0, 0.0]"),
-        (["train", "--bundle", "{bundle}", "--split", "0.5,0.25,0.25", "--lr-gnn", "1e20"],
-         None, None, "training diverged: non-finite loss or logits at epoch "),
-        (["pipeline", "--lr-gnn", "1e20"] + SMALL_RUN, None, None,
-         "repetition 0, stage train[clean]: training diverged: non-finite loss or logits"),
+        # Adam moves each weight by about the learning rate in its first
+        # step, so at 1e160 the logits that score that step overflow
+        (["train", "--bundle", "{bundle}", "--split", "0.5,0.25,0.25", "--lr-gnn", "1e160"],
+         None, None, "training diverged: non-finite loss or logits at epoch 0\n"),
+        (["pipeline", "--lr-gnn", "1e160"] + SMALL_RUN, None, None,
+         "repetition 0, stage train[clean]: training diverged: non-finite loss or logits "
+         "at epoch 0\n"),
         # the first edge of the bundle gets a weight whose square overflows
         (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
          ("edges.csv", 1, b"0,1,1e200"), "non-finite objective at iteration "),

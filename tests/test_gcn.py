@@ -1,5 +1,6 @@
 """GCN forward/backward, CSR normalization against its dense oracle, training behavior."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -109,10 +110,19 @@ def features_first_in_train(dataset, config):
     return (2 * config.epochs + 1) * config.hidden < dataset.feature_dim
 
 
+# the stop rule's patience, and Adam's decay rates and epsilon (Kingma & Ba,
+# ICLR 2015), as reference_train spells them out
+PATIENCE = 50
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 def reference_train(dataset, A_hat, split, config, seed, class_width=True,
                     features_first=False):
-    """Oracle: the training loop with A_hat @ X recomputed in every product
-    and a separate forward pass for validation.
+    """Oracle: the training loop with A_hat @ X recomputed in every product,
+    a separate forward pass for validation, and Adam's update written as in
+    its paper: bias-corrected moments m_hat and v_hat, and a step of
+    lr * m_hat / (sqrt(v_hat) + eps).  It stops after the epoch that is
+    PATIENCE epochs past the best validation accuracy.
 
     With ``class_width`` the other products with A_hat take the class-width
     operands hidden @ W2 and d_logits, as :func:`train` does; without it they
@@ -134,6 +144,8 @@ def reference_train(dataset, A_hat, split, config, seed, class_width=True,
 
     loss_trace, val_trace = [], []
     best_acc, best_epoch, best_params = -1.0, 0, params.copy()
+    m = {"W1": np.zeros_like(params.W1), "W2": np.zeros_like(params.W2)}
+    v = {"W1": np.zeros_like(params.W1), "W2": np.zeros_like(params.W2)}
     mask = split.train
     for epoch in range(config.epochs):
         XW = first_layer(params)
@@ -157,12 +169,20 @@ def reference_train(dataset, A_hat, split, config, seed, class_width=True,
         g1 = X.T @ (A_hat @ d_hidden) if features_first else (A_hat @ X).T @ d_hidden
         g1 = g1 + config.weight_decay * params.W1
         loss_trace.append(loss)
-        params.W1 = params.W1 - config.learning_rate * g1
-        params.W2 = params.W2 - config.learning_rate * g2
+        t = epoch + 1
+        for name, g in (("W1", g1), ("W2", g2)):
+            m[name] = BETA1 * m[name] + (1 - BETA1) * g
+            v[name] = BETA2 * v[name] + (1 - BETA2) * g**2
+            m_hat = m[name] / (1 - BETA1**t)
+            v_hat = v[name] / (1 - BETA2**t)
+            setattr(params, name, getattr(params, name)
+                    - config.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON)))
         val_acc = accuracy(logits_of(params), y, split.val)
         val_trace.append(val_acc)
         if val_acc > best_acc:
             best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
+        if epoch - best_epoch >= PATIENCE:
+            break
     return best_params, loss_trace, val_trace, best_epoch, accuracy(
         logits_of(best_params), y, split.test)
 
@@ -638,6 +658,7 @@ LOOP_INSTANCES = [
     (50, 2, 6, 60),
     (60, 3, 20, 40),
     (50, 4, 1433, 15),  # Cora's feature width
+    (50, 2, 6, 250),  # stops early, after epoch 57
 ]
 
 
@@ -670,8 +691,11 @@ def assert_agrees_with(trained, reference):
     another order of products: to rounding, and in every accuracy."""
     params, report = trained
     ref_params, loss_trace, val_trace, best_epoch, test_acc = reference
-    np.testing.assert_allclose(params.W1, ref_params.W1, rtol=1e-12)
-    np.testing.assert_allclose(params.W2, ref_params.W2, rtol=1e-12)
+    for got, want in ((params.W1, ref_params.W1), (params.W2, ref_params.W2)):
+        # Adam moves every weight by about the learning rate per epoch, so a
+        # weight that ends near 0 carries the rounding of steps far larger
+        # than itself: its error is measured against the largest weight
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(report.loss_trace, loss_trace, rtol=1e-12)
     assert report.val_accuracy_trace == val_trace
     assert report.best_val_epoch == best_epoch
@@ -731,6 +755,21 @@ class TestTrain:
         np.testing.assert_array_equal(report.val_accuracy_trace, val_trace)
         assert report.best_val_epoch == best_epoch
         assert report.test_accuracy == test_acc
+
+    def test_early_stop_only_truncates(self):
+        """The run stops after the epoch PATIENCE past its best, and a run
+        capped at that many epochs returns the same bytes."""
+        ds, A_hat, split, config = loop_instance(*LOOP_INSTANCES[3])
+        params, report = train(ds, A_hat, split, config, 15)
+        stop = len(report.loss_trace) - 1
+        assert stop - report.best_val_epoch == PATIENCE and stop + 1 < config.epochs
+        capped = dataclasses.replace(config, epochs=stop + 1)
+        capped_params, capped_report = train(ds, A_hat, split, capped, 15)
+        np.testing.assert_array_equal(capped_params.W1, params.W1)
+        np.testing.assert_array_equal(capped_params.W2, params.W2)
+        np.testing.assert_array_equal(capped_report.loss_trace, report.loss_trace)
+        assert capped_report.best_val_epoch == report.best_val_epoch
+        assert capped_report.test_accuracy == report.test_accuracy
 
     @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
     def test_hidden_width_order_agrees(self, size, blocks, dim, epochs):
@@ -853,22 +892,25 @@ class TestTrain:
             [config.hidden] * products + [ds.num_classes] * products)
 
     def test_overflowing_logits_raise_train_divergence(self):
-        """At learning rate 1e20 the logits that score epoch 8's update
-        overflow, while every loss up to epoch 8 is finite."""
+        """Adam's first step moves each weight by about the learning rate,
+        so at 1e160 the logits that score epoch 0's update, about 1e320,
+        overflow, while the loss of epoch 0, at the initial weights, is
+        finite."""
         ds = separable_dataset()
         split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
         A_hat = normalize_adjacency(ds.graph)
-        _, report = train(ds, A_hat, split,
-                          TrainConfig(hidden=4, epochs=8, learning_rate=1e20), 2)
-        assert np.all(np.isfinite(report.loss_trace))
-        with pytest.raises(gcn.TrainDivergence, match="at epoch 8$") as caught:
-            train(ds, A_hat, split, TrainConfig(hidden=4, epochs=9, learning_rate=1e20), 2)
-        assert caught.value.epoch == 8
+        loss, _, _ = loss_and_gradients(xavier_params(ds.feature_dim, 4, ds.num_classes, 2),
+                                        A_hat, ds.features, ds.labels, split.train, 5e-4)
+        assert np.isfinite(loss)
+        with pytest.raises(gcn.TrainDivergence, match="at epoch 0$") as caught:
+            train(ds, A_hat, split, TrainConfig(hidden=4, epochs=9, learning_rate=1e160), 2)
+        assert caught.value.epoch == 0
 
     def test_overflowing_loss_raises_train_divergence(self):
-        # with weight decay 1 and learning rate 1e50 a step scales the weights
-        # by about -1e50, so ||W||^2 is about 1e300 at epoch 3 and overflows at
-        # epoch 4; features of 1e-100 keep the logits finite until then
+        # Adam's first step at learning rate 1e154 moves each of the 32
+        # weights by about 1e154, so ||W||^2 overflows in the loss of epoch 1;
+        # weight decay 1 pulls the weights back towards 0 in later steps, and
+        # features of 1e-100 keep the logits, about 1e208, finite
         ds = separable_dataset()
         tiny = Dataset(features=ds.features * 1e-100, labels=ds.labels, graph=ds.graph,
                        num_classes=ds.num_classes)
@@ -876,13 +918,13 @@ class TestTrain:
         A_hat = normalize_adjacency(ds.graph)
         with np.errstate(over="ignore"):
             _, report = train(tiny, A_hat, split,
-                              TrainConfig(hidden=4, epochs=4, learning_rate=1e50,
+                              TrainConfig(hidden=4, epochs=1, learning_rate=1e154,
                                           weight_decay=1.0), 2)
-            assert len(report.loss_trace) == 4 and np.all(np.isfinite(report.loss_trace))
-            with pytest.raises(gcn.TrainDivergence, match="at epoch 4$") as caught:
+            assert len(report.loss_trace) == 1 and np.all(np.isfinite(report.loss_trace))
+            with pytest.raises(gcn.TrainDivergence, match="at epoch 1$") as caught:
                 train(tiny, A_hat, split,
-                      TrainConfig(hidden=4, epochs=5, learning_rate=1e50, weight_decay=1.0), 2)
-        assert caught.value.epoch == 4
+                      TrainConfig(hidden=4, epochs=2, learning_rate=1e154, weight_decay=1.0), 2)
+        assert caught.value.epoch == 1
 
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)

@@ -118,6 +118,24 @@ class TestRunPipeline:
             assert abs(agg["mean"] - np.mean(values)) <= 1e-12
             assert abs(agg["std"] - np.std(values, ddof=1)) <= 1e-12
 
+    def test_records_epochs_run_and_best_epoch(self, monkeypatch):
+        """Each arm's record holds the epochs its training ran and its best
+        validation epoch, as its TrainReport gives them."""
+        reports = []
+
+        def spy(*args):
+            result = real(*args)
+            reports.append(result[1])
+            return result
+        real = pipeline.train
+        monkeypatch.setattr(pipeline, "train", spy)
+        report = run_pipeline(small_config(repetitions=2,
+                                           train=TrainConfig(hidden=8, epochs=250)))
+        got = [record["train"][arm] for record in report.repetitions for arm in ARMS]
+        assert got == [{"epochs": len(r.loss_trace), "best_val_epoch": r.best_val_epoch}
+                       for r in reports]
+        assert any(entry["epochs"] < 250 for entry in got)
+
     def test_single_repetition_std_is_zero(self):
         report = run_pipeline(small_config(repetitions=1))
         assert report.aggregates["clean"]["std"] == 0.0

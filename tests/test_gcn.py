@@ -909,7 +909,6 @@ class TestTrain:
     def test_overflowing_loss_raises_train_divergence(self):
         # Adam's first step at learning rate 1e154 moves each of the 32
         # weights by about 1e154, so ||W||^2 overflows in the loss of epoch 1;
-        # weight decay 1 pulls the weights back towards 0 in later steps, and
         # features of 1e-100 keep the logits, about 1e208, finite
         ds = separable_dataset()
         tiny = Dataset(features=ds.features * 1e-100, labels=ds.labels, graph=ds.graph,

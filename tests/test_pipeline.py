@@ -122,12 +122,12 @@ class TestRunPipeline:
         """Each arm's record holds the epochs its training ran and its best
         validation epoch, as its TrainReport gives them."""
         reports = []
+        real = pipeline.train
 
         def spy(*args):
             result = real(*args)
             reports.append(result[1])
             return result
-        real = pipeline.train
         monkeypatch.setattr(pipeline, "train", spy)
         report = run_pipeline(small_config(repetitions=2,
                                            train=TrainConfig(hidden=8, epochs=250)))

@@ -39,6 +39,7 @@ __all__ = [
     "save_splits",
     "generate_sbm",
     "check_finite",
+    "features_are_binary",
     "check_fractions",
     "check_weight_threshold",
     "split_nodes",
@@ -59,6 +60,14 @@ def check_finite(**values) -> None:
     for key, value in values.items():
         if not math.isfinite(value):
             raise InputError(f"{key} must be finite, got {value}")
+
+
+def features_are_binary(X: np.ndarray) -> bool:
+    """Whether every feature is 0 or 1.  Then
+    :func:`graphclean.denoise.pairwise_p_distances` is the Hamming distance
+    for every p, computed exactly from the Gram matrix, and
+    :func:`save_bundle` writes the features as bare digits."""
+    return bool(((X == 0.0) | (X == 1.0)).all())
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,11 @@ class Dataset:
 
     @cached_property
     def sparse_features(self):
-        """The features as a :class:`graphclean.gcn.CsrMatrix` when they are
-        sparse enough for the GCN to multiply in CSR rows, else None.  Built
-        on first use and kept, so every arm and repetition that trains on this
-        dataset shares one."""
+        """The features as a :class:`graphclean.gcn.CsrMatrix` when at most
+        one entry in 32 is nonzero, else None.  The GCN multiplies X before
+        A_hat exactly when this is not None, and otherwise forms A_hat X once.
+        Built on first use and kept, so every arm and repetition that trains
+        on this dataset shares one."""
         from .gcn import _sparse  # gcn imports this module
         return _sparse(self.features)
 
@@ -414,7 +424,9 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
     """Write a dataset back out as a bundle; inverse of :func:`load_bundle`.
 
     Floats are written with ``repr`` so a reload reproduces the dataset
-    bit-for-bit.  Pairs with weight <= ``weight_threshold`` are treated as
+    bit-for-bit; features that are all 0 or 1, none of them -0.0, are
+    written as bare digits, which :func:`load_bundle` reads straight from
+    their bytes.  Pairs with weight <= ``weight_threshold`` are treated as
     absent edges; see :func:`check_weight_threshold`.
     """
     check_weight_threshold(weight_threshold)
@@ -429,9 +441,17 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
         for u, v, k in zip(rows, cols, kept):
             fh.write(f"{u},{v},{float(values[k])!r}\n")
 
-    with open(root / "features.csv", "w", encoding="utf-8", newline="\n") as fh:
-        for row in dataset.features:
-            fh.write(",".join(repr(x) for x in row.tolist()) + "\n")
+    X = dataset.features
+    with open(root / "features.csv", "wb") as fh:
+        if features_are_binary(X) and not np.signbit(X).any():
+            # each feature as its digit and a "," or, after a row's last, "\n"
+            text = np.full(X.shape + (2,), ord(","), dtype=np.uint8)
+            text[:, :, 0] = X + ord("0")
+            text[:, -1:, 1] = ord("\n")
+            fh.write(text.tobytes())
+        else:
+            for row in X:
+                fh.write((",".join(repr(x) for x in row.tolist()) + "\n").encode())
 
     with open(root / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node,label\n")

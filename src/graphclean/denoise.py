@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .datasets import InputError, check_finite
+from .datasets import InputError, check_finite, features_are_binary
 from .operators import (WeightVector, _row_starts, _weight_array, node_count_for_pairs,
                         pair_count, pair_nodes)
 
@@ -64,7 +64,6 @@ __all__ = [
     "DenoiseResult",
     "DenoiseDivergence",
     "pairwise_p_distances",
-    "features_are_binary",
     "linear_coefficient",
     "objective",
     "gradient",
@@ -178,12 +177,6 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
         raise InputError(f"d_p is not finite at p = {p} for the node pair ({i}, {j}); "
                          "use a smaller p or rescale the features")
     return out
-
-
-def features_are_binary(X: np.ndarray) -> bool:
-    """Whether every feature is 0 or 1.  Then :func:`pairwise_p_distances` is
-    the Hamming distance for every p, computed exactly from the Gram matrix."""
-    return bool(((X == 0.0) | (X == 1.0)).all())
 
 
 def _gram_distances(X: np.ndarray) -> np.ndarray:

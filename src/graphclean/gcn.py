@@ -2,13 +2,13 @@
 
 logits = A_hat @ (relu(A_hat X @ W1) @ W2) with the symmetric self-loop
 normalization A_hat = D^{-1/2} (W + I) D^{-1/2}, built from the graph's pair
-weights.  The first layer either forms A_hat X once, or propagates X W1, the
-hidden width, in each of its products, whichever sends fewer columns through
-A_hat (:func:`_features`); in the second order a sparse X, such as 0/1
-bag-of-words features, is multiplied in CSR rows.  Every other product with
-A_hat has one column per class (Kipf & Welling, ICLR 2017).  A_hat and a
-sparse X are each a :class:`CsrMatrix`, whose products run one kernel; every
-function here accepts any symmetric A_hat that supports ``@``, a dense array
+weights.  The first layer's order depends on X alone (:func:`_features`): a
+sparse X, such as 0/1 bag-of-words features, is held in CSR rows and
+multiplied first, so A_hat propagates X W1, the hidden width, in each
+product; any other X forms A_hat X once.  Every other product with A_hat has
+one column per class (Kipf & Welling, ICLR 2017).  A_hat and a sparse X are
+each a :class:`CsrMatrix`, whose products run one kernel; every function
+here accepts any symmetric A_hat that supports ``@``, a dense array
 included.  Training is full-batch Adam (Kingma & Ba, ICLR 2015), with an
 early stop, for up to ``epochs`` epochs, on masked cross-entropy plus an L2
 penalty 0.5 * weight_decay * (||W1||^2 + ||W2||^2); gradients are written out
@@ -135,12 +135,13 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 # thread, 2-vCPU Xeon).  50 keeps a margin over 20, the least patience tried.
 _PATIENCE = 50
 
-# Wide features are held in CSR rows (:func:`_features`) when at most one
-# entry in _ENTRIES_PER_NONZERO is nonzero.  At n = 2485, d = 1433, width 16
-# and one BLAS thread, best of 15: X @ W took 6-10 ms dense and 2-3 ms in CSR
-# at 1.25% density, about 6 ms both ways at 5%; X.T @ G took 10-17 ms against
-# 1.5-2.5 ms, and 10 against 6-7 ms at 5%.  A dense X is 20-30x slower in CSR.
-# Cora's 0/1 features are about 1.3% nonzero, Citeseer's about 0.9%.
+# Features are held in CSR rows, and so multiplied before A_hat
+# (:func:`_features`), when at most one entry in _ENTRIES_PER_NONZERO is
+# nonzero.  At n = 2485, d = 1433, width 16 and one BLAS thread, best of 15:
+# X @ W took 6-10 ms dense and 2-3 ms in CSR at 1.25% density, about 6 ms
+# both ways at 5%; X.T @ G took 10-17 ms against 1.5-2.5 ms, and 10 against
+# 6-7 ms at 5%.  A dense X is 20-30x slower in CSR.  Cora's 0/1 features are
+# about 1.3% nonzero, Citeseer's about 0.9%.
 _ENTRIES_PER_NONZERO = 32
 
 
@@ -248,11 +249,12 @@ def normalize_adjacency(weights) -> CsrMatrix:
 
 @dataclass(frozen=True, eq=False)
 class _FeaturesFirst:
-    """A_hat X without forming it: ``@ W`` is A_hat @ (X @ W) and ``.T @ G``
-    is X^T (A_hat @ G), so only the width of W or G passes through A_hat."""
+    """A_hat X without forming it, for X in CSR rows: ``@ W`` is
+    A_hat @ (X @ W) and ``.T @ G`` is X^T (A_hat @ G), so only the width of
+    W or G passes through A_hat, and X's products read only its nonzeros."""
 
     A_hat: object
-    X: np.ndarray
+    X: CsrMatrix
     transposed: bool = False
 
     @property
@@ -273,21 +275,15 @@ def _sparse(X: np.ndarray) -> CsrMatrix | None:
     return CsrMatrix.from_dense(X)
 
 
-def _features(A_hat, X: np.ndarray, hidden: int, products: int, sparse=_sparse):
-    """A_hat X for ``products`` first-layer products with ``hidden`` columns.
+def _features(A_hat, X: np.ndarray, csr: CsrMatrix | None):
+    """A_hat X for the first layer: a :class:`_FeaturesFirst` over ``csr``,
+    X in CSR rows as :func:`_sparse` gives it, or the array A_hat @ X when
+    ``csr`` is None.
 
-    Both orders make the same n x d x hidden products with X; they differ in
-    the columns that go through A_hat: d once for the array A_hat @ X, or
-    ``hidden`` in each product for :class:`_FeaturesFirst`.  The order that
-    sends fewer columns is taken.  In the second, each product walks X, so a
-    sparse X is held as the :class:`CsrMatrix` that ``sparse(X)`` gives
-    (:func:`_sparse`; :func:`train` passes the one its dataset keeps), whose
-    products read only its nonzeros.
+    The order is a property of X, not of the run, so a run capped at E
+    epochs is a bit-prefix of the same run capped at E + 1.
     """
-    if products * hidden < X.shape[1]:
-        csr = sparse(X)
-        return _FeaturesFirst(A_hat, X if csr is None else csr)
-    return A_hat @ X
+    return A_hat @ X if csr is None else _FeaturesFirst(A_hat, csr)
 
 
 def _propagate(params: GcnParams, A_hat, AX):
@@ -334,9 +330,11 @@ def _loss_and_gradients(params: GcnParams, A_hat, AX,
     norm = e.sum(axis=1, keepdims=True)
     probs = e / norm
     loss = float(np.mean(np.log(norm[mask, 0]) - shifted[mask, labels[mask]]))
-    loss += 0.5 * weight_decay * (
-        float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2))
-    )
+    if weight_decay:
+        # skipped at 0, where an overflowing ||W||^2 would make it 0 * inf
+        loss += 0.5 * weight_decay * (
+            float(np.sum(params.W1 * params.W1)) + float(np.sum(params.W2 * params.W2))
+        )
 
     d_logits = np.zeros_like(probs)
     d_logits[mask] = probs[mask]
@@ -358,8 +356,7 @@ def loss_and_gradients(params: GcnParams, A_hat, X: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = _check_mask(mask, X.shape[0])
-    # one forward product and one backward product in the first layer
-    AX = _features(A_hat, X, params.W1.shape[1], 2)
+    AX = _features(A_hat, X, _sparse(X))
     return _loss_and_gradients(params, A_hat, AX, _propagate(params, A_hat, AX),
                                labels, mask, weight_decay)
 
@@ -404,11 +401,7 @@ def train(dataset: Dataset, A_hat, split: Split, config: TrainConfig,
                            dataset.num_classes, seed)
     y = dataset.labels
     train_mask = _check_mask(split.train, dataset.n)
-    # the forward pass that scores an epoch's update is the next epoch's
-    # forward pass, so the first layer makes at most 2 * epochs + 1 products,
-    # fewer when training stops early
-    AX = _features(A_hat, dataset.features, config.hidden, 2 * config.epochs + 1,
-                   lambda X: dataset.sparse_features)
+    AX = _features(A_hat, dataset.features, dataset.sparse_features)
 
     loss_trace: list[float] = []
     val_trace: list[float] = []

@@ -26,12 +26,13 @@ from .datasets import (
     _largest_remainder_sizes,
     check_finite,
     check_fractions,
+    features_are_binary,
     generate_sbm,
     load_bundle,
     load_splits,
     split_nodes,
 )
-from .denoise import DenoiseConfig, denoise, features_are_binary, pairwise_p_distances
+from .denoise import DenoiseConfig, denoise, pairwise_p_distances
 from .gcn import TrainConfig, normalize_adjacency, train
 from .operators import WeightVector
 from .rng import derive_seed

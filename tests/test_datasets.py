@@ -259,6 +259,20 @@ class TestLoadBundle:
         # loadtxt reads the labels and edges only
         assert read == [[f"{i},0" for i in range(n)], ["0,1,1.0"]]
 
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_saved_binary_features_take_the_byte_read(self, tmp_path, negative_zero):
+        """save_bundle writes 0/1 features as bare digits, which load_bundle
+        reads from their bytes; a -0.0 keeps repr, so it reloads bit for bit."""
+        n, d = 40, 30
+        X = (SplitMix64(95).uniforms(n * d).reshape(n, d) < 0.1).astype(np.float64)
+        X[0, np.flatnonzero(X[0] == 0.0)[0]] = -0.0 if negative_zero else 0.0
+        save_bundle(Dataset(features=X, labels=np.zeros(n, dtype=np.int64),
+                            graph=WeightVector(n=n, values=np.ones(pair_count(n))),
+                            num_classes=1), tmp_path)
+        data = (tmp_path / "features.csv").read_bytes()
+        assert (datasets._binary_features(data) is None) == negative_zero
+        assert load_bundle(tmp_path).features.tobytes() == X.tobytes()
+
     def test_plain_labels_and_edges_skip_the_row_loop(self, tmp_path, monkeypatch):
         """loadtxt reads the ids through int() and the weights, and they are
         checked as arrays; the row loop's parsers are never called."""

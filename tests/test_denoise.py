@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphclean.attacks import heterophilic_add
-from graphclean.datasets import InputError, SbmParams, generate_sbm
+from graphclean.datasets import InputError, SbmParams, features_are_binary, generate_sbm
 from graphclean.denoise import (
     _BLOCK,
     DenoiseConfig,
@@ -18,7 +18,6 @@ from graphclean.denoise import (
     _newton_direction,
     _primal_point,
     denoise,
-    features_are_binary,
     gradient,
     linear_coefficient,
     objective,

@@ -64,8 +64,8 @@ def cross_entropy(logits, labels, mask):
 
 
 def program_logits(params, A_hat, X):
-    """The logits stage 2 computes, in the first-layer order of one product."""
-    AX = gcn._features(A_hat, X, params.W1.shape[1], 1)
+    """The logits stage 2 computes, in the first-layer order that X sets."""
+    AX = gcn._features(A_hat, X, gcn._sparse(X))
     return gcn._propagate(params, A_hat, AX)[2]
 
 
@@ -104,10 +104,12 @@ def fd_parameter_gradient(params, A_hat, X, labels, mask, weight_decay):
     return grads
 
 
-def features_first_in_train(dataset, config):
-    """The order :func:`train` takes: A_hat @ (X @ W1) when the hidden width
-    in its 2 * epochs + 1 first-layer products is fewer columns than X's."""
-    return (2 * config.epochs + 1) * config.hidden < dataset.feature_dim
+def features_first_in_train(dataset):
+    """The order :func:`train` takes: A_hat @ (X @ W1) exactly when X is held
+    in CSR rows, that is, when at most one entry in _ENTRIES_PER_NONZERO is
+    nonzero."""
+    X = dataset.features
+    return gcn._ENTRIES_PER_NONZERO * np.count_nonzero(X) <= X.size
 
 
 # the stop rule's patience, and Adam's decay rates and epsilon (Kingma & Ba,
@@ -616,17 +618,9 @@ class TestGradients:
         assert isinstance(A_hat, CsrMatrix) == sparse
         check_finite_differences(A_hat, n, d=3, h=4, C=3)
 
-    def test_finite_differences_with_wide_features(self):
-        """d = 12 > 2h, so the two first-layer products take A_hat @ (X @ W1)
-        and X.T @ (A_hat @ d_hidden), and A_hat never sees X."""
-        n, d, h, C = 80, 12, 4, 3
-        spy = SpyAdjacency(normalize_adjacency(sparse_weights(78, n, 20)))
-        check_finite_differences(spy, n, d, h, C)
-        assert spy.widths and d not in spy.widths
-
     def test_finite_differences_with_sparse_wide_features(self, monkeypatch):
-        """d = 40 > 2h with 71 nonzeros of 3200, so X is held in CSR rows,
-        several of them empty."""
+        """X has 71 nonzeros of 3200, so it is held in CSR rows, several of
+        them empty, and both first-layer products multiply it first."""
         n, d, h, C = 80, 40, 2, 3
         X = sparse_features(93, n, d, 0.02, binary=False)
         assert 0 < gcn._ENTRIES_PER_NONZERO * np.count_nonzero(X) <= X.size
@@ -673,17 +667,20 @@ def loop_instance(size, blocks, dim, epochs):
     return ds, normalize_adjacency(ds.graph), split, config
 
 
-def sparse_wide_instance():
-    """LOOP_INSTANCES's first graph with 400 0/1 features, about 2% of them
-    ones: words of a node's own class (one word in three) are drawn at 3.5%,
-    the others at 1.25%."""
-    ds, A_hat, split, config = loop_instance(50, 2, 6, 10)
-    rng = SplitMix64(94)
-    d = 400
+def with_word_features(ds, d, seed=94):
+    """``ds`` with d 0/1 features, about 2% of them ones: words of a node's
+    own class (one word in three) are drawn at 3.5%, the others at 1.25%."""
+    rng = SplitMix64(seed)
     own = (np.arange(d)[None, :] % 3) == ds.labels[:, None]
     X = (rng.uniforms(ds.n * d).reshape(ds.n, d) < np.where(own, 0.035, 0.0125)).astype(float)
-    ds = Dataset(features=X, labels=ds.labels, graph=ds.graph, num_classes=ds.num_classes)
-    return ds, A_hat, split, config
+    return Dataset(features=X, labels=ds.labels, graph=ds.graph, num_classes=ds.num_classes)
+
+
+def sparse_wide_instance():
+    """LOOP_INSTANCES's first graph with 400 word features
+    (:func:`with_word_features`)."""
+    ds, A_hat, split, config = loop_instance(50, 2, 6, 10)
+    return with_word_features(ds, 400), A_hat, split, config
 
 
 def assert_agrees_with(trained, reference):
@@ -750,7 +747,7 @@ class TestTrain:
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
         params, report = train(ds, A_hat, split, config, 15)
         ref_params, loss_trace, val_trace, best_epoch, test_acc = reference_train(
-            ds, A_hat, split, config, 15, features_first=features_first_in_train(ds, config))
+            ds, A_hat, split, config, 15, features_first=features_first_in_train(ds))
         np.testing.assert_array_equal(params.W1, ref_params.W1)
         np.testing.assert_array_equal(params.W2, ref_params.W2)
         np.testing.assert_array_equal(report.loss_trace, loss_trace)
@@ -773,13 +770,29 @@ class TestTrain:
         assert capped_report.best_val_epoch == report.best_val_epoch
         assert capped_report.test_accuracy == report.test_accuracy
 
+    def test_cap_only_truncates_at_any_width(self):
+        """The first layer's order does not read the cap: with 90 features
+        and hidden width 4, runs capped at 10 and 11 epochs, on either side
+        of 2 * cap + 1 first-layer products of 4 columns against 90, take
+        the same order, so the shorter run is a prefix of the longer."""
+        ds = generate_sbm(SbmParams(nodes_per_block=40, blocks=3, p_in=0.1,
+                                    p_out=0.01), 96)
+        ds = with_word_features(ds, 90)
+        split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=97)
+        A_hat = normalize_adjacency(ds.graph)
+        _, short = train(ds, A_hat, split, TrainConfig(hidden=4, epochs=10), 98)
+        _, long = train(ds, A_hat, split, TrainConfig(hidden=4, epochs=11), 98)
+        assert len(short.loss_trace) == 10 and len(long.loss_trace) == 11
+        np.testing.assert_array_equal(short.loss_trace, long.loss_trace[:10])
+        np.testing.assert_array_equal(short.val_accuracy_trace, long.val_accuracy_trace[:10])
+
     @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
     def test_hidden_width_order_agrees(self, size, blocks, dim, epochs):
         """A_hat @ (H W2) and (A_hat @ H) W2 differ only in rounding."""
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
         assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
             ds, A_hat, split, config, 15, class_width=False,
-            features_first=features_first_in_train(ds, config)))
+            features_first=features_first_in_train(ds)))
 
     @pytest.mark.parametrize("size, blocks, dim, epochs", LOOP_INSTANCES)
     def test_feature_order_agrees(self, size, blocks, dim, epochs):
@@ -788,27 +801,23 @@ class TestTrain:
         ds, A_hat, split, config = loop_instance(size, blocks, dim, epochs)
         assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
             ds, A_hat, split, config, 15,
-            features_first=not features_first_in_train(ds, config)))
+            features_first=not features_first_in_train(ds)))
 
     def test_sparse_features_agree_with_dense_products(self):
         """The CSR products of X reorder only the sums of the dense ones."""
         ds, A_hat, split, config = sparse_wide_instance()
-        assert features_first_in_train(ds, config)
+        assert features_first_in_train(ds)
         assert_agrees_with(train(ds, A_hat, split, config, 15), reference_train(
             ds, A_hat, split, config, 15, features_first=True))
 
-    @pytest.mark.parametrize("instance, held", [
-        (sparse_wide_instance, CsrMatrix),
-        (lambda: loop_instance(*LOOP_INSTANCES[2]), np.ndarray),
-    ], ids=["sparse-400", "dense-1433"])
-    def test_features_held_in_csr_below_the_rule(self, monkeypatch, instance, held):
+    def test_features_held_in_csr_below_the_rule(self, monkeypatch):
         """Every first-layer product, 2 * epochs + 1 of them, multiplies the
-        CSR of a sparse X and the array of a dense one."""
-        ds, A_hat, split, config = instance()
-        assert features_first_in_train(ds, config)
+        CSR of a sparse X."""
+        ds, A_hat, split, config = sparse_wide_instance()
+        assert features_first_in_train(ds)
         spy = spy_feature_products(monkeypatch)
         train(ds, A_hat, split, config, 15)
-        assert spy == [held] * (2 * config.epochs + 1)
+        assert spy == [CsrMatrix] * (2 * config.epochs + 1)
 
     def test_csr_rule_boundary(self):
         """X is held in CSR rows up to one nonzero in _ENTRIES_PER_NONZERO."""
@@ -816,9 +825,10 @@ class TestTrain:
         X = np.zeros((40, 64))
         at_rule = 40 * 64 // gcn._ENTRIES_PER_NONZERO
         X.flat[:at_rule] = 1.0
-        assert isinstance(gcn._features(A_hat, X, 1, 1).X, CsrMatrix)
+        assert isinstance(gcn._features(A_hat, X, gcn._sparse(X)).X, CsrMatrix)
         X.flat[at_rule] = 1.0
-        assert isinstance(gcn._features(A_hat, X, 1, 1).X, np.ndarray)
+        assert gcn._sparse(X) is None
+        assert isinstance(gcn._features(A_hat, X, None), np.ndarray)
 
     def test_sparse_features_built_once_per_dataset(self, monkeypatch):
         """Every train call on one dataset, as a repetition's three arms and
@@ -854,11 +864,14 @@ class TestTrain:
         assert report == runs[0][1]
 
     def test_narrow_features_build_no_csr(self):
-        """A_hat X is formed once when d is narrow, so X is never counted."""
+        """Dense features are not held in CSR rows, so A_hat X is formed once:
+        A_hat multiplies X in one product and otherwise the class width."""
         ds, A_hat, split, config = loop_instance(*LOOP_INSTANCES[0])
-        assert not features_first_in_train(ds, config)
-        train(ds, A_hat, split, config, 15)
-        assert "sparse_features" not in vars(ds)
+        assert not features_first_in_train(ds)
+        spy = SpyAdjacency(A_hat)
+        train(ds, spy, split, config, 15)
+        assert ds.sparse_features is None
+        assert spy.widths.count(ds.feature_dim) == 1 and ds.feature_dim != ds.num_classes
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_epoch_products_have_class_width(self, sparse):
@@ -878,16 +891,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_wide_features_never_reach_a_hat(self, sparse):
-        """With d = 200 > (2E + 1) h = 84, A_hat multiplies the hidden width
-        and the class width once each to score the start and twice each per
-        epoch, and never X."""
+        """200 word features (:func:`with_word_features`) are held in CSR
+        rows, so A_hat multiplies the hidden width and the class width once
+        each to score the start and twice each per epoch, and never X."""
         ds = generate_sbm(SbmParams(nodes_per_block=50, blocks=3, p_in=0.04,
-                                    p_out=0.002, feature_dim=200), 16)
+                                    p_out=0.002), 16)
+        ds = with_word_features(ds, 200)
         split = split_nodes(ds.n, (0.6, 0.2, 0.2), seed=17)
         A_hat = normalize_adjacency(ds.graph) if sparse else dense_a_hat(ds.graph)
         spy = SpyAdjacency(A_hat)
         config = TrainConfig(hidden=4, epochs=10)
-        assert features_first_in_train(ds, config)
+        assert features_first_in_train(ds)
         train(ds, spy, split, config, 18)
         products = 2 * config.epochs + 1
         assert sorted(spy.widths) == sorted(
@@ -926,6 +940,20 @@ class TestTrain:
                 train(tiny, A_hat, split,
                       TrainConfig(hidden=4, epochs=2, learning_rate=1e154, weight_decay=1.0), 2)
         assert caught.value.epoch == 1
+
+    def test_zero_weight_decay_leaves_out_the_penalty(self):
+        """At weight decay 0 an overflowing ||W||^2 is not read, so the loss
+        is the finite cross-entropy, not 0 * inf."""
+        ds = separable_dataset()
+        split = split_nodes(ds.n, (0.8, 0.1, 0.1), seed=1)
+        init = xavier_params(ds.feature_dim, 4, ds.num_classes, 2)
+        params = GcnParams(W1=init.W1 * 1e154, W2=init.W2 * 1e154)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2))
+            loss, g1, g2 = loss_and_gradients(params, normalize_adjacency(ds.graph),
+                                              ds.features * 1e-100, ds.labels, split.train,
+                                              0.0)
+        assert np.isfinite(loss) and np.isfinite(g1).all() and np.isfinite(g2).all()
 
     def test_empty_split_part_rejected(self):
         ds = separable_dataset(seed=12)

@@ -64,6 +64,7 @@ def random_add(graph: WeightVector, rate: float, seed: int) -> WeightVector:
     picks = _sample_absent(graph.values, count, rng)
     values = graph.values.copy()
     values[picks] = 1.0
+    values.flags.writeable = False  # fresh, so the WeightVector keeps it
     return WeightVector(n=graph.n, values=values)
 
 
@@ -81,6 +82,7 @@ def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
     picks = _sample_absent(graph.values, budget, rng, eligible=cross)
     values = graph.values.copy()
     values[picks] = 1.0
+    values.flags.writeable = False  # fresh, so the WeightVector keeps it
     return WeightVector(n=graph.n, values=values)
 
 

@@ -10,6 +10,11 @@ CRLF (a lone CR is part of its row):
 - ``labels.csv``   header ``node,label``; one row per node, covering every
   node exactly once.
 - ``splits.json``  optional; object with ``train``/``val``/``test`` id arrays.
+
+A bare 0/1 features.csv is read straight from its bytes.  Any other CSV file
+goes through :func:`_table`, which parses it into an array and then runs each
+of the file's checks once, on the whole array; the error names the first bad
+row with the first check it fails, or why it does not parse.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import (WeightVector, _row_starts, pair_count, pair_index, pair_nodes,
+from .operators import (WeightVector, _read_only, _row_starts, pair_count, pair_nodes,
                         same_label_pairs)
 from .rng import SplitMix64
 
@@ -95,13 +100,8 @@ class Dataset:
             raise ValueError(
                 f"graph has {self.graph.n} nodes but features have {n} rows"
             )
-        # a read-only array that owns its data has been handed over, as
-        # load_bundle hands over its parsed features: keep it; copy any other
-        for name, arr in (("features", features), ("labels", labels)):
-            if arr.flags.writeable or not arr.flags.owndata:
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "features", _read_only(features))
+        object.__setattr__(self, "labels", _read_only(labels))
 
     @property
     def n(self) -> int:
@@ -190,20 +190,6 @@ class SbmParams:
             raise InputError("feature_noise must be >= 0")
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise BundleFormatError(f"{where}: not a decimal number: {text!r}") from None
-
-
-def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise BundleFormatError(f"{where}: not an integer: {text!r}") from None
-
-
 def _read_bytes(path: Path) -> bytes:
     if not path.is_file():
         raise BundleFormatError(f"missing bundle file: {path}")
@@ -225,25 +211,6 @@ def _lines(data: bytes, name: str) -> list[str]:
     return lines
 
 
-def _table(rows: list[str], width: int) -> np.ndarray | None:
-    """The rows of labels.csv or edges.csv after the header as a (rows, width)
-    float64 array, or None unless np.loadtxt reads ``width`` fields in every
-    row, the first two of them through int().
-
-    So the ids take int()'s syntax, as the row loop's do; loadtxt converts
-    the weights as float() does (:func:`_parse_features`).
-    """
-    if not rows:
-        return np.empty((0, width))
-    try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2,
-                           converters={0: int, 1: int})
-    except (ValueError, OverflowError):
-        return None
-    # loadtxt skips blank rows
-    return table if table.shape == (len(rows), width) else None
-
-
 def _binary_features(data: bytes) -> np.ndarray | None:
     """features.csv read straight from its bytes, or None unless every field
     is one digit 0 or 1, fields are separated by ",", every row ends in "\n"
@@ -252,7 +219,7 @@ def _binary_features(data: bytes) -> np.ndarray | None:
     Such a file holds 2d bytes per row of d features, so it is an (n, 2d)
     byte matrix whose even columns are the digits and whose odd columns are
     "," but for the last, "\n".  Any other file, CRLF, ``1.0`` or a missing
-    final newline included, returns None and takes :func:`_parse_features`.
+    final newline included, returns None and takes :func:`_table`.
     """
     width = data.find(b"\n") + 1
     if width < 2 or width % 2 or len(data) % width or len(data) < 2 * width:
@@ -266,109 +233,117 @@ def _binary_features(data: bytes) -> np.ndarray | None:
     return digits.astype(np.float64)
 
 
-def _parse_features(lines: list[str]) -> np.ndarray:
-    """The rows of features.csv as an (n, d) float64 array.
+def _row(line: str, kinds) -> list:
+    """One row's fields through ``kinds``, int or float for each; a
+    ValueError says what is wrong with the row."""
+    fields = line.split(",")
+    if len(fields) != len(kinds):
+        raise ValueError(f"expected {len(kinds)} fields, got {len(fields)}")
+    values = []
+    for kind, text in zip(kinds, fields):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            what = "an integer" if kind is int else "a decimal number"
+            raise ValueError(f"not {what}: {text!r}") from None
+    return values
 
-    numpy parses a well-formed file.  It converts each value with CPython's
-    string-to-double routine, so wherever float() accepts the same text the
-    bits agree.  It skips blank lines, hence the row count check.  Whatever it
-    refuses goes through the row loop, which accepts what float() accepts
-    (``1_0`` is 10.0) and names the row of the first bad value.
+
+def _table(lines: list[str], name: str, kinds, first_row: int, checks) -> np.ndarray:
+    """The rows of the bundle file ``name`` as a float64 table with a column
+    for each of ``kinds``: int for an id, float for a value.
+
+    np.loadtxt parses a well-formed file, the ids through int().  It converts
+    each value with CPython's string-to-double routine, so wherever float()
+    accepts the same text the bits agree.  Any other file, one it refuses or
+    one whose blank rows it skips, is read by :func:`_row` one row at a time
+    up to the first row that does not parse.
+
+    ``checks(table)`` gives (mask, message) pairs, each mask marking the rows
+    that fail one check.  The error names the first bad row, numbered from
+    ``first_row``, with the first check it fails, or else why it does not
+    parse.  The message is formatted with that row's fields read again by
+    :func:`_row`, so an id prints exactly.  The checks see ids as float64,
+    which is exact up to 2**53; beyond that an id is out of range anyway,
+    but two such ids that round alike count as equal.
     """
+    ids = [i for i, kind in enumerate(kinds) if kind is int]
     try:
         with warnings.catch_warnings():
-            # loadtxt warns when every line is blank; the row count catches that
+            # loadtxt warns when every row is blank; the shape check catches that
             warnings.simplefilter("ignore", UserWarning)
-            features = np.loadtxt(lines, delimiter=",", comments=None,
-                                  dtype=np.float64, ndmin=2)
-    except ValueError:
-        pass
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64,
+                               ndmin=2, converters={i: int for i in ids})
+    except (ValueError, OverflowError):
+        table = None
+    refused = None
+    if table is None or table.shape != (len(lines), len(kinds)):
+        rows = []
+        for line in lines:
+            try:
+                rows.append(_row(line, kinds))
+            except ValueError as exc:
+                refused = str(exc)
+                break
+        table = np.array(rows, dtype=object).reshape(len(rows), len(kinds))
+        # an id beyond the float64 range is out of range for any node count
+        big = int(np.finfo(np.float64).max)
+        table[:, ids] = np.clip(table[:, ids], -big, big)
+        table = table.astype(np.float64)
+    results = checks(table)
+    failed = [(int(mask.argmax()), i) for i, (mask, _) in enumerate(results) if mask.any()]
+    if failed:
+        row, i = min(failed)
+        message = results[i][1].format(*_row(lines[row], kinds))
+    elif refused is not None:
+        row, message = len(table), refused
     else:
-        if features.shape[0] == len(lines):
-            return features
-    rows = []
-    dim = None
-    for ln, line in enumerate(lines, start=1):
-        parts = line.split(",")
-        if dim is None:
-            dim = len(parts)
-        elif len(parts) != dim:
-            raise BundleFormatError(
-                f"features.csv row {ln}: expected {dim} values, got {len(parts)}"
-            )
-        rows.append([_parse_float(p, f"features.csv row {ln}") for p in parts])
-    return np.asarray(rows, dtype=np.float64)
+        return table
+    raise BundleFormatError(f"{name} row {row + first_row}: {message}")
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Whether each key equals one before it."""
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(keys.shape, dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return repeat
 
 
 def _parse_labels(rows: list[str], n: int) -> np.ndarray:
     """labels.csv's rows after the header as the label of each of n nodes,
-    -1 where a node has none.
-
-    :func:`_table` parses the rows and they are checked as arrays.  A file
-    either refuses goes through the row loop, which names the first bad row.
-    """
+    -1 where a node has none."""
+    def checks(table):
+        node, label = table.T
+        return [(~((0 <= node) & (node < n)), "node {0} out of range"),
+                (_repeats(node), "node {0} labeled twice"),
+                # a label >= n would mean more classes than nodes
+                (~((0 <= label) & (label < n)), f"label {{1}} outside [0, {n}) for {n} nodes")]
+    node, label = _table(rows, "labels.csv", (int, int), 2, checks).T.astype(np.int64)
     labels = np.full(n, -1, dtype=np.int64)
-    table = _table(rows, 2)
-    # a label >= n would mean more classes than nodes
-    if table is not None and ((0 <= table) & (table < n)).all():
-        nodes, values = table.T.astype(np.int64)
-        if np.bincount(nodes, minlength=n).max() <= 1:
-            labels[nodes] = values
-            return labels
-    for ln, line in enumerate(rows, start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise BundleFormatError(f"labels.csv row {ln}: expected 2 fields")
-        node = _parse_int(parts[0], f"labels.csv row {ln}")
-        label = _parse_int(parts[1], f"labels.csv row {ln}")
-        if not 0 <= node < n:
-            raise BundleFormatError(f"labels.csv row {ln}: node {node} out of range")
-        if labels[node] != -1:
-            raise BundleFormatError(f"labels.csv row {ln}: node {node} labeled twice")
-        if not 0 <= label < n:
-            raise BundleFormatError(
-                f"labels.csv row {ln}: label {label} outside [0, {n}) for {n} nodes")
-        labels[node] = label
+    labels[node] = label
     return labels
 
 
 def _parse_edges(rows: list[str], n: int) -> np.ndarray:
-    """edges.csv's rows after the header as the pair vector of n nodes.
+    """edges.csv's rows after the header as the pair vector of n nodes."""
+    def positions(u, v):
+        # the pair (u, v), u < v, sits at v - u - 1 in row u's block; a row
+        # without 0 <= u < v < n fails an earlier check and gets -1
+        ok = (0 <= u) & (u < v) & (v < n)
+        u = np.where(ok, u, 0).astype(np.int64)
+        return np.where(ok, _row_starts(n)[u] + (v - u - 1), -1).astype(np.int64)
 
-    :func:`_table` parses the rows and they are checked as arrays.  A file
-    either refuses goes through the row loop, which names the first bad row.
-    """
-    weights = np.zeros(pair_count(n), dtype=np.float64)
-    table = _table(rows, 3)
-    if table is not None:
+    def checks(table):
         u, v, w = table.T
-        if ((0 <= u) & (u < v) & (v < n) & (w > 0) & np.isfinite(w)).all():
-            u, v = u.astype(np.int64), v.astype(np.int64)
-            # the pair (u, v), u < v, sits at v - u - 1 in row u's block
-            k = _row_starts(n)[u] + (v - u - 1)
-            ordered = np.sort(k)
-            if (ordered[1:] != ordered[:-1]).all():
-                weights[k] = w
-                return weights
-    for ln, line in enumerate(rows, start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise BundleFormatError(f"edges.csv row {ln}: expected 3 fields")
-        u = _parse_int(parts[0], f"edges.csv row {ln}")
-        v = _parse_int(parts[1], f"edges.csv row {ln}")
-        wgt = _parse_float(parts[2], f"edges.csv row {ln}")
-        if u == v:
-            raise BundleFormatError(f"edges.csv row {ln}: self-loop on node {u}")
-        if u > v:
-            raise BundleFormatError(f"edges.csv row {ln}: require src < dst, got {u},{v}")
-        if not 0 <= u < n or not 0 <= v < n:
-            raise BundleFormatError(f"edges.csv row {ln}: endpoint out of range (n={n})")
-        if not math.isfinite(wgt) or wgt <= 0:
-            raise BundleFormatError(f"edges.csv row {ln}: weight must be > 0, got {wgt}")
-        k = pair_index(v + 1, u + 1, n)
-        if weights[k - 1] != 0.0:
-            raise BundleFormatError(f"edges.csv row {ln}: duplicate edge {u},{v}")
-        weights[k - 1] = wgt
+        return [(u == v, "self-loop on node {0}"),
+                (u > v, "require src < dst, got {0},{1}"),
+                (~((0 <= u) & (u < n) & (0 <= v) & (v < n)), f"endpoint out of range (n={n})"),
+                (~((w > 0) & np.isfinite(w)), "weight must be > 0, got {2}"),
+                (_repeats(positions(u, v)), "duplicate edge {0},{1}")]
+    u, v, w = _table(rows, "edges.csv", (int, int, float), 2, checks).T
+    weights = np.zeros(pair_count(n), dtype=np.float64)
+    weights[positions(u, v)] = w
     return weights
 
 
@@ -376,23 +351,20 @@ def load_bundle(path) -> Dataset:
     """Load a bundle directory into a :class:`Dataset`.
 
     The node count comes from features.csv, so isolated nodes are fine.
-    Raises :class:`BundleFormatError` with file and 1-based row number on any
-    malformed row, non-finite feature, out-of-range endpoint, duplicate edge
-    or self-loop.
+    Raises :class:`BundleFormatError` with file and 1-based row number of the
+    first malformed row, non-finite feature, out-of-range endpoint, duplicate
+    edge or self-loop.
     """
     root = Path(path)
 
     data = _read_bytes(root / "features.csv")
     features = _binary_features(data)
     if features is None:
-        feat_lines = _lines(data, "features.csv")
-        if len(feat_lines) < 2:
-            raise BundleFormatError(
-                f"features.csv: need at least 2 nodes, got {len(feat_lines)}")
-        features = _parse_features(feat_lines)
-        bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-        if bad.size:
-            raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
+        lines = _lines(data, "features.csv")
+        if len(lines) < 2:
+            raise BundleFormatError(f"features.csv: need at least 2 nodes, got {len(lines)}")
+        features = _table(lines, "features.csv", (float,) * (lines[0].count(",") + 1), 1,
+                          lambda X: [(~np.isfinite(X).all(axis=1), "non-finite feature value")])
     # read-only and owning its data, so the Dataset keeps it without a copy
     features.flags.writeable = False
     n = features.shape[0]
@@ -410,6 +382,8 @@ def load_bundle(path) -> Dataset:
     if not edge_lines or edge_lines[0] != "src,dst,weight":
         raise BundleFormatError('edges.csv row 1: header must be "src,dst,weight"')
     weights = _parse_edges(edge_lines[1:], n)
+    # read-only and owning its data, so the WeightVector keeps it without a copy
+    weights.flags.writeable = False
 
     return Dataset(
         features=features,
@@ -527,6 +501,9 @@ def generate_sbm(params: SbmParams, seed: int) -> Dataset:
     features[np.arange(n), labels] = params.feature_signal
     noise = rng.uniforms(n * params.feature_dim).reshape(n, params.feature_dim)
     features += 2.0 * params.feature_noise * (noise - 0.5)
+    # fresh arrays, so the Dataset and WeightVector keep them without a copy
+    for arr in (labels, values, features):
+        arr.flags.writeable = False
 
     return Dataset(
         features=features,

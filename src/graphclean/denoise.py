@@ -443,8 +443,8 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     if kkt_at != t:
         kkt = _kkt_residual(best, deg_best, *problem) / scale
 
-    # WeightVector copies the best point: free the loop's other pair vectors first
-    del problem, index, blocks, d_p
+    # nothing else holds the best point, so the WeightVector keeps it
+    best.flags.writeable = False
     return DenoiseResult(
         weights=WeightVector(n=n, values=best),
         objective_trace=np.asarray(trace),

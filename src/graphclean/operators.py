@@ -90,6 +90,15 @@ def same_label_pairs(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only and owns its data, as a producer hands over
+    a fresh array; else a read-only copy, which no other name can write to."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Non-negative pair weights of an undirected graph on ``n`` nodes.
@@ -114,9 +123,7 @@ class WeightVector:
             raise ValueError("weight vector contains non-finite entries")
         if np.any(values < 0):
             raise ValueError("weight vector contains negative entries")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
     @property
     def edge_count(self) -> int:

@@ -270,7 +270,7 @@ class TestBadInput:
          "missing bundle file: /nonexistent/features.csv"),
         # the second feature row of the bundle loses a value
         (["denoise", "--bundle", "{bundle}", "--out", "{tmp}/out"], None,
-         ("features.csv", 1, b"1.0"), "features.csv row 2: expected 2 values, got 1"),
+         ("features.csv", 1, b"1.0"), "features.csv row 2: expected 2 fields, got 1"),
         (["pipeline"], "beta = 0.3\niter = 5\n", None, "bad.cfg: unknown key 'iter'"),
         (["denoise"], "step_mode = fixed\n", None, "bad.cfg: unknown key 'step_mode'"),
         (["pipeline"], "split = 0.5,0.5\n", None, "expected three comma-separated fractions"),

@@ -18,13 +18,14 @@ from graphclean.datasets import (
     save_bundle,
     split_nodes,
 )
-from graphclean.operators import WeightVector, pair_count
+from graphclean.operators import WeightVector, pair_count, pair_index
 from graphclean.rng import SplitMix64
 
 
 def loop_features(lines):
-    """Oracle: features.csv parsed value by value with float(), then checked
-    for non-finite values, raising what load_bundle raises."""
+    """Oracle: features.csv parsed value by value with float(), each row
+    checked for non-finite values as it is parsed, raising what load_bundle
+    raises."""
     rows = []
     dim = None
     for ln, line in enumerate(lines, start=1):
@@ -33,7 +34,7 @@ def loop_features(lines):
             dim = len(parts)
         elif len(parts) != dim:
             raise BundleFormatError(
-                f"features.csv row {ln}: expected {dim} values, got {len(parts)}")
+                f"features.csv row {ln}: expected {dim} fields, got {len(parts)}")
         row = []
         for text in parts:
             try:
@@ -41,12 +42,10 @@ def loop_features(lines):
             except ValueError:
                 raise BundleFormatError(
                     f"features.csv row {ln}: not a decimal number: {text!r}") from None
+        if not all(math.isfinite(x) for x in row):
+            raise BundleFormatError(f"features.csv row {ln}: non-finite feature value")
         rows.append(row)
-    features = np.asarray(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise BundleFormatError(f"features.csv row {bad[0] + 1}: non-finite feature value")
-    return features
+    return np.asarray(rows, dtype=np.float64)
 
 
 def rewrite_edges(bundle, rows):
@@ -275,15 +274,14 @@ class TestLoadBundle:
 
     def test_plain_labels_and_edges_skip_the_row_loop(self, tmp_path, monkeypatch):
         """loadtxt reads the ids through int() and the weights, and they are
-        checked as arrays; the row loop's parsers are never called."""
+        checked as arrays; the row loop's parser is never called."""
         params = SbmParams(nodes_per_block=30, blocks=3, p_in=0.2, p_out=0.02)
         expected = generate_sbm(params, 5)
         save_bundle(expected, tmp_path)
 
-        def refuse(text, where):
-            raise AssertionError(f"row loop reached at {where}")
-        monkeypatch.setattr(datasets, "_parse_int", refuse)
-        monkeypatch.setattr(datasets, "_parse_float", refuse)
+        def refuse(line, kinds):
+            raise AssertionError(f"row loop reached at {line!r}")
+        monkeypatch.setattr(datasets, "_row", refuse)
         loaded = load_bundle(tmp_path)
         np.testing.assert_array_equal(loaded.labels, expected.labels)
         assert loaded.graph.values.tobytes() == expected.graph.values.tobytes()
@@ -305,9 +303,11 @@ class TestLoadBundle:
         ("edges.csv", ["0,1,1.0", "-1,2,1.0"], r"edges.csv row 3: endpoint out of range \(n=6\)"),
         ("edges.csv", ["0,1,1.0", "1,2,inf"], "edges.csv row 3: weight must be > 0, got inf"),
         ("edges.csv", ["0,1,nan", "1,2,1.0"], "edges.csv row 2: weight must be > 0, got nan"),
+        ("edges.csv", ["0,1,1.0", f"{10**400},2,1.0"],
+         f"edges.csv row 3: require src < dst, got {10**400},2$"),
     ], ids=["label-node-2.0", "label-1e0", "edge-1e0", "edge-2.", "edge-no-weight",
             "label-lone-cr", "edge-lone-cr", "label-blank-row", "edge-blank-row",
-            "edge-negative-src", "edge-inf-weight", "edge-nan-weight"])
+            "edge-negative-src", "edge-inf-weight", "edge-nan-weight", "edge-beyond-float64"])
     def test_rows_the_array_parse_refuses_name_the_row(self, bundle_dir, name, rows, message):
         """A float reads 2.0 and 1e0 as whole numbers, where int() refuses
         them; a lone CR stays inside its row."""
@@ -315,6 +315,21 @@ class TestLoadBundle:
         (bundle_dir / name).write_text(
             header + "\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
         with pytest.raises(BundleFormatError, match=f"^{message}"):
+            load_bundle(bundle_dir)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("labels.csv", "node,label\n0,0\n9,0\n2,0\nx,1\n4,1\n5,1\n",
+         "labels.csv row 3: node 9 out of range"),
+        ("edges.csv", "src,dst,weight\n0,1,1.0\n0,1,2.0\n1,2,1.0\n\n",
+         "edges.csv row 3: duplicate edge 0,1"),
+        ("features.csv", "1.0,2.0\nnan,4.0\n0.0,0.0\nx,0.0\n0.0,0.0\n0.0,0.0\n",
+         "features.csv row 2: non-finite feature value"),
+    ], ids=["labels", "edges", "features"])
+    def test_first_bad_row_wins(self, bundle_dir, name, text, message):
+        """A row that fails a check comes before a later row that does not
+        parse, and the error names the earlier one."""
+        (bundle_dir / name).write_text(text, encoding="utf-8")
+        with pytest.raises(BundleFormatError, match=f"^{message}$"):
             load_bundle(bundle_dir)
 
     @pytest.mark.parametrize("label_rows, edge_rows", [
@@ -341,7 +356,7 @@ class TestLoadBundle:
         expected_weights = np.zeros(pair_count(5))
         for row in edge_rows:
             u, v, w = row.split(",")
-            k = datasets.pair_index(int(v) + 1, int(u) + 1, 5)
+            k = pair_index(int(v) + 1, int(u) + 1, 5)
             expected_weights[k - 1] = float(w)
         np.testing.assert_array_equal(loaded.labels, expected_labels)
         assert loaded.graph.values.tobytes() == expected_weights.tobytes()
@@ -378,7 +393,8 @@ class TestLoadBundle:
         with pytest.raises(ValueError, match="references node"):
             load_splits(bundle_dir, 6)
 
-    @pytest.mark.parametrize("label", [6, 10**12, 10**20, -1])
+    @pytest.mark.parametrize("label", [6, 10**12, 10**20, pytest.param(10**400, id="10**400"),
+                                       -1])
     def test_label_out_of_range_reports_row(self, bundle_dir, label):
         # a label >= n would mean more classes than the bundle's 6 nodes
         (bundle_dir / "labels.csv").write_text(
@@ -557,33 +573,44 @@ class TestSplitNodes:
             Split(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
 
 
+# the shape each kind takes, and what it keeps of an array of that shape
+KEEPERS = {
+    "Dataset": ((3, 2), lambda arr: Dataset(
+        features=arr, labels=np.zeros(3, dtype=np.int64),
+        graph=WeightVector(n=3, values=np.zeros(3)), num_classes=1).features),
+    "WeightVector": ((3,), lambda arr: WeightVector(n=3, values=arr).values),
+}
+
+
 class TestDatasetFeatureCopy:
-    """Dataset keeps a read-only array that owns its data, and copies any
-    array that another name could still write to."""
+    """Dataset (its features) and WeightVector keep a read-only array that
+    owns its data, and copy any array that another name could still write to."""
 
-    def make(self, features):
-        return Dataset(features=features, labels=np.zeros(3, dtype=np.int64),
-                       graph=WeightVector(n=3, values=np.zeros(3)), num_classes=1)
+    @pytest.mark.parametrize("kind", KEEPERS)
+    def test_read_only_owning_array_is_kept(self, kind):
+        shape, keep = KEEPERS[kind]
+        arr = np.ones(shape)
+        arr.flags.writeable = False
+        assert np.shares_memory(keep(arr), arr)
 
-    def test_read_only_owning_array_is_kept(self):
-        features = np.ones((3, 2))
-        features.flags.writeable = False
-        assert np.shares_memory(self.make(features).features, features)
-
-    def test_writeable_array_is_copied(self):
-        features = np.ones((3, 2))
-        kept = self.make(features).features
-        assert not np.shares_memory(kept, features)
+    @pytest.mark.parametrize("kind", KEEPERS)
+    def test_writeable_array_is_copied(self, kind):
+        shape, keep = KEEPERS[kind]
+        arr = np.ones(shape)
+        kept = keep(arr)
+        assert not np.shares_memory(kept, arr)
         assert not kept.flags.writeable
 
-    def test_read_only_view_of_a_writeable_base_is_copied(self):
-        base = np.ones((3, 2))
+    @pytest.mark.parametrize("kind", KEEPERS)
+    def test_read_only_view_of_a_writeable_base_is_copied(self, kind):
+        shape, keep = KEEPERS[kind]
+        base = np.ones(shape)
         view = base[:]
         view.flags.writeable = False
-        kept = self.make(view).features
+        kept = keep(view)
         assert not np.shares_memory(kept, base)
-        base[0, 0] = 5.0
-        assert kept[0, 0] == 1.0
+        base[0] = 5.0
+        assert kept.flat[0] == 1.0
 
     def test_load_bundle_keeps_its_byte_read_features(self, bundle_dir, monkeypatch):
         (bundle_dir / "features.csv").write_text("0,1\n1,0\n" * 3, encoding="utf-8")
@@ -597,11 +624,13 @@ class TestDatasetFeatureCopy:
         assert load_bundle(bundle_dir).features is parsed[0]
 
     def test_load_bundle_keeps_its_parsed_features(self, bundle_dir, monkeypatch):
-        parse_features = datasets._parse_features
+        table = datasets._table
         parsed = []
 
-        def parse(lines):
-            parsed.append(parse_features(lines))
-            return parsed[-1]
-        monkeypatch.setattr(datasets, "_parse_features", parse)
-        assert load_bundle(bundle_dir).features is parsed[0]
+        def parse(lines, name, *args):
+            parsed.append((name, table(lines, name, *args)))
+            return parsed[-1][1]
+        monkeypatch.setattr(datasets, "_table", parse)
+        features = load_bundle(bundle_dir).features
+        assert parsed[0][0] == "features.csv"
+        assert features is parsed[0][1]

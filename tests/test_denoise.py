@@ -477,8 +477,7 @@ class TestDenoise:
 
     def test_holds_at_most_six_pair_vectors(self):
         # the loop holds the best point, the two index arrays and w(lambda)
-        # as sparse lists; the copy WeightVector makes of the best point comes
-        # after the others are freed
+        # as sparse lists; the WeightVector keeps the best point, uncopied
         n = 613  # an n no other test uses, so nothing is cached
         ds = generate_sbm(SbmParams(nodes_per_block=n, blocks=1, p_in=0.02), seed=5)
         d_p = pairwise_p_distances(ds.features, 2.0)

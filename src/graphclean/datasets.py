@@ -249,6 +249,10 @@ def _row(line: str, kinds) -> list:
     return values
 
 
+# float64 holds every integer up to this exactly, and no id beyond it is in range
+_EXACT_IDS = 2**53
+
+
 def _table(lines: list[str], name: str, kinds, first_row: int, checks) -> np.ndarray:
     """The rows of the bundle file ``name`` as a float64 table with a column
     for each of ``kinds``: int for an id, float for a value.
@@ -264,8 +268,11 @@ def _table(lines: list[str], name: str, kinds, first_row: int, checks) -> np.nda
     ``first_row``, with the first check it fails, or else why it does not
     parse.  The message is formatted with that row's fields read again by
     :func:`_row`, so an id prints exactly.  The checks see ids as float64,
-    which is exact up to 2**53; beyond that an id is out of range anyway,
-    but two such ids that round alike count as equal.
+    which holds them exactly up to 2**53.  An id beyond that is out of range
+    for any node count, but float64 can round two such ids alike, so a file
+    with one is read by the row loop, where each such id becomes
+    +-2**53 (2 + r), r its rank by magnitude: the checks order and compare
+    those ids exactly.
     """
     ids = [i for i, kind in enumerate(kinds) if kind is int]
     try:
@@ -277,7 +284,8 @@ def _table(lines: list[str], name: str, kinds, first_row: int, checks) -> np.nda
     except (ValueError, OverflowError):
         table = None
     refused = None
-    if table is None or table.shape != (len(lines), len(kinds)):
+    if (table is None or table.shape != (len(lines), len(kinds))
+            or (np.abs(table[:, ids]) >= _EXACT_IDS).any()):
         rows = []
         for line in lines:
             try:
@@ -286,9 +294,12 @@ def _table(lines: list[str], name: str, kinds, first_row: int, checks) -> np.nda
                 refused = str(exc)
                 break
         table = np.array(rows, dtype=object).reshape(len(rows), len(kinds))
-        # an id beyond the float64 range is out of range for any node count
-        big = int(np.finfo(np.float64).max)
-        table[:, ids] = np.clip(table[:, ids], -big, big)
+        big = sorted({abs(x) for x in table[:, ids].flat if abs(x) > _EXACT_IDS})
+        if big:
+            stand_in = {x: float(_EXACT_IDS * (2 + r)) for r, x in enumerate(big)}
+            for i in ids:
+                table[:, i] = [x if abs(x) <= _EXACT_IDS else
+                               stand_in[x] if x > 0 else -stand_in[-x] for x in table[:, i]]
         table = table.astype(np.float64)
     results = checks(table)
     failed = [(int(mask.argmax()), i) for i, (mask, _) in enumerate(results) if mask.any()]

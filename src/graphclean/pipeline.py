@@ -220,6 +220,7 @@ def run_repetition(config: ExperimentConfig, r: int,
             "iterations": result.iterations_run,
             "converged": result.converged,
             "kkt_residual": result.kkt_residual,
+            "pair_passes": result.pair_passes,
             "final_objective": float(result.objective_trace[-1]),
         },
         "train": training,

@@ -43,6 +43,9 @@ class TestSynthAttackDenoiseTrain:
         result = json.loads((recovered / "denoise_result.json").read_text())
         assert result["iterations"] <= 100
         assert len(result["objective_trace"]) == result["iterations"] + 1
+        # a dense 40-node graph runs on all pairs: each trial point and the
+        # final KKT residual read every pair
+        assert result["pair_passes"] > result["iterations"]
         ds = load_bundle(recovered)
         assert ds.n == 40
 

@@ -305,9 +305,22 @@ class TestLoadBundle:
         ("edges.csv", ["0,1,nan", "1,2,1.0"], "edges.csv row 2: weight must be > 0, got nan"),
         ("edges.csv", ["0,1,1.0", f"{10**400},2,1.0"],
          f"edges.csv row 3: require src < dst, got {10**400},2$"),
+        # float64 rounds each pair of ids alike
+        ("edges.csv", ["0,1,1.0", "1152921504606846977,1152921504606846976,1.0"],
+         "edges.csv row 3: require src < dst, got 1152921504606846977,1152921504606846976$"),
+        ("edges.csv", ["0,1,1.0", f"{2**60},{2**60 + 1},1.0"],
+         r"edges.csv row 3: endpoint out of range \(n=6\)$"),
+        ("edges.csv", ["0,1,1.0", f"{2**53},{2**53 + 1},1.0"],
+         r"edges.csv row 3: endpoint out of range \(n=6\)$"),
+        ("edges.csv", ["0,1,1.0", f"-{2**60 + 1},-{2**60},1.0"],
+         r"edges.csv row 3: endpoint out of range \(n=6\)$"),
+        ("labels.csv", ["0,0", "1,0", f"{2**60 + 1},1", f"{2**60},1", "4,1", "5,1"],
+         f"labels.csv row 4: node {2**60 + 1} out of range$"),
     ], ids=["label-node-2.0", "label-1e0", "edge-1e0", "edge-2.", "edge-no-weight",
             "label-lone-cr", "edge-lone-cr", "label-blank-row", "edge-blank-row",
-            "edge-negative-src", "edge-inf-weight", "edge-nan-weight", "edge-beyond-float64"])
+            "edge-negative-src", "edge-inf-weight", "edge-nan-weight", "edge-beyond-float64",
+            "edge-beyond-2**53-descending", "edge-beyond-2**53-ascending",
+            "edge-at-2**53", "edge-below-minus-2**53", "label-beyond-2**53"])
     def test_rows_the_array_parse_refuses_name_the_row(self, bundle_dir, name, rows, message):
         """A float reads 2.0 and 1e0 as whole numbers, where int() refuses
         them; a lone CR stays inside its row."""

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphclean.attacks import heterophilic_add
+from graphclean.attacks import heterophilic_add, random_add
 from graphclean.datasets import InputError, SbmParams, features_are_binary, generate_sbm
 from graphclean.denoise import (
     _BLOCK,
+    _SLACK,
     DenoiseConfig,
     DenoiseDivergence,
     _degrees,
@@ -173,6 +174,32 @@ def poisoned_sbm():
     return dataset, w_p, pairwise_p_distances(dataset.features, 2.0)
 
 
+def sparse_bundle():
+    """A small cora-shaped problem: 300 nodes in 4 classes, 0/1 features with
+    10 ones in 200 columns (70% in a 40-word class vocabulary), 150 edges
+    mostly inside a class, and random additions at rate 0.25.  Its w_p holds
+    0.42% of the m pairs and its solution at beta 0.7 0.32%, so the denoiser
+    takes the working set."""
+    rng = SplitMix64(5)
+    n, d = 300, 200
+    labels = np.arange(n) % 4
+    X = np.zeros((n, d))
+    for i in range(n):
+        for _ in range(10):
+            in_class = rng.uniform() < 0.7
+            X[i, labels[i] * 40 + rng.bounded(40) if in_class else rng.bounded(d)] = 1.0
+    m = pair_count(n)
+    rows, cols = np.triu_indices(n, 1)
+    same = labels[rows] == labels[cols]
+    w = np.zeros(m)
+    while np.count_nonzero(w) < 150:
+        k = rng.bounded(m)
+        if same[k] or rng.uniform() < 0.2:
+            w[k] = 1.0
+    w_p = random_add(WeightVector(n=n, values=w), 0.25, 7)
+    return w_p, X, pairwise_p_distances(X, 2.0)
+
+
 class TestPairwisePDistances:
     X = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 0.0]])
 
@@ -312,6 +339,36 @@ class TestGramDistancesMatchLoop:
         else:
             X[7, 3] = {"near-binary": 2.0, "nan": np.nan, "inf": np.inf}[case]
         assert not features_are_binary(X)
+
+    @pytest.mark.parametrize("case", ["binary", "negative-zero", "no-columns", "real",
+                                      "near-binary", "minus-one", "nan", "inf"])
+    def test_the_nonzero_scan_decides_the_gram_form(self, monkeypatch, case):
+        """The one scan that lists the nonzeros for the Gram form also tells
+        0/1 features apart, as features_are_binary does."""
+        X = random_features(5, 60, 12, ones=0.3)
+        if case == "negative-zero":
+            X[X == 0.0] = -0.0
+        elif case == "no-columns":
+            X = np.ones((60, 0))
+        elif case == "real":
+            X = random_features(5, 60, 12)
+        elif case != "binary":
+            X[7, 3] = {"near-binary": 1.0 + 2**-52, "minus-one": -1.0, "nan": np.nan,
+                       "inf": np.inf}[case]
+        module = importlib.import_module("graphclean.denoise")
+        gram, calls = module._gram_distances, []
+
+        def spy(*args):
+            calls.append(args)
+            return gram(*args)
+        monkeypatch.setattr(module, "_gram_distances", spy)
+        if case in ("nan", "inf"):
+            with pytest.raises(InputError, match="d_p is not finite"):
+                pairwise_p_distances(X, 2.0)
+        else:
+            assert pairwise_p_distances(X, 2.0).tobytes() == loop_distances(X, 2.0).tobytes()
+        assert bool(calls) == features_are_binary(X) == (case in ("binary", "negative-zero",
+                                                                  "no-columns"))
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_manhattan_is_the_general_power(self, scale):
@@ -494,7 +551,7 @@ class TestDenoise:
         w_p = WeightVector(n=3, values=[1.0, 0.0, 1.0])
         result = denoise(w_p, np.zeros((3, 2)), DenoiseConfig(max_iters=5))
         payload = result.to_json_dict()
-        assert set(payload) == {"iterations", "converged", "kkt_residual",
+        assert set(payload) == {"iterations", "converged", "kkt_residual", "pair_passes",
                                 "objective_trace", "config"}
         assert isinstance(payload["objective_trace"], list)
 
@@ -760,6 +817,190 @@ class TestDualNewton:
                              DenoiseConfig(alpha=alpha, beta=beta, max_iters=max_iters,
                                            tol=0.0), d_p=d_p)
             assert len(calls) == result.iterations_run == max_iters
+
+
+def spy_passes(monkeypatch):
+    """Each w(lambda) evaluation's pair count, and the KKT passes, as they
+    happen; an evaluation over all m pairs on the working set is a scan."""
+    module = importlib.import_module("graphclean.denoise")
+    calls = {"points": [], "kkt": 0}
+    point, kkt = module._primal_point, module._kkt_residual
+
+    def spy_point(lam, target, *args, **kwargs):
+        calls["points"].append(target.size)
+        return point(lam, target, *args, **kwargs)
+
+    def spy_kkt(*args):
+        calls["kkt"] += 1
+        return kkt(*args)
+    monkeypatch.setattr(module, "_primal_point", spy_point)
+    monkeypatch.setattr(module, "_kkt_residual", spy_kkt)
+    return calls
+
+
+class TestWorkingSet:
+    """The loop on a working set W of pairs, against the same loop on all
+    pairs; ``_WORKING_SHARE`` is patched to force a path (0: all pairs, 1: W
+    whatever its size)."""
+
+    CONFIG = DenoiseConfig(alpha=1.0, beta=0.7, max_iters=500, tol=1e-8)
+
+    @staticmethod
+    def solve(monkeypatch, share, config=CONFIG, w0=None):
+        module = importlib.import_module("graphclean.denoise")
+        w_p, X, d_p = sparse_bundle()
+        with monkeypatch.context() as patch:
+            if share is not None:
+                patch.setattr(module, "_WORKING_SHARE", share)
+            return denoise(w_p, X, config, d_p=d_p, w0=w0)
+
+    def test_the_sparse_instance_takes_and_keeps_the_working_set(self, monkeypatch):
+        calls = spy_passes(monkeypatch)
+        result = self.solve(monkeypatch, None)
+        m = pair_count(300)
+        scans = calls["points"].count(m)
+        assert result.converged and 1 <= scans < result.iterations_run
+        assert max(size for size in calls["points"] if size < m) <= 0.01 * m
+        assert result.pair_passes == scans + calls["kkt"]
+
+    @pytest.mark.parametrize("share", [1.0, 0.005, 0.0], ids=["W", "W-then-all", "all"])
+    def test_solves_to_the_all_pair_optimum(self, monkeypatch, share):
+        """0.005 sits between |supp w_p| (0.42% of m) and the W the solve
+        needs (0.67%), so W grows past it and the loop goes on over all pairs."""
+        calls = spy_passes(monkeypatch)
+        result = self.solve(monkeypatch, share)
+        assert result.converged
+        m = pair_count(300)
+        full = calls["points"].count(m)
+        if share == 0.0:
+            assert full == result.iterations_run == result.pair_passes - calls["kkt"]
+        else:
+            assert full < result.iterations_run
+        assert result.pair_passes == full + calls["kkt"]
+        w_p, _, d_p = sparse_bundle()
+        w = result.weights.values
+        assert dense_kkt(w, w_p, d_p, 1.0, 0.7) <= self.CONFIG.tol
+        reference = self.solve(monkeypatch, 0.0)
+        np.testing.assert_array_equal(w > 0.0, reference.weights.values > 0.0)
+        np.testing.assert_allclose(result.objective_trace[-1],
+                                   reference.objective_trace[-1], rtol=1e-9)
+
+    @pytest.mark.parametrize("cap", [1, 2, 6, 7, 12, 17])
+    def test_a_cap_counts_every_evaluation(self, monkeypatch, cap):
+        """On W an iteration is a trial point on W or a scan of all pairs;
+        the solve converges after 18, and its scans are its 7th, 14th and
+        18th iterations."""
+        calls = spy_passes(monkeypatch)
+        result = self.solve(monkeypatch, 1.0,
+                            DenoiseConfig(alpha=1.0, beta=0.7, max_iters=cap, tol=1e-8))
+        assert len(calls["points"]) == result.iterations_run == cap
+        assert (pair_count(300) in calls["points"]) == (cap >= 7)
+        trace = result.objective_trace
+        assert trace.size == cap + 1
+        assert np.all(np.diff(trace) <= _SLACK)
+        w_p, _, d_p = sparse_bundle()
+        assert trace[-1] == pytest.approx(objective(result.weights, w_p, d_p, 1.0, 0.7),
+                                          rel=1e-12)
+
+    def test_tol_zero_runs_on_all_pairs(self, monkeypatch):
+        """With tol 0 no lambda is certified, so W would never be scanned."""
+        calls = spy_passes(monkeypatch)
+        result = self.solve(monkeypatch, None,
+                            DenoiseConfig(alpha=1.0, beta=0.7, max_iters=12, tol=0.0))
+        assert calls["points"] == [pair_count(300)] * 12
+        assert result.pair_passes == 13
+
+    @pytest.mark.parametrize("cap", [3, 500])
+    def test_kkt_residual_takes_the_exact_scale(self, monkeypatch, cap):
+        """The certificate on W uses 1 + max|c| over W's pairs, a lower bound
+        here; the reported residual is relative to the exact 1 + max|c|."""
+        w_p, _, d_p = sparse_bundle()
+        c = np.abs(linear_coefficient(w_p, d_p, 1.0, 0.7))
+        assert c[w_p.values > 0.0].max() < c.max()
+        result = self.solve(monkeypatch, 1.0,
+                            DenoiseConfig(alpha=1.0, beta=0.7, max_iters=cap, tol=1e-8))
+        assert result.converged == (cap == 500)
+        kkt = dense_kkt(result.weights.values, w_p, d_p, 1.0, 0.7)
+        assert abs(result.kkt_residual - kkt) <= 1e-12
+
+    @pytest.mark.parametrize("start", ["outside", "zero"])
+    def test_w0_joins_the_working_set(self, monkeypatch, start):
+        """A w0 with pairs outside supp(w_p) starts inside W, so the first
+        best point is w0 and its objective is the trace's first entry; with
+        w0 = 0, as in the acceptance gate's cold start, W is supp(w_p)."""
+        module = importlib.import_module("graphclean.denoise")
+        w_p, _, d_p = sparse_bundle()
+        m = pair_count(300)
+        w0 = np.zeros(m)
+        if start == "outside":
+            outside = np.flatnonzero(w_p.values == 0.0)[::997]
+            w0[outside] = 0.5
+            w0[np.flatnonzero(w_p.values)[::2]] = 2.0
+        sets = []
+        restrict = module._restrict
+
+        def spy(problem, work):
+            sets.append(work)
+            return restrict(problem, work)
+        monkeypatch.setattr(module, "_restrict", spy)
+        result = self.solve(monkeypatch, None, w0=w0)
+        first = sets[0]
+        assert first is not None
+        expected = np.flatnonzero((w_p.values > 0.0) | (w0 > 0.0))
+        np.testing.assert_array_equal(first, expected)
+        assert result.objective_trace[0] == pytest.approx(
+            objective(w0, w_p, d_p, 1.0, 0.7), rel=1e-12)
+        assert result.converged
+        reference = self.solve(monkeypatch, 0.0)
+        np.testing.assert_allclose(result.objective_trace[-1],
+                                   reference.objective_trace[-1], rtol=1e-9)
+
+    def test_the_largest_violators_join_at_most_w_at_a_time(self, monkeypatch):
+        """On a sparse SBM with 8 features the first scan finds 3464
+        violators against |W| = 107, so W doubles, keeping the largest."""
+        module = importlib.import_module("graphclean.denoise")
+        ds = generate_sbm(SbmParams(nodes_per_block=100, blocks=2, p_in=0.01, p_out=5e-4), 3)
+        w_p = heterophilic_add(ds, ds.graph.edge_count // 4, 4)
+        scans, sets = [], []
+        violators, restrict = module._violators, module._restrict
+
+        def spy_violators(lam, work, *args, **kwargs):
+            out = violators(lam, work, *args, **kwargs)
+            scans.append((work, *out[:2]))
+            return out
+
+        def spy_restrict(problem, work):
+            sets.append(work)
+            return restrict(problem, work)
+        monkeypatch.setattr(module, "_violators", spy_violators)
+        monkeypatch.setattr(module, "_restrict", spy_restrict)
+        monkeypatch.setattr(module, "_WORKING_SHARE", 1.0)
+        result = denoise(w_p, ds.features, DenoiseConfig(alpha=1.0, beta=1.0, tol=1e-8))
+        assert result.converged
+        assert scans[0][0].size == 107 and scans[0][1].size == 3464
+        grown = [(work, new, values) for work, new, values in scans if new.size]
+        assert len(sets) == 1 + len(grown)
+        for (work, new, values), after in zip(grown, sets[1:]):
+            joined = np.isin(new, after)
+            assert np.count_nonzero(joined) == min(new.size, work.size)
+            assert after.size == work.size + np.count_nonzero(joined)
+            assert values[joined].min() >= values[~joined].max(initial=0.0)
+        assert [work.size for work in sets[:4]] == [107, 214, 428, 856]
+
+    def test_a_dense_instance_keeps_the_all_pair_bits(self, monkeypatch):
+        """poisoned_sbm's w_p holds 6.5% of the pairs, above the share, so it
+        runs on all pairs: the same bits as the all-pair path forced."""
+        module = importlib.import_module("graphclean.denoise")
+        dataset, w_p, d_p = poisoned_sbm()
+        assert np.count_nonzero(w_p.values) > module._WORKING_SHARE * pair_count(w_p.n)
+        config = DenoiseConfig(alpha=1.0, beta=1.0, max_iters=200)
+        calls = spy_passes(monkeypatch)
+        result = denoise(w_p, dataset.features, config, d_p=d_p)
+        assert result.pair_passes == result.iterations_run + calls["kkt"]
+        monkeypatch.setattr(module, "_WORKING_SHARE", 0.0)
+        forced = denoise(w_p, dataset.features, config, d_p=d_p)
+        np.testing.assert_array_equal(result.weights.values, forced.weights.values)
+        np.testing.assert_array_equal(result.objective_trace, forced.objective_trace)
 
 
 class TestDenoiseConfig:

@@ -112,6 +112,10 @@ class TestRunPipeline:
     def test_report_structure_and_aggregates(self):
         report = run_pipeline(small_config())
         assert len(report.repetitions) == 3
+        for record in report.repetitions:
+            assert list(record["denoise"]) == ["iterations", "converged", "kkt_residual",
+                                               "pair_passes", "final_objective"]
+            assert record["denoise"]["pair_passes"] >= 1
         for arm in ARMS:
             values = [r["accuracy"][arm] for r in report.repetitions]
             agg = report.aggregates[arm]

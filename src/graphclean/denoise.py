@@ -183,7 +183,7 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
     features, nodes = np.divmod(np.flatnonzero(X.T != 0), n)
     if (X[nodes, features] == 1.0).all():
         return _gram_distances(X, features, nodes)
-    del features, nodes
+    del features, nodes  # on dense features, each is as large as X
     out = np.empty(pair_count(n), dtype=np.float64)
     pos = 0
     for r in range(n - 1):
@@ -574,14 +574,6 @@ def _violators(lam, work, problem, with_c_max):
     return on[out], np.concatenate([w for _, w in blocks])[out], c_max
 
 
-def _kkt(best, work, deg_best, problem):
-    """The best point as a pair vector and its KKT residual relative to
-    1 + max|c|, from one pass over all pairs."""
-    w = best if work is None else _scatter(best, work, problem[0].size)
-    worst, c_max = _kkt_residual(w, deg_best, *problem)
-    return w, worst / (1.0 + c_max)
-
-
 def _primal_point(lam, target, deg_p, d_p, alpha, beta, index, buffers, with_c_max=False):
     """w(lambda)_k = max(0, w_p,k - (beta d_k + lambda_i + lambda_j) / 4 alpha),
     the minimiser of the Lagrangian over w >= 0, in one pass over blocks of pairs.
@@ -687,13 +679,15 @@ def _gradient_blocks(w, deg, target, deg_p, d_p, alpha, beta, index, buffers):
         yield blk, c, _gradient(w[blk], deg, c, alpha, pair, t1[:k], t3[:k])
 
 
-def _kkt_residual(w, deg, *problem) -> tuple[float, float]:
-    """Largest KKT violation of w >= 0, |grad f| on the support of w and
-    max(0, -grad f) off it, and max|c|."""
+def _kkt(best, work, deg, problem):
+    """The best point as a pair vector and its largest KKT violation of
+    w >= 0, |grad f| on its support and max(0, -grad f) off it, relative to
+    1 + max|c|, from one pass over all pairs."""
+    w = best if work is None else _scatter(best, work, problem[0].size)
     worst = c_max = 0.0
     for blk, c, g in _gradient_blocks(w, deg, *problem):
         c_max = max(c_max, float(c.max()), -float(c.min()))
         on = np.abs(g, out=c)
         on *= w[blk] > 0.0
         worst = max(worst, float(on.max()), -float(g.min()))
-    return worst, c_max
+    return w, worst / (1.0 + c_max)

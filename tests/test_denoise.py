@@ -824,7 +824,7 @@ def spy_passes(monkeypatch):
     happen; an evaluation over all m pairs on the working set is a scan."""
     module = importlib.import_module("graphclean.denoise")
     calls = {"points": [], "kkt": 0}
-    point, kkt = module._primal_point, module._kkt_residual
+    point, kkt = module._primal_point, module._kkt
 
     def spy_point(lam, target, *args, **kwargs):
         calls["points"].append(target.size)
@@ -834,7 +834,7 @@ def spy_passes(monkeypatch):
         calls["kkt"] += 1
         return kkt(*args)
     monkeypatch.setattr(module, "_primal_point", spy_point)
-    monkeypatch.setattr(module, "_kkt_residual", spy_kkt)
+    monkeypatch.setattr(module, "_kkt", spy_kkt)
     return calls
 
 

@@ -32,7 +32,10 @@ share of the predicted ascent, or still rises along the direction (near the
 optimum g's value loses precision, its slope does not).
 
 w(lambda) is evaluated in one pass over blocks of pairs, with no n x n
-matrix, and kept as sparse per-block lists.  On its support the gradient of f
+matrix and no pair index: a block of consecutive pairs is read through the
+row segments it spans, a block of listed pairs through their nodes.  It is
+kept as sparse per-block lists with the nodes of their pairs, from which the
+Newton step takes the active pairs.  On its support the gradient of f
 is 2 alpha (grad_i g + grad_j g) and off it at least that, so
 4 alpha ||grad g||_inf bounds its KKT residual.  Once that bound meets
 ``tol``, one pass over all pairs computes the exact residual of the returned
@@ -48,7 +51,8 @@ W, the gradient on W is the whole dual gradient and the exact residual
 decides.  Otherwise at most |W| of those pairs, the largest first, join W and
 lambda is evaluated again on the larger W, where the dual is lower, so that
 point is accepted.  Past ``_WORKING_SHARE`` of the m pairs, or with tol 0,
-which would never scan, the loop runs on all pairs.
+which would never scan, the loop runs on all pairs; when a scan grows W past
+that share, its w(lambda) is the first point on all pairs.
 
 An iteration is one evaluation of w(lambda): a trial point on W or on all
 pairs, or a scan; ``max_iters`` caps them.  ``pair_passes`` counts the passes
@@ -72,8 +76,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import InputError, check_finite
-from .operators import (WeightVector, _row_starts, _weight_array, node_count_for_pairs,
-                        pair_count, pair_nodes)
+from .operators import (WeightVector, _block_layout, _listed_blocks, _row_starts,
+                        _weight_array, node_count_for_pairs, pair_count, pair_nodes)
 
 __all__ = [
     "DenoiseConfig",
@@ -288,18 +292,20 @@ def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.nd
     values, n = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, d_p)
-    index = np.triu_indices(n, 1)
-    return _gradient(values, _degrees(values, n, index[1]), beta * d_p, alpha, index)
+    return _full_gradient(values, _degrees(values, n), beta * d_p, alpha)
 
 
-def _degrees(values: np.ndarray, n: int, cols: np.ndarray) -> np.ndarray:
-    """deg = S w, the weighted degree of every node; ``cols`` is
-    ``np.triu_indices(n, 1)[1]``.
+def _degrees(values: np.ndarray, n: int) -> np.ndarray:
+    """deg = S w, the weighted degree of every node.
 
-    The row side sums each row's block, which is contiguous; bincount over
-    the sorted rows would hit the same bin on every add.
+    The column side is a bincount over the nonzeros' columns: each bin sums
+    in increasing i, as one over every pair's column would, and a sum that
+    starts at 0 is not changed by adding 0.  The row side sums each row's
+    block, which is contiguous.
     """
-    deg = np.bincount(cols, values, n)
+    on = np.flatnonzero(values != 0.0)
+    # bincount of no values gives int64 zeros even with weights
+    deg = np.bincount(pair_nodes(on, n)[1], values[on], n).astype(np.float64, copy=False)
     deg[:-1] += np.add.reduceat(values, _row_starts(n))
     return deg
 
@@ -315,12 +321,10 @@ def _value(deg, sq, zd, deg_p, alpha, beta) -> float:
     return float(alpha * (dd @ dd + 2.0 * sq) + beta * zd)
 
 
-def _gradient(values, deg, c, alpha: float, index, out=None, scratch=None) -> np.ndarray:
-    """2 alpha (2 w + deg[i] + deg[j]) - c, in ``out`` or a fresh array, with
-    ``scratch`` as workspace (``take`` buffers ``out`` in any mode but clip)."""
-    rows, cols = index
-    g = deg.take(rows, out=out, mode="clip")
-    g += deg.take(cols, out=scratch, mode="clip")
+def _gradient(values, deg, c, alpha: float, pairs, out, scratch) -> np.ndarray:
+    """2 alpha (2 w + deg[i] + deg[j]) - c on one block of ``pairs``, in
+    ``out``, with ``scratch`` as workspace."""
+    g = pairs.sums(deg, out, scratch)
     g += values
     g += values
     g *= 2.0 * alpha
@@ -334,9 +338,8 @@ def objective(w, w_p, d_p: np.ndarray, alpha: float, beta: float) -> float:
     target, _ = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, target, d_p)
-    cols = np.triu_indices(n, 1)[1]
-    return _objective(values, _degrees(values, n, cols), target,
-                      _degrees(target, n, cols), d_p, alpha, beta)
+    return _objective(values, _degrees(values, n), target, _degrees(target, n), d_p,
+                      alpha, beta)
 
 
 def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
@@ -345,8 +348,18 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     values, n = _pairs(w)
     c = np.asarray(c, dtype=np.float64)
     _check_pair_shapes(n, c)
-    index = np.triu_indices(n, 1)
-    return _gradient(values, _degrees(values, n, index[1]), c, alpha, index)
+    return _full_gradient(values, _degrees(values, n), c, alpha)
+
+
+def _full_gradient(values, deg, c, alpha) -> np.ndarray:
+    """2 alpha (2 w + deg[i] + deg[j]) - c as a pair vector, a block at a time."""
+    out = np.empty(values.size)
+    scratch = np.empty(min(_BLOCK, values.size))
+    layout = _block_layout(deg.size, _BLOCK)
+    for blk, pairs in zip(_blocks(values.size), layout):
+        k = blk.stop - blk.start
+        _gradient(values[blk], deg, c[blk], alpha, pairs, out[blk], scratch[:k])
+    return out
 
 
 # a w(lambda) replaces the best point when f <= f_best + _SLACK; with no slack
@@ -411,7 +424,6 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     alpha, beta = config.alpha, config.beta
 
     m = pair_count(n)
-    index = np.triu_indices(n, 1)
     # the working set W, sorted pair positions, or None for all pairs; with
     # tol 0 no lambda is certified, so nothing would look outside W
     work = None
@@ -421,15 +433,15 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             work = None
     if work is None:
         best = np.maximum(start, 0.0)
-        deg_p = _degrees(target, n, index[1])
-        deg_best = deg_p if w0 is None else _degrees(best, n, index[1])
+        deg_p = _degrees(target, n)
+        deg_best = deg_p if w0 is None else _degrees(best, n)
     else:
         best = np.maximum(start[work], 0.0)
-        pairs = (index[0][work], index[1][work])
+        pairs = pair_nodes(work, n)
         deg_p = _sparse_degrees(target[work], pairs, n)
         deg_best = deg_p if w0 is None else _sparse_degrees(best, pairs, n)
     buffers = [np.empty(min(_BLOCK, m)) for _ in range(3)]
-    all_pairs = (target, deg_p, d_p, alpha, beta, index, buffers)
+    all_pairs = (target, deg_p, d_p, alpha, beta, _block_layout(n, _BLOCK), buffers)
     problem = _restrict(all_pairs, work)
     f_best = _objective(best, deg_best, problem[0], deg_p, problem[2], alpha, beta)
     if not np.isfinite(f_best):
@@ -442,14 +454,15 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     step, size, slope = np.zeros(n), 1.0, 0.0
     converged, kkt_at, passes, scan = False, 0, 0, False
     for t in range(1, config.max_iters + 1):
+        certified = False
         if scan:
             # w(lambda) on all pairs; a pair outside W where it is positive violates
-            scan = False
-            new, values, c_max = _violators(lam, work, all_pairs, with_c_max=not exact)
+            scan, trial = False, lam
+            point = _primal_point(lam, *all_pairs, with_c_max=not exact)
             passes += 1
             if not exact:
-                scale, exact = 1.0 + c_max, True
-            trace.append(f_best)
+                scale, exact = 1.0 + point[-1], True
+            new, values = _violators(point[0], work)
             if new.size:
                 # at most |W| of the largest join W, and lambda is evaluated on
                 # the larger W; its dual is lower there, and the zero step accepts it
@@ -457,23 +470,30 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
                 if new.size > room:
                     new = new[np.argpartition(values, new.size - room)[new.size - room:]]
                 grown = np.union1d(work, new)
-                if grown.size > _WORKING_SHARE * m:
-                    best, work = _scatter(best, work, m), None
-                else:
-                    best, work = _scatter(best, np.searchsorted(grown, work), grown.size), grown
-                problem = _restrict(all_pairs, work)
                 step, slope = np.zeros(n), 0.0
-                continue
-            certified = True
+                if grown.size <= _WORKING_SHARE * m:
+                    best, work = _scatter(best, np.searchsorted(grown, work), grown.size), grown
+                    problem, point = _restrict(all_pairs, work), None
+                    trace.append(f_best)
+                    continue
+                # past the share the loop goes on over all pairs, where the
+                # scan's w(lambda) is this iteration's point
+                best, work, problem = _scatter(best, work, m), None, all_pairs
+            else:
+                point, certified = None, True
+                trace.append(f_best)
         else:
             trial = lam + size * step
-            blocks = None  # the last w(lambda) is freed before the pass builds the next
-            blocks, deg, sq, wd, c_max = _primal_point(trial, *problem, with_c_max=t == 1)
+            nodes = None  # the last w(lambda) is freed before the pass builds the next
+            point = _primal_point(trial, *problem, with_c_max=t == 1)
             if work is None:
                 passes += 1
             if t == 1:
                 # on W, a lower bound on 1 + max|c| until a pass over all pairs
-                scale, exact = 1.0 + c_max, work is None
+                scale, exact = 1.0 + point[-1], work is None
+        if not certified:
+            blocks, nodes, deg, sq, wd, _ = point
+            point = None
             sq += target_sq
             f = _value(deg, sq, wd, deg_p, alpha, beta)
             if not np.isfinite(f):
@@ -499,6 +519,7 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
                                           buffers)
                     deg_best = deg_best + theta * sd
                     f_best = _value(deg_best, sq, wd, deg_p, alpha, beta)
+            blocks = None  # a Newton step needs only the nodes
             trace.append(f_best)
             if not accepted:
                 size *= 0.5
@@ -518,9 +539,9 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
                 converged = True
                 break
         if t < config.max_iters:
-            active = _positions(blocks)
-            rows, cols = problem[5]
-            step = _newton_direction(grad, rows[active], cols[active], alpha)
+            # the nodes of the pairs where w(lambda) > 0, from its pass
+            step = _newton_direction(grad, *(np.concatenate(side, dtype=np.intp)
+                                             for side in zip(*nodes)), alpha)
             slope, size = float(grad @ step), 1.0
     if kkt_at != t:
         weights, kkt = _kkt(best, work, deg_best, all_pairs)
@@ -549,8 +570,9 @@ def _restrict(problem, work):
     all of them for None."""
     if work is None:
         return problem
-    target, deg_p, d_p, alpha, beta, (rows, cols), buffers = problem
-    return target[work], deg_p, d_p[work], alpha, beta, (rows[work], cols[work]), buffers
+    target, deg_p, d_p, alpha, beta, _, buffers = problem
+    return (target[work], deg_p, d_p[work], alpha, beta,
+            _listed_blocks(work, deg_p.size, _BLOCK), buffers)
 
 
 def _scatter(values, at, size):
@@ -560,54 +582,51 @@ def _scatter(values, at, size):
     return out
 
 
-def _positions(blocks):
-    """The pair positions of a w(lambda) given as per-block lists."""
-    return np.concatenate([on + b * _BLOCK for b, (on, _) in enumerate(blocks)])
-
-
-def _violators(lam, work, problem, with_c_max):
+def _violators(blocks, work):
     """The pairs outside the working set ``work`` where w(lambda) > 0 and
-    their values, from one pass over all pairs, with ``_primal_point``'s max|c|."""
-    blocks, _, _, _, c_max = _primal_point(lam, *problem, with_c_max=with_c_max)
-    on = _positions(blocks)
+    their values, for a w(lambda) on all pairs given as per-block lists."""
+    on = np.concatenate([on + b * _BLOCK for b, (on, _) in enumerate(blocks)])
     out = ~np.isin(on, work, assume_unique=True)
-    return on[out], np.concatenate([w for _, w in blocks])[out], c_max
+    return on[out], np.concatenate([w for _, w in blocks])[out]
 
 
-def _primal_point(lam, target, deg_p, d_p, alpha, beta, index, buffers, with_c_max=False):
+def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_max=False):
     """w(lambda)_k = max(0, w_p,k - (beta d_k + lambda_i + lambda_j) / 4 alpha),
-    the minimiser of the Lagrangian over w >= 0, in one pass over blocks of pairs.
+    the minimiser of the Lagrangian over w >= 0, in one pass over the blocks
+    of ``pairs``.
 
     w(lambda) is returned sparse, as one (indices in the block, values) pair
-    per block, with its degrees, ||w - w_p||^2 - ||w_p||^2, <w, d_p> and, with
-    ``with_c_max``, max|c| (0 otherwise).
+    per block, with the nodes (i, j) of those pairs per block, its degrees,
+    ||w - w_p||^2 - ||w_p||^2, <w, d_p> and, with ``with_c_max``, max|c|
+    (0 otherwise).
     """
     t1, t2, t3 = buffers
-    rows, cols = index
     n = lam.size
     mu = lam / (4.0 * alpha)
     deg = np.zeros(n)
-    blocks, sq, wd, c_max = [], 0.0, 0.0, 0.0
-    for blk in _blocks(target.size):
+    blocks, nodes, sq, wd, c_max = [], [], 0.0, 0.0, 0.0
+    for blk, block in zip(_blocks(target.size), pairs):
         k = blk.stop - blk.start
-        r, c, pb, db = rows[blk], cols[blk], target[blk], d_p[blk]
+        pb, db = target[blk], d_p[blk]
         if with_c_max:
-            cb = _gradient(pb, deg_p, np.multiply(db, beta, out=t1[:k]), alpha, (r, c),
+            cb = _gradient(pb, deg_p, np.multiply(db, beta, out=t1[:k]), alpha, block,
                            t2[:k], t3[:k])
             c_max = max(c_max, float(np.abs(cb, out=cb).max()))
-        v = mu.take(r, out=t1[:k], mode="clip")
-        v += mu.take(c, out=t2[:k], mode="clip")
+        v = block.sums(mu, t1[:k], t2[:k])
         v += np.multiply(db, beta / (4.0 * alpha), out=t2[:k])
         v = np.subtract(pb, v, out=v)
         on = np.flatnonzero(v > 0.0)
         w = v[on]
         sq += float(w @ (w - 2.0 * pb[on]))
         wd += float(w @ db[on])
-        deg += np.bincount(r[on], w, n)
-        deg += np.bincount(c[on], w, n)
-        # block-local indices fit in 32 bits and halve the list's index memory
-        blocks.append((on.astype(np.int32), w))
-    return blocks, deg, sq, wd, c_max
+        # block-local indices and nodes fit in 32 bits, which halves the lists' memory
+        on = on.astype(np.int32)
+        i, j = block.nodes(on)
+        deg += np.bincount(i, w, n)
+        deg += np.bincount(j, w, n)
+        blocks.append((on, w))
+        nodes.append((i, j))
+    return blocks, nodes, deg, sq, wd, c_max
 
 
 def _dual_hessian(x, r, c, alpha):
@@ -667,16 +686,16 @@ def _move_toward(best, blocks, theta, target, d_p, buffers):
     return sq, wd
 
 
-def _gradient_blocks(w, deg, target, deg_p, d_p, alpha, beta, index, buffers):
-    """Yield (block, c, grad f(w)) for each block of pairs; c and the gradient
-    are built in two of the three block ``buffers``, the third is scratch."""
+def _gradient_blocks(w, deg, target, deg_p, d_p, alpha, beta, pairs, buffers):
+    """Yield (block, c, grad f(w)) for each block of ``pairs``; c and the
+    gradient are built in two of the three block ``buffers``, the third is
+    scratch."""
     t1, t2, t3 = buffers
-    for blk in _blocks(w.size):
+    for blk, block in zip(_blocks(w.size), pairs):
         k = blk.stop - blk.start
-        pair = (index[0][blk], index[1][blk])
         c = _gradient(target[blk], deg_p, np.multiply(d_p[blk], beta, out=t1[:k]),
-                      alpha, pair, t2[:k], t3[:k])
-        yield blk, c, _gradient(w[blk], deg, c, alpha, pair, t1[:k], t3[:k])
+                      alpha, block, t2[:k], t3[:k])
+        yield blk, c, _gradient(w[blk], deg, c, alpha, block, t1[:k], t3[:k])
 
 
 def _kkt(best, work, deg, problem):

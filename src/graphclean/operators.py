@@ -3,10 +3,11 @@
 Pair k of n nodes is pair k of ``numpy.triu_indices(n, 1)`` and pair k+1 of
 :func:`pair_index`; each row's pairs (i, j > i) form one contiguous block.
 :func:`pair_nodes` inverts this order for a few pairs, and
-:func:`same_label_pairs` fills a pair mask row block by row block; code that
-reads every pair builds ``triu_indices`` itself, which ``take`` and
-``bincount`` use without a copy.  No pair-length array is cached, and no
-n x n matrix is built.
+:func:`same_label_pairs` fills a pair mask row block by row block.  Code that
+reads every pair goes through :func:`_block_layout`, which describes each
+block of consecutive pairs by the row segments it holds, in O(n) memory; code
+that reads a list of pairs goes through :func:`_listed_blocks`.  No pair
+index is built, and no n x n matrix.
 """
 
 from __future__ import annotations
@@ -76,6 +77,87 @@ def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     starts = _row_starts(n)
     i = np.searchsorted(starts, k, "right") - 1
     return i, k - starts[i] + i + 1
+
+
+class _Segments:
+    """A block of consecutive pairs, held as the segments of the rows it spans:
+    segment s holds the block's pairs ``edges[s]`` to ``edges[s + 1] - 1``,
+    which are (nodes_of[s], j) with j in ``cols[s]``."""
+
+    __slots__ = ("rows", "lens", "cols", "edges", "nodes_of", "shift")
+
+    def __init__(self, rows, lens, cols, edges, nodes_of, shift):
+        self.rows, self.lens, self.cols = rows, lens, cols
+        self.edges, self.nodes_of, self.shift = edges, nodes_of, shift
+
+    def sums(self, x, out, scratch=None):
+        """x_i + x_j for the block's pairs (i, j), in ``out``: the column
+        slices, then each row's entry repeated over its segment."""
+        np.concatenate([x[c] for c in self.cols], out=out)
+        out += np.repeat(x[self.rows], self.lens)
+        return out
+
+    def nodes(self, on):
+        """The nodes (i, j), as int32, of the block's pairs at the sorted
+        int32 positions ``on``."""
+        at = np.searchsorted(on, self.edges)
+        counts = at[1:] - at[:-1]
+        return np.repeat(self.nodes_of, counts), on + np.repeat(self.shift, counts)
+
+
+class _Listed:
+    """A block of listed pairs, held as their nodes."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = rows, cols
+
+    def sums(self, x, out, scratch):
+        """x_i + x_j for the block's pairs (i, j), in ``out``, with ``scratch``
+        as workspace (``take`` buffers ``out`` in any mode but clip)."""
+        x.take(self.rows, out=out, mode="clip")
+        out += x.take(self.cols, out=scratch, mode="clip")
+        return out
+
+    def nodes(self, on):
+        """The nodes (i, j), as int32, of the block's pairs at the positions ``on``."""
+        return self.rows[on], self.cols[on]
+
+
+@lru_cache(maxsize=16)
+def _block_layout(n: int, block: int) -> tuple[_Segments, ...]:
+    """Every pair of n nodes in blocks of ``block`` consecutive pairs, each
+    held as its row segments; O(n + m / block) in all, so kept per (n, block)."""
+    m = pair_count(n)
+    starts = _row_starts(n)
+    # a segment starts at each row's first pair and at each block's
+    cuts = np.sort(np.concatenate([starts, np.arange(0, m, block)]))
+    cuts = cuts[np.diff(cuts, prepend=-1) > 0]
+    rows = np.searchsorted(starts, cuts, "right") - 1
+    lens = np.diff(cuts, append=m)
+    cols = cuts - starts[rows] + rows + 1
+    offsets = cuts % block
+    shift, nodes_of = (cols - offsets).astype(np.int32), rows.astype(np.int32)
+    spans = tuple(slice(c, c + k) for c, k in zip(cols.tolist(), lens.tolist()))
+    bounds = np.searchsorted(cuts, np.arange(0, m + block, block)).tolist()
+    # each block's segment offsets followed by its length, so block b's edges
+    # are edges[bounds[b] + b : bounds[b + 1] + b + 1]
+    ends = np.minimum(m - np.arange(0, m, block), block)
+    edges = np.insert(offsets, bounds[1:], ends).astype(np.int32)
+    for shared in (lens, shift, nodes_of, edges):
+        shared.flags.writeable = False  # every caller of the cache shares them
+    first = rows.tolist()
+    return tuple(_Segments(slice(first[a], first[e - 1] + 1), lens[a:e], spans[a:e],
+                           edges[a + b:e + b + 1], nodes_of[a:e], shift[a:e])
+                 for b, (a, e) in enumerate(zip(bounds, bounds[1:])))
+
+
+def _listed_blocks(k, n: int, block: int) -> list[_Listed]:
+    """The pairs at positions ``k`` in blocks of ``block``, each held as its nodes."""
+    rows, cols = (side.astype(np.int32) for side in pair_nodes(k, n))
+    return [_Listed(rows[k0:k0 + block], cols[k0:k0 + block])
+            for k0 in range(0, rows.size, block)]
 
 
 def same_label_pairs(labels: np.ndarray) -> np.ndarray:

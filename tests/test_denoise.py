@@ -24,7 +24,7 @@ from graphclean.denoise import (
     objective,
     pairwise_p_distances,
 )
-from graphclean.operators import WeightVector, pair_count
+from graphclean.operators import WeightVector, _block_layout, pair_count
 from graphclean.rng import SplitMix64
 
 from test_operators import adjoint_of, laplacian_from_weights
@@ -151,11 +151,10 @@ def primal_point(lam, w_p, d_p, alpha, beta):
     """w(lambda) from the solver's pair pass, as a dense pair vector, with the
     pass's degrees, ||w - w_p||^2 - ||w_p||^2 and <w, d_p>."""
     n = w_p.n
-    index = np.triu_indices(n, 1)
-    deg_p = _degrees(w_p.values, n, index[1])
+    deg_p = _degrees(w_p.values, n)
     buffers = [np.empty(_BLOCK) for _ in range(3)]
-    blocks, deg, sq, wd, _ = _primal_point(lam, w_p.values, deg_p, d_p, alpha, beta,
-                                           index, buffers)
+    blocks, _, deg, sq, wd, _ = _primal_point(lam, w_p.values, deg_p, d_p, alpha, beta,
+                                              _block_layout(n, _BLOCK), buffers)
     return dense(blocks, pair_count(n)), deg, sq, wd
 
 
@@ -532,9 +531,10 @@ class TestDenoise:
                 denoise(w_p, np.zeros((3, 2)), config, w0=np.zeros(3))
         assert caught.value.iteration == 0
 
-    def test_holds_at_most_six_pair_vectors(self):
-        # the loop holds the best point, the two index arrays and w(lambda)
-        # as sparse lists; the WeightVector keeps the best point, uncopied
+    def test_holds_at_most_three_pair_vectors(self):
+        # the loop holds the best point and w(lambda) as sparse lists with
+        # their nodes, and no pair index; the WeightVector keeps the best
+        # point, uncopied.  A returning index (two int64 arrays of m) fails it.
         n = 613  # an n no other test uses, so nothing is cached
         ds = generate_sbm(SbmParams(nodes_per_block=n, blocks=1, p_in=0.02), seed=5)
         d_p = pairwise_p_distances(ds.features, 2.0)
@@ -545,7 +545,7 @@ class TestDenoise:
         finally:
             tracemalloc.stop()
         assert result.iterations_run == 5
-        assert peak <= 6.5 * d_p.nbytes + 256 * n
+        assert peak <= 3 * d_p.nbytes + 256 * n
 
     def test_json_serialization_keys(self):
         w_p = WeightVector(n=3, values=[1.0, 0.0, 1.0])
@@ -562,9 +562,8 @@ class TestDegrees:
         for n in [2, 3] + [4 + rng.bounded(400) for _ in range(6)]:
             w = rng.uniforms(pair_count(n))
             w[w < 0.5] = 0.0
-            cols = np.triu_indices(n, 1)[1]
             expected = bincount_degrees(w, n)
-            assert_close_to(_degrees(w, n, cols), expected)
+            assert_close_to(_degrees(w, n), expected)
 
 
 class TestPairSpaceMatchesDenseOracle:
@@ -884,6 +883,30 @@ class TestWorkingSet:
         np.testing.assert_array_equal(w > 0.0, reference.weights.values > 0.0)
         np.testing.assert_allclose(result.objective_trace[-1],
                                    reference.objective_trace[-1], rtol=1e-9)
+
+    def test_a_switch_to_all_pairs_evaluates_the_scanned_lambda_once(self, monkeypatch):
+        """At a share of 0.005 a scan grows W past it, and the scan's w(lambda)
+        on all pairs is that iteration's point: the next pass over all pairs
+        is at the next trial point, not at the scanned lambda again."""
+        module = importlib.import_module("graphclean.denoise")
+        point, calls = module._primal_point, []
+
+        def spy(lam, target, *args, **kwargs):
+            calls.append((target.size, lam.copy()))
+            return point(lam, target, *args, **kwargs)
+        monkeypatch.setattr(module, "_primal_point", spy)
+        result = self.solve(monkeypatch, 0.005)
+        assert result.converged
+        m = pair_count(300)
+        sizes = [size for size, _ in calls]
+        # W, then its scans, then all pairs to the end
+        assert sizes[0] < m and sizes[-1] == m
+        switch = max(k for k, size in enumerate(sizes) if size < m) + 1
+        assert len(sizes) > switch + 1 and set(sizes[switch:]) == {m}
+        full = [lam for size, lam in calls if size == m]
+        for before, after in zip(full, full[1:]):
+            assert not np.array_equal(before, after)
+        assert len(calls) == result.iterations_run
 
     @pytest.mark.parametrize("cap", [1, 2, 6, 7, 12, 17])
     def test_a_cap_counts_every_evaluation(self, monkeypatch, cap):

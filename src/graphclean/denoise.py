@@ -454,15 +454,17 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     step, size, slope = np.zeros(n), 1.0, 0.0
     converged, kkt_at, passes, scan = False, 0, 0, False
     for t in range(1, config.max_iters + 1):
-        certified = False
         if scan:
-            # w(lambda) on all pairs; a pair outside W where it is positive violates
+            # w(lambda) on all pairs; a pair outside W where it is positive
+            # violates, and with none its active pairs are those on W
             scan, trial = False, lam
-            point = _primal_point(lam, *all_pairs, with_c_max=not exact)
+            blocks, nodes, deg, sq, wd, c_max = _primal_point(lam, *all_pairs,
+                                                              with_c_max=not exact)
             passes += 1
             if not exact:
-                scale, exact = 1.0 + point[-1], True
-            new, values = _violators(point[0], work)
+                scale, exact = 1.0 + c_max, True
+            new, values = _violators(blocks, work)
+            certified = not new.size
             if new.size:
                 # at most |W| of the largest join W, and lambda is evaluated on
                 # the larger W; its dual is lower there, and the zero step accepts it
@@ -473,27 +475,25 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
                 step, slope = np.zeros(n), 0.0
                 if grown.size <= _WORKING_SHARE * m:
                     best, work = _scatter(best, np.searchsorted(grown, work), grown.size), grown
-                    problem, point = _restrict(all_pairs, work), None
+                    problem = _restrict(all_pairs, work)
                     trace.append(f_best)
                     continue
                 # past the share the loop goes on over all pairs, where the
                 # scan's w(lambda) is this iteration's point
                 best, work, problem = _scatter(best, work, m), None, all_pairs
             else:
-                point, certified = None, True
                 trace.append(f_best)
         else:
-            trial = lam + size * step
-            nodes = None  # the last w(lambda) is freed before the pass builds the next
-            point = _primal_point(trial, *problem, with_c_max=t == 1)
+            trial, certified = lam + size * step, False
+            blocks = nodes = None  # the last w(lambda) is freed before the pass builds the next
+            blocks, nodes, deg, sq, wd, c_max = _primal_point(trial, *problem,
+                                                              with_c_max=t == 1)
             if work is None:
                 passes += 1
             if t == 1:
                 # on W, a lower bound on 1 + max|c| until a pass over all pairs
-                scale, exact = 1.0 + point[-1], work is None
+                scale, exact = 1.0 + c_max, work is None
         if not certified:
-            blocks, nodes, deg, sq, wd, _ = point
-            point = None
             sq += target_sq
             f = _value(deg, sq, wd, deg_p, alpha, beta)
             if not np.isfinite(f):

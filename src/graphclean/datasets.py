@@ -423,8 +423,9 @@ def save_bundle(dataset: Dataset, path, split: Split | None = None,
     rows, cols = pair_nodes(kept, dataset.n)
     with open(root / "edges.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("src,dst,weight\n")
-        for u, v, k in zip(rows, cols, kept):
-            fh.write(f"{u},{v},{float(values[k])!r}\n")
+        # Python ints and floats format as numpy scalars do, at a third of the cost
+        for u, v, w in zip(rows.tolist(), cols.tolist(), values[kept].tolist()):
+            fh.write(f"{u},{v},{w!r}\n")
 
     X = dataset.features
     with open(root / "features.csv", "wb") as fh:

@@ -18,6 +18,7 @@ from .rng import SplitMix64
 
 __all__ = [
     "PerturbationReport",
+    "rate_budget",
     "random_add",
     "heterophilic_add",
     "perturbation_report",
@@ -35,12 +36,12 @@ class PerturbationReport:
     mean_p_distance_original: float
 
 
-def _sample_absent(values: np.ndarray, count: int, rng: SplitMix64,
-                   eligible: np.ndarray | None = None) -> np.ndarray:
-    """``count`` distinct pair indices with zero weight, uniform over the
-    eligible set (all absent pairs, or ``eligible & absent`` when a mask is
-    given), in pair order."""
-    absent = values == 0.0
+def _add_absent(graph: WeightVector, count: int, seed: int,
+                eligible: np.ndarray | None = None) -> WeightVector:
+    """``graph`` with unit weight on ``count`` distinct pairs of zero weight,
+    drawn uniformly over the eligible set (all absent pairs, or
+    ``eligible & absent`` when a mask is given)."""
+    absent = graph.values == 0.0
     if eligible is not None:
         absent &= eligible
     candidates = np.flatnonzero(absent)
@@ -48,7 +49,18 @@ def _sample_absent(values: np.ndarray, count: int, rng: SplitMix64,
         raise InputError(
             f"cannot add {count} edges: only {candidates.size} eligible absent pairs"
         )
-    return rng.choose(candidates, count)
+    picks = SplitMix64(seed).choose(candidates, count)
+    del absent, candidates  # each as large as the copy, so freed before it
+    values = graph.values.copy()
+    values[picks] = 1.0
+    values.flags.writeable = False  # fresh, so the WeightVector keeps it
+    return WeightVector(n=graph.n, values=values)
+
+
+def rate_budget(graph: WeightVector, rate: float) -> int:
+    """floor(rate * |E|), the number of edges an attack at ``rate`` adds."""
+    # tiny epsilon so exact products like 0.3 * 10 do not floor to 2
+    return int(rate * graph.edge_count + 1e-9)
 
 
 def random_add(graph: WeightVector, rate: float, seed: int) -> WeightVector:
@@ -58,14 +70,7 @@ def random_add(graph: WeightVector, rate: float, seed: int) -> WeightVector:
     """
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    # tiny epsilon so exact products like 0.3 * 10 do not floor to 2
-    count = int(rate * graph.edge_count + 1e-9)
-    rng = SplitMix64(seed)
-    picks = _sample_absent(graph.values, count, rng)
-    values = graph.values.copy()
-    values[picks] = 1.0
-    values.flags.writeable = False  # fresh, so the WeightVector keeps it
-    return WeightVector(n=graph.n, values=values)
+    return _add_absent(graph, rate_budget(graph, rate), seed)
 
 
 def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
@@ -76,14 +81,7 @@ def heterophilic_add(dataset: Dataset, budget: int, seed: int) -> WeightVector:
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    graph = dataset.graph
-    cross = ~same_label_pairs(dataset.labels)
-    rng = SplitMix64(seed)
-    picks = _sample_absent(graph.values, budget, rng, eligible=cross)
-    values = graph.values.copy()
-    values[picks] = 1.0
-    values.flags.writeable = False  # fresh, so the WeightVector keeps it
-    return WeightVector(n=graph.n, values=values)
+    return _add_absent(dataset.graph, budget, seed, eligible=~same_label_pairs(dataset.labels))
 
 
 def _mean(d_p: np.ndarray, pair_idx: np.ndarray) -> float:

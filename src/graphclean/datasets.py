@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .operators import (WeightVector, _read_only, _row_starts, pair_count, pair_nodes,
+from .operators import (WeightVector, _read_only, pair_count, pair_nodes, pair_positions,
                         same_label_pairs)
 from .rng import SplitMix64
 
@@ -339,11 +339,11 @@ def _parse_labels(rows: list[str], n: int) -> np.ndarray:
 def _parse_edges(rows: list[str], n: int) -> np.ndarray:
     """edges.csv's rows after the header as the pair vector of n nodes."""
     def positions(u, v):
-        # the pair (u, v), u < v, sits at v - u - 1 in row u's block; a row
-        # without 0 <= u < v < n fails an earlier check and gets -1
+        # a row without 0 <= u < v < n fails an earlier check and gets -1
         ok = (0 <= u) & (u < v) & (v < n)
-        u = np.where(ok, u, 0).astype(np.int64)
-        return np.where(ok, _row_starts(n)[u] + (v - u - 1), -1).astype(np.int64)
+        k = np.full(u.shape, -1, dtype=np.int64)
+        k[ok] = pair_positions(u[ok].astype(np.int64), v[ok].astype(np.int64), n)
+        return k
 
     def checks(table):
         u, v, w = table.T

@@ -76,8 +76,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .datasets import InputError, check_finite
-from .operators import (WeightVector, _block_layout, _listed_blocks, _row_starts,
-                        _weight_array, node_count_for_pairs, pair_count, pair_nodes)
+from .operators import (WeightVector, _block_layout, _degrees, _listed_blocks, _rows,
+                        _weight_array, node_count_for_pairs, pair_count, pair_nodes,
+                        pair_positions)
 
 __all__ = [
     "DenoiseConfig",
@@ -142,15 +143,15 @@ class DenoiseResult:
     pair_passes: int
     config: DenoiseConfig = field(repr=False)
 
+    def summary(self) -> dict:
+        """How far the solver got, as every report of a run records it."""
+        return {"iterations": self.iterations_run, "converged": self.converged,
+                "kkt_residual": self.kkt_residual, "pair_passes": self.pair_passes}
+
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations_run,
-            "converged": self.converged,
-            "kkt_residual": self.kkt_residual,
-            "pair_passes": self.pair_passes,
-            "objective_trace": [float(x) for x in self.objective_trace],
-            "config": asdict(self.config),
-        }
+        return {**self.summary(),
+                "objective_trace": [float(x) for x in self.objective_trace],
+                "config": asdict(self.config)}
 
 
 _GRAM_ROWS = 256
@@ -189,15 +190,12 @@ def pairwise_p_distances(X: np.ndarray, p: float) -> np.ndarray:
         return _gram_distances(X, features, nodes)
     del features, nodes  # on dense features, each is as large as X
     out = np.empty(pair_count(n), dtype=np.float64)
-    pos = 0
-    for r in range(n - 1):
+    for r, row in _rows(n):
         block = np.abs(X[r + 1:] - X[r])
         if p == 2.0:
-            vals = np.einsum("ij,ij->i", block, block)
+            out[row] = np.einsum("ij,ij->i", block, block)
         else:
-            vals = (block**p).sum(axis=1)
-        out[pos:pos + n - 1 - r] = vals
-        pos += n - 1 - r
+            out[row] = (block**p).sum(axis=1)
     finite = np.isfinite(out)
     if not finite.all():
         i, j = pair_nodes(np.argmin(finite), n)
@@ -231,20 +229,16 @@ def _gram_distances(X: np.ndarray, features: np.ndarray, nodes: np.ndarray) -> n
     j = np.repeat(np.arange(1, nodes.size + 1) - first, later)
     j += np.arange(j.size)
     j = nodes[j]
-    # the pair (i, j), i < j, sits at j - i - 1 in row i's block
-    j -= i + 1
-    j += _row_starts(n)[i]
-    del i
+    k = pair_positions(i, j, n)
+    del i, j
     # bincount of no values gives int64 zeros even with weights
-    out = np.bincount(j, np.full(j.size, -2.0), m).astype(np.float64, copy=False)
-    del j
+    out = np.bincount(k, np.full(k.size, -2.0), m).astype(np.float64, copy=False)
+    del k
     s = np.bincount(nodes, minlength=n).astype(np.float64)
-    pos = 0
-    for r in range(n - 1):
-        row = out[pos:pos + n - 1 - r]
-        row += s[r + 1:]
-        row += s[r]
-        pos += n - 1 - r
+    for r, row in _rows(n):
+        pairs = out[row]
+        pairs += s[r + 1:]
+        pairs += s[r]
     return out
 
 
@@ -253,17 +247,15 @@ def _blas_gram_distances(X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
     out = np.empty(pair_count(n), dtype=np.float64)
-    pos = 0
-    for r0 in range(0, n, _GRAM_ROWS):
-        r1 = min(r0 + _GRAM_ROWS, n)
-        block = X[r0:r1] @ X[r0:].T
-        block *= -2.0
-        block += sq[r0:r1, None]
-        block += sq[None, r0:]
-        # the pairs (i, j) with r0 <= i < r1 and i < j are contiguous in pair order
-        vals = block[np.arange(r1 - r0)[:, None] < np.arange(n - r0)]
-        out[pos:pos + vals.size] = vals
-        pos += vals.size
+    for i, row in _rows(n):
+        r = i % _GRAM_ROWS
+        if r == 0:
+            block = X[i:i + _GRAM_ROWS] @ X[i:].T
+            block *= -2.0
+            block += sq[i:i + _GRAM_ROWS, None]
+            block += sq[None, i:]
+        # column c of the block is node i - r + c
+        out[row] = block[r, r + 1:]
     return out
 
 
@@ -293,21 +285,6 @@ def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.nd
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, d_p)
     return _full_gradient(values, _degrees(values, n), beta * d_p, alpha)
-
-
-def _degrees(values: np.ndarray, n: int) -> np.ndarray:
-    """deg = S w, the weighted degree of every node.
-
-    The column side is a bincount over the nonzeros' columns: each bin sums
-    in increasing i, as one over every pair's column would, and a sum that
-    starts at 0 is not changed by adding 0.  The row side sums each row's
-    block, which is contiguous.
-    """
-    on = np.flatnonzero(values != 0.0)
-    # bincount of no values gives int64 zeros even with weights
-    deg = np.bincount(pair_nodes(on, n)[1], values[on], n).astype(np.float64, copy=False)
-    deg[:-1] += np.add.reduceat(values, _row_starts(n))
-    return deg
 
 
 def _objective(values, deg, w_p, deg_p, d_p, alpha, beta) -> float:

@@ -1,13 +1,15 @@
 """Pair vectors, and the pair layout that only this module computes.
 
 Pair k of n nodes is pair k of ``numpy.triu_indices(n, 1)`` and pair k+1 of
-:func:`pair_index`; each row's pairs (i, j > i) form one contiguous block.
-:func:`pair_nodes` inverts this order for a few pairs, and
-:func:`same_label_pairs` fills a pair mask row block by row block.  Code that
-reads every pair goes through :func:`_block_layout`, which describes each
-block of consecutive pairs by the row segments it holds, in O(n) memory; code
-that reads a list of pairs goes through :func:`_listed_blocks`.  No pair
-index is built, and no n x n matrix.
+:func:`pair_index`; each row's pairs (i, j > i) form one contiguous block,
+and no other module computes a pair position.  :func:`_rows` gives each
+row's slice of pairs, :func:`pair_nodes` and :func:`pair_positions` map
+positions to nodes and back, and :func:`_degrees` and :func:`same_label_pairs`
+work a row block at a time.  Code that reads every pair goes through
+:func:`_block_layout`, which describes each block of consecutive pairs by
+the row segments it holds, in O(n) memory; code that reads a list of pairs
+goes through :func:`_listed_blocks`.  No pair index is built, and no n x n
+matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "node_count_for_pairs",
     "pair_index",
     "pair_nodes",
+    "pair_positions",
     "same_label_pairs",
 ]
 
@@ -70,6 +73,12 @@ def _row_starts(n: int) -> np.ndarray:
     return starts
 
 
+def _rows(n: int):
+    """Each row i = 0 .. n-2 with the slice of its pairs (i, j > i), in pair order."""
+    for i, start in enumerate(_row_starts(n).tolist()):
+        yield i, slice(start, start + n - 1 - i)
+
+
 def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes (i, j), i < j, of pair positions ``k`` in [0, n(n-1)/2), in the
     order of ``k``; O(|k| log n), with no pair-length scratch."""
@@ -77,6 +86,17 @@ def pair_nodes(k, n: int) -> tuple[np.ndarray, np.ndarray]:
     starts = _row_starts(n)
     i = np.searchsorted(starts, k, "right") - 1
     return i, k - starts[i] + i + 1
+
+
+def pair_positions(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The positions of the pairs (i, j), i < j, given as int64 node arrays;
+    the inverse of :func:`pair_nodes`.  Allocates only the result."""
+    # the pair (i, j) sits at j - i - 1 in row i's block
+    k = _row_starts(n)[i]
+    k += j
+    k -= i
+    k -= 1
+    return k
 
 
 class _Segments:
@@ -134,9 +154,8 @@ def _block_layout(n: int, block: int) -> tuple[_Segments, ...]:
     # a segment starts at each row's first pair and at each block's
     cuts = np.sort(np.concatenate([starts, np.arange(0, m, block)]))
     cuts = cuts[np.diff(cuts, prepend=-1) > 0]
-    rows = np.searchsorted(starts, cuts, "right") - 1
+    rows, cols = pair_nodes(cuts, n)
     lens = np.diff(cuts, append=m)
-    cols = cuts - starts[rows] + rows + 1
     offsets = cuts % block
     shift, nodes_of = (cols - offsets).astype(np.int32), rows.astype(np.int32)
     spans = tuple(slice(c, c + k) for c, k in zip(cols.tolist(), lens.tolist()))
@@ -167,9 +186,20 @@ def same_label_pairs(labels: np.ndarray) -> np.ndarray:
     """
     n = labels.shape[0]
     out = np.empty(pair_count(n), dtype=bool)
-    for i, start in enumerate(_row_starts(n).tolist()):
-        np.equal(labels[i + 1:], labels[i], out=out[start:start + n - 1 - i])
+    for i, row in _rows(n):
+        np.equal(labels[i + 1:], labels[i], out=out[row])
     return out
+
+
+def _degrees(values: np.ndarray, n: int) -> np.ndarray:
+    """deg = S w, the weighted degree of every node.  Node j gets its pairs
+    (i, j) as row i's block is added into deg[i+1:], in increasing i from 0 as
+    a bincount over the pairs' columns sums, and then row j's block summed."""
+    deg = np.zeros(n)
+    for i, row in _rows(n):
+        deg[i + 1:] += values[row]
+    deg[:-1] += np.add.reduceat(values, _row_starts(n))
+    return deg
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import heterophilic_add, perturbation_report, random_add
+from .attacks import heterophilic_add, perturbation_report, random_add, rate_budget
 from .datasets import (
     Dataset,
     InputError,
@@ -146,9 +146,7 @@ def apply_attack(dataset: Dataset, attack: AttackSpec, seed: int) -> WeightVecto
         return dataset.graph
     if attack.kind == "random":
         return random_add(dataset.graph, attack.rate, seed)
-    budget = attack.budget
-    if budget == 0:
-        budget = int(attack.rate * dataset.graph.edge_count + 1e-9)
+    budget = attack.budget or rate_budget(dataset.graph, attack.rate)
     return heterophilic_add(dataset, budget, seed)
 
 
@@ -216,13 +214,8 @@ def run_repetition(config: ExperimentConfig, r: int,
                 attack_stats.edges_added / clean_edges if clean_edges else 0.0
             ),
         },
-        "denoise": {
-            "iterations": result.iterations_run,
-            "converged": result.converged,
-            "kkt_residual": result.kkt_residual,
-            "pair_passes": result.pair_passes,
-            "final_objective": float(result.objective_trace[-1]),
-        },
+        "denoise": {**result.summary(),
+                    "final_objective": float(result.objective_trace[-1])},
         "train": training,
         "accuracy": accuracies,
     }

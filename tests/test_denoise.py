@@ -551,8 +551,9 @@ class TestDenoise:
         w_p = WeightVector(n=3, values=[1.0, 0.0, 1.0])
         result = denoise(w_p, np.zeros((3, 2)), DenoiseConfig(max_iters=5))
         payload = result.to_json_dict()
-        assert set(payload) == {"iterations", "converged", "kkt_residual", "pair_passes",
-                                "objective_trace", "config"}
+        assert list(payload) == ["iterations", "converged", "kkt_residual", "pair_passes",
+                                 "objective_trace", "config"]
+        assert {key: payload[key] for key in result.summary()} == result.summary()
         assert isinstance(payload["objective_trace"], list)
 
 

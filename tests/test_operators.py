@@ -10,11 +10,13 @@ import pytest
 from graphclean.denoise import pairwise_p_distances
 from graphclean.operators import (
     WeightVector,
+    _rows,
     _weight_array,
     node_count_for_pairs,
     pair_count,
     pair_index,
     pair_nodes,
+    pair_positions,
     same_label_pairs,
 )
 from graphclean.rng import SplitMix64
@@ -174,13 +176,24 @@ class TestPairIndex:
 
     def test_pair_nodes_inverts_pair_order(self):
         for n in range(2, 61):
-            i, j = pair_nodes(np.arange(pair_count(n)), n)
+            m = pair_count(n)
+            i, j = pair_nodes(np.arange(m), n)
             rows, cols = np.triu_indices(n, 1)
             np.testing.assert_array_equal(i, rows)
             np.testing.assert_array_equal(j, cols)
             # pair_index numbers the transposed pair (j, i) from 1
-            assert [pair_index(b + 1, a + 1, n) for a, b in zip(i.tolist(), j.tolist())] \
-                == list(range(1, pair_count(n) + 1))
+            index = [pair_index(b + 1, a + 1, n) for a, b in zip(i.tolist(), j.tolist())]
+            assert index == list(range(1, m + 1))
+            # pair_positions inverts pair_nodes, whatever the order of the pairs
+            np.testing.assert_array_equal(pair_positions(i, j, n), np.array(index) - 1)
+            k = np.arange(m)[::-1] if n % 2 else (np.arange(m) * 7) % m
+            np.testing.assert_array_equal(pair_positions(*pair_nodes(k, n), n), k)
+            # _rows tiles [0, m) in order, each row with its own pairs
+            spans = list(_rows(n))
+            assert [span.start for _, span in spans] == [0] + [span.stop for _, span in spans[:-1]]
+            assert spans[-1][1].stop == m
+            np.testing.assert_array_equal(
+                np.concatenate([np.full(span.stop - span.start, r) for r, span in spans]), rows)
 
     def test_pair_nodes_of_some_pairs(self):
         i, j = pair_nodes([], 5)

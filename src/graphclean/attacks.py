@@ -50,7 +50,7 @@ def _add_absent(graph: WeightVector, count: int, seed: int,
             f"cannot add {count} edges: only {candidates.size} eligible absent pairs"
         )
     picks = SplitMix64(seed).choose(candidates, count)
-    del absent, candidates  # each as large as the copy, so freed before it
+    del absent, candidates  # the candidate list is as large as the copy
     values = graph.values.copy()
     values[picks] = 1.0
     values.flags.writeable = False  # fresh, so the WeightVector keeps it

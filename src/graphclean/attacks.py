@@ -8,6 +8,7 @@ drawn uniformly among the eligible absent pairs by :meth:`SplitMix64.choose`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,11 @@ def _add_absent(graph: WeightVector, count: int, seed: int,
 def rate_budget(graph: WeightVector, rate: float) -> int:
     """floor(rate * |E|), the number of edges an attack at ``rate`` adds."""
     # tiny epsilon so exact products like 0.3 * 10 do not floor to 2
-    return int(rate * graph.edge_count + 1e-9)
+    budget = rate * graph.edge_count + 1e-9
+    if not math.isfinite(budget):
+        raise InputError(f"rate {rate} of {graph.edge_count} edges gives a budget "
+                         f"that is not finite")
+    return int(budget)
 
 
 def random_add(graph: WeightVector, rate: float, seed: int) -> WeightVector:

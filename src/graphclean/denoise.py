@@ -281,10 +281,7 @@ def linear_coefficient(w_p, d_p: np.ndarray, alpha: float, beta: float) -> np.nd
     Depends only on the poisoned graph and the feature distances, so it is
     computed once per (dataset, perturbation, p, alpha, beta).
     """
-    values, n = _pairs(w_p)
-    d_p = np.asarray(d_p, dtype=np.float64)
-    _check_pair_shapes(n, d_p)
-    return _full_gradient(values, _degrees(values, n), beta * d_p, alpha)
+    return gradient(w_p, beta * np.asarray(d_p, dtype=np.float64), alpha)
 
 
 def _objective(values, deg, w_p, deg_p, d_p, alpha, beta) -> float:
@@ -315,8 +312,8 @@ def objective(w, w_p, d_p: np.ndarray, alpha: float, beta: float) -> float:
     target, _ = _pairs(w_p)
     d_p = np.asarray(d_p, dtype=np.float64)
     _check_pair_shapes(n, target, d_p)
-    return _objective(values, _degrees(values, n), target, _degrees(target, n), d_p,
-                      alpha, beta)
+    return _objective(values, _nonzero_degrees(values, n), target,
+                      _nonzero_degrees(target, n), d_p, alpha, beta)
 
 
 def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
@@ -325,7 +322,13 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
     values, n = _pairs(w)
     c = np.asarray(c, dtype=np.float64)
     _check_pair_shapes(n, c)
-    return _full_gradient(values, _degrees(values, n), c, alpha)
+    return _full_gradient(values, _nonzero_degrees(values, n), c, alpha)
+
+
+def _nonzero_degrees(values, n) -> np.ndarray:
+    """deg = S w of the pair vector ``values``, from its nonzeros."""
+    on = np.flatnonzero(values)
+    return _degrees(values[on], *pair_nodes(on, n), np.zeros(n))
 
 
 def _full_gradient(values, deg, c, alpha) -> np.ndarray:
@@ -401,22 +404,18 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     alpha, beta = config.alpha, config.beta
 
     m = pair_count(n)
-    # the working set W, sorted pair positions, or None for all pairs; with
-    # tol 0 no lambda is certified, so nothing would look outside W
-    work = None
-    if config.tol > 0.0:
-        work = np.flatnonzero((target != 0.0) | (start != 0.0))
-        if work.size > _WORKING_SHARE * m:
-            work = None
-    if work is None:
-        best = np.maximum(start, 0.0)
-        deg_p = _degrees(target, n)
-        deg_best = deg_p if w0 is None else _degrees(best, n)
-    else:
-        best = np.maximum(start[work], 0.0)
-        pairs = pair_nodes(work, n)
-        deg_p = _sparse_degrees(target[work], pairs, n)
-        deg_best = deg_p if w0 is None else _sparse_degrees(best, pairs, n)
+    # the working set W, sorted pair positions, starts as the joint support
+    # of w_p and w0, off which both are zero
+    work = np.flatnonzero((target != 0.0) | (start != 0.0))
+    pairs = pair_nodes(work, n)
+    best = np.maximum(start[work], 0.0)
+    deg_p = _degrees(target[work], *pairs, np.zeros(n))
+    deg_best = deg_p if w0 is None else _degrees(best, *pairs, np.zeros(n))
+    del pairs
+    # W is None for all pairs; with tol 0 no lambda is certified, so nothing
+    # would look outside W
+    if config.tol == 0.0 or work.size > _WORKING_SHARE * m:
+        best, work = _scatter(best, work, m), None
     buffers = [np.empty(min(_BLOCK, m)) for _ in range(3)]
     all_pairs = (target, deg_p, d_p, alpha, beta, _block_layout(n, _BLOCK), buffers)
     problem = _restrict(all_pairs, work)
@@ -537,11 +536,6 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     )
 
 
-def _sparse_degrees(values, pairs, n):
-    """deg = S w for the values of the pairs whose nodes are ``pairs``."""
-    return np.bincount(pairs[0], values, n) + np.bincount(pairs[1], values, n)
-
-
 def _restrict(problem, work):
     """The problem's pair arrays restricted to the working set ``work``, or
     all of them for None."""
@@ -599,8 +593,7 @@ def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_m
         # block-local indices and nodes fit in 32 bits, which halves the lists' memory
         on = on.astype(np.int32)
         i, j = block.nodes(on)
-        deg += np.bincount(i, w, n)
-        deg += np.bincount(j, w, n)
+        _degrees(w, i, j, deg)
         blocks.append((on, w))
         nodes.append((i, j))
     return blocks, nodes, deg, sq, wd, c_max
@@ -609,10 +602,9 @@ def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_m
 def _dual_hessian(x, r, c, alpha):
     """(S D S^T / 4 alpha + I / 2 alpha) x, the negated generalized Hessian of
     the dual, where D selects the active pairs, whose nodes are ``r`` and ``c``."""
-    n = x.size
     y = x.take(r)
     y += x.take(c)
-    return (np.bincount(r, y, n) + np.bincount(c, y, n) + 2.0 * x) / (4.0 * alpha)
+    return (_degrees(y, r, c, np.zeros(x.size)) + 2.0 * x) / (4.0 * alpha)
 
 
 def _newton_direction(grad, r, c, alpha):
@@ -620,7 +612,7 @@ def _newton_direction(grad, r, c, alpha):
     with the Hessian's diagonal as preconditioner, to a relative residual of
     min(1e-2, ||grad||)."""
     n = grad.size
-    inv_diag = 4.0 * alpha / (np.bincount(r, minlength=n) + np.bincount(c, minlength=n) + 2.0)
+    inv_diag = 4.0 * alpha / _degrees(np.ones(r.size), r, c, np.full(n, 2.0))
     norm = math.sqrt(grad @ grad)
     stop = min(1e-2, norm) * norm
     x, res = np.zeros(n), grad.copy()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphclean.attacks import heterophilic_add, perturbation_report, random_add
-from graphclean.datasets import Dataset, SbmParams, generate_sbm
+from graphclean.datasets import Dataset, InputError, SbmParams, generate_sbm
 from graphclean.denoise import pairwise_p_distances
 from graphclean.operators import WeightVector, pair_count
 from graphclean.rng import SplitMix64
@@ -58,6 +58,12 @@ class TestRandomAdd:
         g = WeightVector(n=n, values=np.ones(pair_count(n)))
         with pytest.raises(ValueError, match="eligible absent"):
             random_add(g, 1.0, seed=0)
+
+    def test_budget_that_overflows(self):
+        g = random_graph(5, 3)
+        with pytest.raises(InputError, match=r"rate 1e\+308 of 3 edges gives a budget that "
+                                             "is not finite"):
+            random_add(g, 1e308, seed=0)
 
     def test_deterministic(self):
         g = random_graph(30, 80, seed=7)

@@ -293,6 +293,14 @@ class TestBadInput:
          "repetition 0, stage attack: cannot add 100000 edges: only 100 eligible absent pairs"),
         (["attack", "--bundle", "{bundle}", "--out", "{tmp}/out"] + BIG_BUDGET, None, None,
          "cannot add 100000 edges: only 8 eligible absent pairs"),
+        (["pipeline", "--attack", "random", "--rate", "1e308"] + SMALL_RUN, None, None,
+         "repetition 0, stage attack: rate 1e+308 of "),
+        (["sweep", "--sweep-param", "rate", "--values", "0.1,1e308", "--attack", "random"]
+         + SMALL_RUN, None, None, "gives a budget that is not finite"),
+        (["attack", "--bundle", "{bundle}", "--attack", "heterophilic", "--rate", "1e308",
+          "--out", "{tmp}/out"], None, None, "gives a budget that is not finite"),
+        (["attack", "--bundle", "{bundle}", "--attack", "random", "--rate", "1e308",
+          "--out", "{tmp}/out"], None, None, "gives a budget that is not finite"),
         (["pipeline"], b"beta = 0.3\n# caf\xe9\n", None, "bad.cfg: not UTF-8 text (line 2)"),
         # 0.8,0.1,0.1 of the 6-node bundle, which has no splits.json, is 5/1/0
         (["train", "--bundle", "{bundle}"], None, None, "test split must be non-empty"),
@@ -324,7 +332,9 @@ class TestBadInput:
     ], ids=["missing-bundle", "malformed-bundle", "unknown-config-key",
             "removed-step-mode", "short-split", "refused-flag-value", "required-flag",
             "missing-config", "non-utf8-bundle", "label-beyond-n", "split-above-one",
-            "pipeline-budget", "sweep-budget", "attack-budget", "non-utf8-config",
+            "pipeline-budget", "sweep-budget", "attack-budget", "pipeline-rate-overflow",
+            "sweep-rate-overflow", "attack-heterophilic-rate-overflow",
+            "attack-random-rate-overflow", "non-utf8-config",
             "train-empty-split", "pipeline-empty-split", "config-bad-int",
             "config-bad-split", "config-nan-split", "train-divergence",
             "pipeline-divergence", "denoise-divergence", "pipeline-denoise-divergence",

@@ -17,6 +17,7 @@ from graphclean.denoise import (
     _degrees,
     _dual_hessian,
     _newton_direction,
+    _nonzero_degrees,
     _primal_point,
     denoise,
     gradient,
@@ -151,7 +152,7 @@ def primal_point(lam, w_p, d_p, alpha, beta):
     """w(lambda) from the solver's pair pass, as a dense pair vector, with the
     pass's degrees, ||w - w_p||^2 - ||w_p||^2 and <w, d_p>."""
     n = w_p.n
-    deg_p = _degrees(w_p.values, n)
+    deg_p = _nonzero_degrees(w_p.values, n)
     buffers = [np.empty(_BLOCK) for _ in range(3)]
     blocks, _, deg, sq, wd, _ = _primal_point(lam, w_p.values, deg_p, d_p, alpha, beta,
                                               _block_layout(n, _BLOCK), buffers)
@@ -559,12 +560,52 @@ class TestDenoise:
 
 class TestDegrees:
     def test_matches_bincount_oracle(self):
+        # bit for bit: the nonzeros' sums are the oracle's, which adds zeros between them
         rng = SplitMix64(67)
         for n in [2, 3] + [4 + rng.bounded(400) for _ in range(6)]:
             w = rng.uniforms(pair_count(n))
             w[w < 0.5] = 0.0
             expected = bincount_degrees(w, n)
-            assert_close_to(_degrees(w, n), expected)
+            np.testing.assert_array_equal(_nonzero_degrees(w, n), expected)
+            rows, cols = np.triu_indices(n, 1)
+            np.testing.assert_array_equal(_degrees(w, rows, cols, np.zeros(n)), expected)
+
+    def test_adds_into_out(self):
+        # rows first, then cols, each added into what ``out`` holds
+        values = np.array([0.1, 0.2, 0.7])
+        rows, cols = np.array([0, 0, 1]), np.array([1, 2, 2])
+        out = np.full(3, 0.5)
+        assert _degrees(values, rows, cols, out) is out
+        np.testing.assert_array_equal(out, ((0.5 + (0.1 + 0.2)) + 0.0,
+                                            (0.5 + 0.7) + 0.1,
+                                            (0.5 + 0.0) + (0.2 + 0.7)))
+
+    def test_both_paths_start_from_the_same_degrees(self, monkeypatch):
+        """The all-pair path (share 0) and the W path (share 1) take deg_p from
+        the same sum, bit for bit, on weights that are not integers."""
+        module = importlib.import_module("graphclean.denoise")
+        dataset, w_p, d_p = poisoned_sbm()
+        rng = SplitMix64(71)
+        values = w_p.values * rng.uniforms(w_p.values.size)
+        w_p = WeightVector(n=w_p.n, values=values)
+
+        def start(share):
+            calls = []
+
+            def spy(*args):
+                calls.append(_degrees(*args).copy())
+                return args[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_WORKING_SHARE", share)
+                patch.setattr(module, "_degrees", spy)
+                denoise(w_p, dataset.features, DenoiseConfig(max_iters=1), d_p=d_p)
+            return calls[0]  # the first call gives deg_p
+
+        deg_all, deg_work = start(0.0), start(1.0)
+        assert not np.array_equal(values, np.round(values))
+        np.testing.assert_array_equal(deg_all, deg_work)
+        np.testing.assert_array_equal(deg_all, bincount_degrees(values, w_p.n))
 
 
 class TestPairSpaceMatchesDenseOracle:

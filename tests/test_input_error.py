@@ -16,6 +16,7 @@ from graphclean.datasets import (
     check_fractions,
     check_weight_threshold,
     load_bundle,
+    load_splits,
 )
 from graphclean.denoise import DenoiseConfig, pairwise_p_distances
 from graphclean.gcn import GcnParams, TrainConfig, normalize_adjacency, train
@@ -62,6 +63,69 @@ def test_refusal_is_an_input_error_and_a_value_error(small_dataset, refusal):
     with pytest.raises(ValueError) as raised:
         refusal(small_dataset)
     assert isinstance(raised.value, InputError)
+
+
+def _edit_line(path, row, text):
+    """Replace line ``row`` (0-based) of the text file ``path``."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[row] = text
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _load_with_line(name, row, text):
+    def load(bundle):
+        _edit_line(bundle / name, row, text)
+        return load_bundle(bundle)
+    return load
+
+
+def _load_splits(payload):
+    def load(bundle):
+        (bundle / "splits.json").write_text(payload, encoding="utf-8")
+        return load_splits(bundle, 6)
+    return load
+
+
+# each takes the directory of conftest's 6-node bundle
+NAMED_REFUSALS = {
+    "labels-header": (_load_with_line("labels.csv", 0, "id,label"), BundleFormatError,
+                      'labels.csv row 1: header must be "node,label"'),
+    "edges-header": (_load_with_line("edges.csv", 0, "u,v,w"), BundleFormatError,
+                     'edges.csv row 1: header must be "src,dst,weight"'),
+    "splits-missing-part": (_load_splits('{"train": [0, 1], "val": [2]}'), BundleFormatError,
+                            "splits.json: missing key 'test'"),
+    "splits-negative-id": (_load_splits('{"train": [0, -1], "val": [2], "test": [3]}'),
+                           BundleFormatError, "splits.json: split contains negative node ids"),
+    "sbm-one-node": (lambda _: SbmParams(**{**SBM, "nodes_per_block": 1, "blocks": 1}),
+                     InputError, "SBM needs at least 2 nodes in total"),
+    "sbm-narrow-features": (lambda _: SbmParams(**{**SBM, "feature_dim": 1}), InputError,
+                            "feature_dim must be >= blocks so each class has a one-hot "
+                            "centroid"),
+    "sbm-negative-noise": (lambda _: SbmParams(**{**SBM, "feature_noise": -0.5}), InputError,
+                           "feature_noise must be >= 0"),
+    "train-hidden-0": (lambda _: TrainConfig(hidden=0), InputError,
+                       "hidden width must be >= 1, got 0"),
+    "train-negative-lr": (lambda _: TrainConfig(learning_rate=-0.01), InputError,
+                          "learning_rate must be >= 0, got -0.01"),
+    "train-negative-decay": (lambda _: TrainConfig(weight_decay=-0.5), InputError,
+                             "weight_decay must be >= 0, got -0.5"),
+    "attack-negative-rate": (lambda _: AttackSpec(kind="random", rate=-0.5), InputError,
+                             "rate must be >= 0, got -0.5"),
+    "attack-negative-budget": (lambda _: AttackSpec(kind="heterophilic", budget=-3),
+                               InputError, "budget must be >= 0, got -3"),
+    "experiment-no-repetitions": (
+        lambda _: ExperimentConfig(sbm=SbmParams(**SBM), repetitions=0), InputError,
+        "repetitions must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("refusal, error, message", NAMED_REFUSALS.values(),
+                         ids=NAMED_REFUSALS.keys())
+def test_refusal_names_what_is_wrong(bundle_dir, refusal, error, message):
+    with pytest.raises(error) as raised:
+        refusal(bundle_dir)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_bundle_format_error_is_an_input_error():

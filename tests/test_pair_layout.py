@@ -30,11 +30,12 @@ def index_gradient(values, deg, c, alpha, rows, cols):
 
 
 def index_degrees(values, n):
-    """Oracle: deg = S w as a bincount over the columns of ``triu_indices``
-    plus each row's block summed by ``reduceat``."""
+    """Oracle: deg = S w as a bincount over the rows of ``triu_indices`` and
+    then one over its columns, each added into zeros."""
     rows, cols = np.triu_indices(n, 1)
-    deg = np.bincount(cols, values, n)
-    deg[:-1] += np.add.reduceat(values, np.searchsorted(rows, np.arange(n - 1)))
+    deg = np.zeros(n)
+    deg += np.bincount(rows, values, n)
+    deg += np.bincount(cols, values, n)
     return deg
 
 
@@ -130,9 +131,9 @@ class TestBlockLayout:
         monkeypatch.setattr(denoise_module, "_BLOCK", block)
         alpha, beta = 0.75, 0.6
         target, d_p, lam, w = random_instance(n, 97 + n)
-        deg_p = denoise_module._degrees(target, n)
+        deg_p = denoise_module._nonzero_degrees(target, n)
         np.testing.assert_array_equal(deg_p, index_degrees(target, n))
-        deg = denoise_module._degrees(w, n)
+        deg = denoise_module._nonzero_degrees(w, n)
         np.testing.assert_array_equal(deg, index_degrees(w, n))
 
         m = pair_count(n)

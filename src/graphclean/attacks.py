@@ -63,8 +63,7 @@ def rate_budget(graph: WeightVector, rate: float) -> int:
     # tiny epsilon so exact products like 0.3 * 10 do not floor to 2
     budget = rate * graph.edge_count + 1e-9
     if not math.isfinite(budget):
-        raise InputError(f"rate {rate} of {graph.edge_count} edges gives a budget "
-                         f"that is not finite")
+        raise InputError(f"budget is not finite: rate {rate} of {graph.edge_count} edges")
     return int(budget)
 
 

@@ -3,11 +3,9 @@
 Pair k of n nodes is pair k of ``numpy.triu_indices(n, 1)`` and pair k+1 of
 :func:`pair_index`; each row's pairs (i, j > i) form one contiguous block,
 and no other module computes a pair position.  :func:`_rows` gives each
-row's slice of pairs, which :func:`same_label_pairs` fills a row block at a
-time, and :func:`pair_nodes` and :func:`pair_positions` map positions to
-nodes and back.  :func:`_degrees` is the one sum of pair values into their
-nodes, S w, taken over listed pairs from their nodes, so a caller passes only
-the pairs that carry weight.  Code that reads every pair goes through
+row's slice of pairs, :func:`pair_nodes` and :func:`pair_positions` map
+positions to nodes and back, and :func:`_degrees` sums the values of listed
+pairs into their nodes.  Code that reads every pair goes through
 :func:`_block_layout`, which describes each block of consecutive pairs by
 the row segments it holds, in O(n) memory; code that reads a list of pairs
 goes through :func:`_listed_blocks`.  No pair index is built, and no n x n
@@ -193,14 +191,10 @@ def same_label_pairs(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _degrees(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             out: np.ndarray) -> np.ndarray:
-    """deg = S w added into ``out``, which is returned, for the pairs
-    (rows[k], cols[k]) of weight ``values[k]``.  Each node's weights as the
-    first node of a pair are summed by a bincount in the order of ``values``
-    and added, then its weights as the second node the same way.  Every sum
-    of pair values into their nodes goes through here, so all of them round
-    alike."""
+def _degrees(values, rows, cols, out: np.ndarray) -> np.ndarray:
+    """Adds S w into ``out`` and returns it, for the pairs (rows[k], cols[k])
+    of weight values[k]: a bincount over the rows, in the order of ``values``,
+    then one over the cols.  The program's one sum of pair values into nodes."""
     out += np.bincount(rows, values, out.size)
     out += np.bincount(cols, values, out.size)
     return out

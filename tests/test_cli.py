@@ -294,13 +294,13 @@ class TestBadInput:
         (["attack", "--bundle", "{bundle}", "--out", "{tmp}/out"] + BIG_BUDGET, None, None,
          "cannot add 100000 edges: only 8 eligible absent pairs"),
         (["pipeline", "--attack", "random", "--rate", "1e308"] + SMALL_RUN, None, None,
-         "repetition 0, stage attack: rate 1e+308 of "),
+         "repetition 0, stage attack: budget is not finite: rate 1e+308 of "),
         (["sweep", "--sweep-param", "rate", "--values", "0.1,1e308", "--attack", "random"]
-         + SMALL_RUN, None, None, "gives a budget that is not finite"),
+         + SMALL_RUN, None, None, "budget is not finite: rate 1e+308 of "),
         (["attack", "--bundle", "{bundle}", "--attack", "heterophilic", "--rate", "1e308",
-          "--out", "{tmp}/out"], None, None, "gives a budget that is not finite"),
+          "--out", "{tmp}/out"], None, None, "budget is not finite: rate 1e+308 of "),
         (["attack", "--bundle", "{bundle}", "--attack", "random", "--rate", "1e308",
-          "--out", "{tmp}/out"], None, None, "gives a budget that is not finite"),
+          "--out", "{tmp}/out"], None, None, "budget is not finite: rate 1e+308 of "),
         (["pipeline"], b"beta = 0.3\n# caf\xe9\n", None, "bad.cfg: not UTF-8 text (line 2)"),
         # 0.8,0.1,0.1 of the 6-node bundle, which has no splits.json, is 5/1/0
         (["train", "--bundle", "{bundle}"], None, None, "test split must be non-empty"),

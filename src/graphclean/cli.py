@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .attacks import perturbation_report
 from .datasets import (
-    Dataset,
     InputError,
     SbmParams,
     check_fractions,
@@ -240,8 +239,7 @@ def cmd_attack(args) -> int:
     d_p = pairwise_p_distances(dataset.features, args.p)
     poisoned = apply_attack(dataset, attack, args.seed)
     stats = perturbation_report(dataset.graph, poisoned, dataset, d_p)
-    save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
-                        graph=poisoned, num_classes=dataset.num_classes), out)
+    save_bundle(dataclasses.replace(dataset, graph=poisoned), out)
     write_report_json(stats, Path(out) / "attack_report.json")
     print(f"wrote poisoned bundle: {out} (+{stats.edges_added} edges)")
     return 0
@@ -254,9 +252,8 @@ def cmd_denoise(args) -> int:
     threshold = check_weight_threshold(args.threshold)
     dataset = load_bundle(bundle)
     result = denoise(dataset.graph, dataset.features, config)
-    save_bundle(Dataset(features=dataset.features, labels=dataset.labels,
-                        graph=result.weights, num_classes=dataset.num_classes),
-                out, weight_threshold=threshold)
+    save_bundle(dataclasses.replace(dataset, graph=result.weights), out,
+                weight_threshold=threshold)
     (Path(out) / "denoise_result.json").write_text(
         json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
     print(f"wrote recovered bundle: {out} (iterations={result.iterations_run}, "

@@ -136,7 +136,7 @@ class Split:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         combined = np.concatenate([self.train, self.val, self.test])
-        if combined.size != np.unique(combined).size:
+        if _repeats(combined).any():
             raise ValueError("split parts must be pairwise disjoint")
         if combined.size and combined.min() < 0:
             raise ValueError("split contains negative node ids")

@@ -327,7 +327,7 @@ def gradient(w, c: np.ndarray, alpha: float) -> np.ndarray:
 
 def _nonzero_degrees(values, n) -> np.ndarray:
     """deg = S w of the pair vector ``values``, from its nonzeros."""
-    on = np.flatnonzero(values)
+    on = np.flatnonzero(values != 0.0)
     return _degrees(values[on], *pair_nodes(on, n), np.zeros(n))
 
 
@@ -442,12 +442,12 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             new, values = _violators(blocks, work)
             certified = not new.size
             if new.size:
-                # at most |W| of the largest join W, and lambda is evaluated on
-                # the larger W; its dual is lower there, and the zero step accepts it
+                # at most |W| of the largest, all outside W, join it, and lambda is
+                # evaluated on the larger W; its dual is lower there, and the zero step accepts it
                 room = max(work.size, 1)
                 if new.size > room:
                     new = new[np.argpartition(values, new.size - room)[new.size - room:]]
-                grown = np.union1d(work, new)
+                grown = np.sort(np.concatenate((work, new)))
                 step, slope = np.zeros(n), 0.0
                 if grown.size <= _WORKING_SHARE * m:
                     best, work = _scatter(best, np.searchsorted(grown, work), grown.size), grown

@@ -231,7 +231,7 @@ def normalize_adjacency(weights) -> CsrMatrix:
     if np.any(values < 0):
         raise ValueError("adjacency has negative weights")
     n = node_count_for_pairs(values.shape[0])
-    edges = np.flatnonzero(values)
+    edges = np.flatnonzero(values != 0.0)
     r, c = pair_nodes(edges, n)
     v = values[edges]
     loops = np.arange(n)

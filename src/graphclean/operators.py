@@ -237,7 +237,7 @@ class WeightVector:
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self.values))
+        return int(np.count_nonzero(self.values != 0.0))
 
 
 def _weight_array(w) -> np.ndarray:

@@ -130,6 +130,16 @@ class TestPipelineAndSweep:
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 3
 
+    def test_pipeline_csv(self, tmp_path):
+        csv_path = tmp_path / "pipeline.csv"
+        run(["pipeline", "--sbm-size", "15", "--attack", "random",
+             "--iters", "30", "--epochs", "20", "--reps", "2", "--seed", "1",
+             "--csv", str(csv_path)])
+        lines = csv_path.read_text().strip().split("\n")
+        assert lines[0] == "report,arm,repetition,seed,test_accuracy"
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            ["0", arm, str(rep)] for rep in range(2) for arm in ("clean", "poisoned", "denoised")]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from graphclean.attacks import heterophilic_add, random_add
 from graphclean.datasets import (
     BundleFormatError,
+    Dataset,
     InputError,
     SbmParams,
     Split,
@@ -17,10 +18,11 @@ from graphclean.datasets import (
     check_weight_threshold,
     load_bundle,
     load_splits,
+    split_nodes,
 )
-from graphclean.denoise import DenoiseConfig, pairwise_p_distances
-from graphclean.gcn import GcnParams, TrainConfig, normalize_adjacency, train
-from graphclean.operators import WeightVector
+from graphclean.denoise import DenoiseConfig, denoise, gradient, objective, pairwise_p_distances
+from graphclean.gcn import GcnParams, TrainConfig, accuracy, normalize_adjacency, train
+from graphclean.operators import WeightVector, node_count_for_pairs, pair_count, pair_index
 from graphclean.pipeline import AttackSpec, ExperimentConfig, sweep_configs
 
 SBM = dict(nodes_per_block=5, blocks=2, p_in=0.5, p_out=0.1, feature_dim=4,
@@ -146,3 +148,60 @@ def test_internal_invariant_stays_a_plain_value_error(invariant):
     with pytest.raises(ValueError) as raised:
         invariant()
     assert type(raised.value) is ValueError
+
+
+def _dataset(ds, **fields):
+    return Dataset(**{"features": ds.features, "labels": ds.labels, "graph": ds.graph,
+                      "num_classes": ds.num_classes, **fields})
+
+
+# each takes the 6-node dataset of conftest; all are plain ValueErrors
+INVARIANT_REFUSALS = {
+    "random-negative-rate": (lambda ds: random_add(ds.graph, -0.5, 0),
+                             "rate must be >= 0, got -0.5"),
+    "heterophilic-negative-budget": (lambda ds: heterophilic_add(ds, -1, 0),
+                                     "budget must be >= 0, got -1"),
+    "dataset-1d-features": (lambda ds: _dataset(ds, features=np.zeros(6)),
+                            "features must be 2-D, got shape (6,)"),
+    "dataset-label-shape": (lambda ds: _dataset(ds, labels=np.zeros((6, 1))),
+                            "labels must have shape (6,), got (6, 1)"),
+    "dataset-no-classes": (lambda ds: _dataset(ds, num_classes=0),
+                           "num_classes must be >= 1"),
+    "dataset-label-range": (lambda ds: _dataset(ds, labels=[0, 0, 0, 1, 1, 2]),
+                            "labels must lie in [0, num_classes)"),
+    "dataset-graph-size": (lambda ds: _dataset(ds, graph=WeightVector(n=5, values=np.zeros(10))),
+                           "graph has 5 nodes but features have 6 rows"),
+    "split-negative-count": (lambda ds: split_nodes(-1, (0.5, 0.25, 0.25), 0),
+                             "node count must be >= 0"),
+    "p-distances-1d": (lambda ds: pairwise_p_distances(np.ones(3), 2.0),
+                       "features must be 2-D, got shape (3,)"),
+    "objective-lengths": (lambda ds: objective(ds.graph, np.zeros(10), np.zeros(15), 1.0, 1.0),
+                          "expected pair vector of length 15 for n=6, got shape (10,)"),
+    "gradient-lengths": (lambda ds: gradient(ds.graph, np.zeros(10), 1.0),
+                         "expected pair vector of length 15 for n=6, got shape (10,)"),
+    "denoise-feature-rows": (lambda ds: denoise(ds.graph, ds.features[:5], DenoiseConfig()),
+                             "features must have 6 rows, got shape (5, 2)"),
+    "gcn-nan-params": (lambda ds: GcnParams(W1=np.full((2, 3), math.nan), W2=np.zeros((3, 2))),
+                       "parameters contain non-finite entries"),
+    "accuracy-mask-range": (lambda ds: accuracy(np.zeros((6, 2)), ds.labels, [0, 6]),
+                            "mask references nodes outside [0, 6)"),
+    "pair-count-0": (lambda ds: pair_count(0), "node count must be >= 1, got 0"),
+    "node-count-for-0-pairs": (lambda ds: node_count_for_pairs(0),
+                               "0 is not n(n-1)/2 for any n >= 2"),
+    "pair-index-one-node": (lambda ds: pair_index(2, 1, 1), "node count must be >= 2, got 1"),
+    "weight-vector-one-node": (lambda ds: WeightVector(n=1, values=np.zeros(0)),
+                               "node count must be >= 2, got 1"),
+    "weight-vector-nan": (lambda ds: WeightVector(n=3, values=[1.0, math.nan, 0.0]),
+                          "weight vector contains non-finite entries"),
+    "weights-2d": (lambda ds: objective(np.zeros((3, 3)), np.zeros(3), np.zeros(3), 1.0, 1.0),
+                   "weights must be a 1-D vector, got shape (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("refusal, message", INVARIANT_REFUSALS.values(),
+                         ids=INVARIANT_REFUSALS.keys())
+def test_invariant_refusal_names_what_is_wrong(small_dataset, refusal, message):
+    with pytest.raises(ValueError) as raised:
+        refusal(small_dataset)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
@@ -254,8 +253,7 @@ def cmd_denoise(args) -> int:
     result = denoise(dataset.graph, dataset.features, config)
     save_bundle(dataclasses.replace(dataset, graph=result.weights), out,
                 weight_threshold=threshold)
-    (Path(out) / "denoise_result.json").write_text(
-        json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    write_report_json(result.to_json_dict(), Path(out) / "denoise_result.json")
     print(f"wrote recovered bundle: {out} (iterations={result.iterations_run}, "
           f"objective={result.objective_trace[-1]:.6g}, kkt={result.kkt_residual:.3g})")
     return 0

@@ -33,9 +33,10 @@ optimum g's value loses precision, its slope does not).
 
 w(lambda) is evaluated in one pass over blocks of pairs, with no n x n
 matrix and no pair index: a block of consecutive pairs is read through the
-row segments it spans, a block of listed pairs through their nodes.  It is
-kept as sparse per-block lists with the nodes of their pairs, from which the
-Newton step takes the active pairs.  On its support the gradient of f
+row segments it spans, a block of listed pairs through their nodes, and each
+block carries its span, the slice of the pair vector or list it covers.  It
+is kept as sparse per-block lists with the nodes of their pairs, from which
+the Newton step takes the active pairs.  On its support the gradient of f
 is 2 alpha (grad_i g + grad_j g) and off it at least that, so
 4 alpha ||grad g||_inf bounds its KKT residual.  Once that bound meets
 ``tol``, one pass over all pairs computes the exact residual of the returned
@@ -335,8 +336,8 @@ def _full_gradient(values, deg, c, alpha) -> np.ndarray:
     """2 alpha (2 w + deg[i] + deg[j]) - c as a pair vector, a block at a time."""
     out = np.empty(values.size)
     scratch = np.empty(min(_BLOCK, values.size))
-    layout = _block_layout(deg.size, _BLOCK)
-    for blk, pairs in zip(_blocks(values.size), layout):
+    for pairs in _block_layout(deg.size, _BLOCK):
+        blk = pairs.span
         k = blk.stop - blk.start
         _gradient(values[blk], deg, c[blk], alpha, pairs, out[blk], scratch[:k])
     return out
@@ -366,11 +367,6 @@ _BLOCK = 8192
 _WORKING_SHARE = 0.01
 
 
-def _blocks(m: int):
-    for k0 in range(0, m, _BLOCK):
-        yield slice(k0, min(k0 + _BLOCK, m))
-
-
 # a diverging solve overflows; the checks on f report it as DenoiseDivergence
 @np.errstate(over="ignore", invalid="ignore")
 def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
@@ -381,6 +377,9 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     lambda = 0.  ``w0`` (default ``w_p``) is the first best point.  ``d_p``
     may be passed in to reuse a precomputed distance vector (it is recomputed
     from ``X`` otherwise; skipped entirely when beta == 0).
+
+    Each iteration evaluates w(lambda) at one call site: at lambda on all
+    pairs for a scan, else at the line search's trial point.
 
     The returned trace has the initial objective at index 0 and the best
     objective after each iteration; it is non-increasing up to 1e-11 slack
@@ -428,17 +427,24 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
     # the zero step makes the first pass evaluate lambda = 0 and accept it
     lam, g_lam = np.zeros(n), 0.0
     step, size, slope = np.zeros(n), 1.0, 0.0
-    converged, kkt_at, passes, scan = False, 0, 0, False
+    converged, kkt_at, passes, scan, exact = False, 0, 0, False, False
     for t in range(1, config.max_iters + 1):
-        if scan:
-            # w(lambda) on all pairs; a pair outside W where it is positive
-            # violates, and with none its active pairs are those on W
-            scan, trial = False, lam
-            blocks, nodes, deg, sq, wd, c_max = _primal_point(lam, *all_pairs,
-                                                              with_c_max=not exact)
+        # a scan evaluates lambda on all pairs, a trial point the step from it
+        trial = lam if scan else lam + size * step
+        blocks = nodes = None  # the last w(lambda) is freed before the pass builds the next
+        rescale = not exact and (scan or t == 1)
+        blocks, nodes, deg, sq, wd, c_max = _primal_point(
+            trial, *(all_pairs if scan else problem), with_c_max=rescale)
+        if scan or work is None:
             passes += 1
-            if not exact:
-                scale, exact = 1.0 + c_max, True
+        if rescale:
+            # on W, a lower bound on 1 + max|c| until a pass over all pairs
+            scale, exact = 1.0 + c_max, scan or work is None
+        certified = False
+        if scan:
+            # a pair outside W where w(lambda) is positive violates, and with
+            # none its active pairs are those on W
+            scan = False
             new, values = _violators(blocks, work)
             certified = not new.size
             if new.size:
@@ -459,16 +465,6 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
                 best, work, problem = _scatter(best, work, m), None, all_pairs
             else:
                 trace.append(f_best)
-        else:
-            trial, certified = lam + size * step, False
-            blocks = nodes = None  # the last w(lambda) is freed before the pass builds the next
-            blocks, nodes, deg, sq, wd, c_max = _primal_point(trial, *problem,
-                                                              with_c_max=t == 1)
-            if work is None:
-                passes += 1
-            if t == 1:
-                # on W, a lower bound on 1 + max|c| until a pass over all pairs
-                scale, exact = 1.0 + c_max, work is None
         if not certified:
             sq += target_sq
             f = _value(deg, sq, wd, deg_p, alpha, beta)
@@ -479,7 +475,7 @@ def denoise(w_p: WeightVector, X: np.ndarray, config: DenoiseConfig,
             g = f - alpha * float(grad @ grad)
             accepted = g >= g_lam + _ARMIJO * size * slope or float(grad @ step) >= 0.0
             if f <= f_best + _SLACK:
-                for blk, (on, w) in zip(_blocks(best.size), blocks):
+                for blk, on, w in blocks:
                     best[blk] = 0.0
                     best[blk][on] = w
                 deg_best, f_best = deg, f
@@ -556,9 +552,9 @@ def _scatter(values, at, size):
 def _violators(blocks, work):
     """The pairs outside the working set ``work`` where w(lambda) > 0 and
     their values, for a w(lambda) on all pairs given as per-block lists."""
-    on = np.concatenate([on + b * _BLOCK for b, (on, _) in enumerate(blocks)])
+    on = np.concatenate([on + span.start for span, on, _ in blocks])
     out = ~np.isin(on, work, assume_unique=True)
-    return on[out], np.concatenate([w for _, w in blocks])[out]
+    return on[out], np.concatenate([w for _, _, w in blocks])[out]
 
 
 def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_max=False):
@@ -566,17 +562,18 @@ def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_m
     the minimiser of the Lagrangian over w >= 0, in one pass over the blocks
     of ``pairs``.
 
-    w(lambda) is returned sparse, as one (indices in the block, values) pair
-    per block, with the nodes (i, j) of those pairs per block, its degrees,
-    ||w - w_p||^2 - ||w_p||^2, <w, d_p> and, with ``with_c_max``, max|c|
-    (0 otherwise).
+    w(lambda) is returned sparse, as one (block span, indices in the block,
+    values) triple per block, with the nodes (i, j) of those pairs per block,
+    its degrees, ||w - w_p||^2 - ||w_p||^2, <w, d_p> and, with
+    ``with_c_max``, max|c| (0 otherwise).
     """
     t1, t2, t3 = buffers
     n = lam.size
     mu = lam / (4.0 * alpha)
     deg = np.zeros(n)
     blocks, nodes, sq, wd, c_max = [], [], 0.0, 0.0, 0.0
-    for blk, block in zip(_blocks(target.size), pairs):
+    for block in pairs:
+        blk = block.span
         k = blk.stop - blk.start
         pb, db = target[blk], d_p[blk]
         if with_c_max:
@@ -594,7 +591,7 @@ def _primal_point(lam, target, deg_p, d_p, alpha, beta, pairs, buffers, with_c_m
         on = on.astype(np.int32)
         i, j = block.nodes(on)
         _degrees(w, i, j, deg)
-        blocks.append((on, w))
+        blocks.append((blk, on, w))
         nodes.append((i, j))
     return blocks, nodes, deg, sq, wd, c_max
 
@@ -635,7 +632,7 @@ def _toward(best, blocks, buffers):
     """Yield, for each block of pairs, its slice and w - best for a w given as
     per-block lists; the difference is built in the first block buffer."""
     t1 = buffers[0]
-    for blk, (on, w) in zip(_blocks(best.size), blocks):
+    for blk, on, w in blocks:
         e = np.negative(best[blk], out=t1[:blk.stop - blk.start])
         e[on] += w
         yield blk, e
@@ -655,25 +652,19 @@ def _move_toward(best, blocks, theta, target, d_p, buffers):
     return sq, wd
 
 
-def _gradient_blocks(w, deg, target, deg_p, d_p, alpha, beta, pairs, buffers):
-    """Yield (block, c, grad f(w)) for each block of ``pairs``; c and the
-    gradient are built in two of the three block ``buffers``, the third is
-    scratch."""
-    t1, t2, t3 = buffers
-    for blk, block in zip(_blocks(w.size), pairs):
-        k = blk.stop - blk.start
-        c = _gradient(target[blk], deg_p, np.multiply(d_p[blk], beta, out=t1[:k]),
-                      alpha, block, t2[:k], t3[:k])
-        yield blk, c, _gradient(w[blk], deg, c, alpha, block, t1[:k], t3[:k])
-
-
 def _kkt(best, work, deg, problem):
     """The best point as a pair vector and its largest KKT violation of
     w >= 0, |grad f| on its support and max(0, -grad f) off it, relative to
     1 + max|c|, from one pass over all pairs."""
-    w = best if work is None else _scatter(best, work, problem[0].size)
+    target, deg_p, d_p, alpha, beta, pairs, (t1, t2, t3) = problem
+    w = best if work is None else _scatter(best, work, target.size)
     worst = c_max = 0.0
-    for blk, c, g in _gradient_blocks(w, deg, *problem):
+    for block in pairs:
+        blk = block.span
+        k = blk.stop - blk.start
+        c = _gradient(target[blk], deg_p, np.multiply(d_p[blk], beta, out=t1[:k]),
+                      alpha, block, t2[:k], t3[:k])
+        g = _gradient(w[blk], deg, c, alpha, block, t1[:k], t3[:k])
         c_max = max(c_max, float(c.max()), -float(c.min()))
         on = np.abs(g, out=c)
         on *= w[blk] > 0.0

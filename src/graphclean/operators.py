@@ -8,7 +8,8 @@ positions to nodes and back, and :func:`_degrees` sums the values of listed
 pairs into their nodes.  Code that reads every pair goes through
 :func:`_block_layout`, which describes each block of consecutive pairs by
 the row segments it holds, in O(n) memory; code that reads a list of pairs
-goes through :func:`_listed_blocks`.  No pair index is built, and no n x n
+goes through :func:`_listed_blocks`.  Each block carries its span, so no other
+module computes where a block starts.  No pair index is built, and no n x n
 matrix.
 """
 
@@ -100,14 +101,14 @@ def pair_positions(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Segments:
-    """A block of consecutive pairs, held as the segments of the rows it spans:
-    segment s holds the block's pairs ``edges[s]`` to ``edges[s + 1] - 1``,
-    which are (nodes_of[s], j) with j in ``cols[s]``."""
+    """A block of consecutive pairs, positions ``span``, held as the segments of
+    the rows it spans: segment s holds the block's pairs ``edges[s]`` to
+    ``edges[s + 1] - 1``, which are (nodes_of[s], j) with j in ``cols[s]``."""
 
-    __slots__ = ("rows", "lens", "cols", "edges", "nodes_of", "shift")
+    __slots__ = ("span", "rows", "lens", "cols", "edges", "nodes_of", "shift")
 
-    def __init__(self, rows, lens, cols, edges, nodes_of, shift):
-        self.rows, self.lens, self.cols = rows, lens, cols
+    def __init__(self, span, rows, lens, cols, edges, nodes_of, shift):
+        self.span, self.rows, self.lens, self.cols = span, rows, lens, cols
         self.edges, self.nodes_of, self.shift = edges, nodes_of, shift
 
     def sums(self, x, out, scratch=None):
@@ -126,12 +127,12 @@ class _Segments:
 
 
 class _Listed:
-    """A block of listed pairs, held as their nodes."""
+    """A block of listed pairs, entries ``span`` of the list, held as their nodes."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("span", "rows", "cols")
 
-    def __init__(self, rows, cols):
-        self.rows, self.cols = rows, cols
+    def __init__(self, span, rows, cols):
+        self.span, self.rows, self.cols = span, rows, cols
 
     def sums(self, x, out, scratch):
         """x_i + x_j for the block's pairs (i, j), in ``out``, with ``scratch``
@@ -167,7 +168,8 @@ def _block_layout(n: int, block: int) -> tuple[_Segments, ...]:
     for shared in (lens, shift, nodes_of, edges):
         shared.flags.writeable = False  # every caller of the cache shares them
     first = rows.tolist()
-    return tuple(_Segments(slice(first[a], first[e - 1] + 1), lens[a:e], spans[a:e],
+    return tuple(_Segments(slice(b * block, min(b * block + block, m)),
+                           slice(first[a], first[e - 1] + 1), lens[a:e], spans[a:e],
                            edges[a + b:e + b + 1], nodes_of[a:e], shift[a:e])
                  for b, (a, e) in enumerate(zip(bounds, bounds[1:])))
 
@@ -175,7 +177,8 @@ def _block_layout(n: int, block: int) -> tuple[_Segments, ...]:
 def _listed_blocks(k, n: int, block: int) -> list[_Listed]:
     """The pairs at positions ``k`` in blocks of ``block``, each held as its nodes."""
     rows, cols = (side.astype(np.int32) for side in pair_nodes(k, n))
-    return [_Listed(rows[k0:k0 + block], cols[k0:k0 + block])
+    return [_Listed(slice(k0, min(k0 + block, rows.size)), rows[k0:k0 + block],
+                    cols[k0:k0 + block])
             for k0 in range(0, rows.size, block)]
 
 
@@ -194,7 +197,10 @@ def same_label_pairs(labels: np.ndarray) -> np.ndarray:
 def _degrees(values, rows, cols, out: np.ndarray) -> np.ndarray:
     """Adds S w into ``out`` and returns it, for the pairs (rows[k], cols[k])
     of weight values[k]: a bincount over the rows, in the order of ``values``,
-    then one over the cols.  The program's one sum of pair values into nodes."""
+    then one over the cols.  The denoiser sums every degree through it.
+    ``gcn.normalize_adjacency`` sums A_hat's degrees apart, as CSR row sums
+    in column order, self-loop included; moving those here would change the
+    denoised arm's bits."""
     out += np.bincount(rows, values, out.size)
     out += np.bincount(cols, values, out.size)
     return out

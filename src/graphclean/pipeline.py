@@ -301,11 +301,12 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list[ExperimentRe
 
 
 def report_json_text(report) -> str:
-    """Stable JSON rendering for a report or a list of reports."""
+    """Stable JSON rendering for a report, a list of reports or a dict, which
+    is rendered as it is."""
     if isinstance(report, list):
         payload = [asdict(r) for r in report]
     else:
-        payload = asdict(report)
+        payload = report if isinstance(report, dict) else asdict(report)
     return json.dumps(payload, indent=2) + "\n"
 
 

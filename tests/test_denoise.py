@@ -141,10 +141,11 @@ def random_problem(rng, n, beta_max=1.5):
 
 
 def dense(blocks, m):
-    """The pair vector of a w(lambda) given as per-block (indices, values) lists."""
+    """The pair vector of a w(lambda) given as per-block (span, indices,
+    values) lists."""
     w = np.zeros(m)
-    for k0, (on, values) in zip(range(0, m, _BLOCK), blocks):
-        w[k0 + on] = values
+    for span, on, values in blocks:
+        w[span.start + on] = values
     return w
 
 

@@ -41,7 +41,7 @@ def index_degrees(values, n):
 
 def index_primal_point(lam, target, deg_p, d_p, alpha, beta, block):
     """Oracle: w(lambda) in blocks of ``block`` pairs read off ``triu_indices``:
-    the per-block (indices, values) lists and nodes, the degrees,
+    the per-block (slice, indices, values) lists and nodes, the degrees,
     ||w - w_p||^2 - ||w_p||^2, <w, d_p> and max|c|."""
     n = lam.size
     rows, cols = np.triu_indices(n, 1)
@@ -62,7 +62,7 @@ def index_primal_point(lam, target, deg_p, d_p, alpha, beta, block):
         wd += float(w @ db[on])
         deg += np.bincount(r[on], w, n)
         deg += np.bincount(c[on], w, n)
-        blocks.append((on, w))
+        blocks.append((slice(k0, k0 + r.size), on, w))
         nodes.append((r[on], c[on]))
     return blocks, nodes, deg, sq, wd, c_max
 
@@ -108,6 +108,7 @@ class TestBlockLayout:
         assert len(layout) == -(-rows.size // block)
         for k0, segments in zip(range(0, rows.size, block), layout):
             r, c = rows[k0:k0 + block], cols[k0:k0 + block]
+            assert segments.span == slice(k0, k0 + r.size)
             on = np.arange(r.size, dtype=np.int32)
             i, j = segments.nodes(on)
             np.testing.assert_array_equal(i, r)
@@ -124,6 +125,7 @@ class TestBlockLayout:
         listed = _listed_blocks(work, n, block)
         assert len(listed) == -(-work.size // block)
         for k0, pairs in zip(range(0, work.size, block), listed):
+            assert pairs.span == slice(k0, min(k0 + block, work.size))
             np.testing.assert_array_equal(pairs.rows, rows[work[k0:k0 + block]])
             np.testing.assert_array_equal(pairs.cols, cols[work[k0:k0 + block]])
 
@@ -143,15 +145,16 @@ class TestBlockLayout:
             lam, *problem, with_c_max=True)
         expected = index_primal_point(lam, target, deg_p, d_p, alpha, beta, block)
         assert len(blocks) == len(nodes) == len(expected[0])
-        for (on, values), (i, j), (on_x, values_x), (i_x, j_x) in zip(
+        for (span, on, values), (i, j), (span_x, on_x, values_x), (i_x, j_x) in zip(
                 blocks, nodes, expected[0], expected[1]):
+            assert span == span_x
             np.testing.assert_array_equal(on, on_x)
             np.testing.assert_array_equal(values, values_x)
             np.testing.assert_array_equal(i, i_x)
             np.testing.assert_array_equal(j, j_x)
         np.testing.assert_array_equal(point_deg, expected[2])
         assert (sq, wd, c_max) == expected[3:]
-        assert sum(on.size for on, _ in blocks) > 0 or n == 2
+        assert sum(on.size for _, on, _ in blocks) > 0 or n == 2
 
         kkt_w, kkt = denoise_module._kkt(w, None, deg, problem)
         assert kkt_w is w
